@@ -1,0 +1,12 @@
+"""Make the program (``src``) and the harness (``layerbench``) importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH_DIR = os.path.dirname(HERE)
+REPO_ROOT = os.path.dirname(BENCH_DIR)
+
+for path in (BENCH_DIR, os.path.join(REPO_ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
