@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.config import DetectorConfig
 from repro.core.delay import align_signals
 from repro.core.features import (
-    extract_features,
+    extract_features_batch,
     normalize_unit,
     pearson_correlation,
     split_segments,
@@ -80,7 +80,8 @@ def test_ablation_delay_removal_saves_legitimate_trends(benchmark, main_dataset,
         with_removal = []
         without_removal = []
         for clip in clips:
-            fx = extract_features(clip.transmitted_luminance, clip.received_luminance, config)
+            pair = (clip.transmitted_luminance, clip.received_luminance)
+            fx = extract_features_batch([pair], config)[0]
             with_removal.append(fx.features.z3)
             # Recompute z3 with the delay forced to zero.
             t_norm = normalize_unit(fx.transmitted.smoothed)

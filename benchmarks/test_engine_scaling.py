@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.features import extract_features, extract_features_batch
+from repro.core.features import extract_features_batch
 from repro.engine import ExecutionEngine
 from repro.experiments.dataset import ATTACK, GENUINE, ClipInstance, FeatureDataset
 from repro.experiments.runner import run_overall, run_threshold_sweep
@@ -60,7 +60,7 @@ def _smoke_dataset(users=8, genuine=26, attack=12):
                     r = 120.0 + 0.3 * delayed + rng.normal(0, 0.3, 150)
                 else:
                     r = 120.0 + rng.normal(0, 2.0, 150)
-                features = extract_features(t, r, config).features
+                features = extract_features_batch([(t, r)], config)[0].features
                 instances.append(ClipInstance(name, role, i, features, t, r))
     return FeatureDataset(instances)
 

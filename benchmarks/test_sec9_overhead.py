@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
-from repro.core.features import extract_features
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
 from repro.experiments.dataset import GENUINE
 from repro.experiments.simulate import simulate_genuine_session

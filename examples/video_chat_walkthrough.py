@@ -19,7 +19,7 @@ import numpy as np
 from repro.chat.session import VideoChatSession
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
-from repro.core.features import extract_features
+from repro.core.features import extract_features_batch
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import (
@@ -72,7 +72,7 @@ def main() -> None:
     print("\n=== Step 5b: preprocessing + features (Sec. V-VI) ===")
     # Use the first 15-second clip, like a real detection attempt.
     n = config.samples_per_clip
-    fx = extract_features(t_lum[:n], r_lum[:n], config)
+    fx = extract_features_batch([(t_lum[:n], r_lum[:n])], config)[0]
     print(f"  screen changes at : {np.round(fx.transmitted.peak_times, 1)} s")
     print(f"  face changes at   : {np.round(fx.received.peak_times, 1)} s")
     print(f"  matched pairs     : {len(fx.matches)}"

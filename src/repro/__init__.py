@@ -43,14 +43,13 @@ from .api import (
     Verdict,
     VerificationReport,
     VotingCombiner,
-    extract_features,
     extract_features_batch,
     simulate_adaptive_attack_session,
     simulate_attack_session,
     simulate_genuine_session,
     verify_clips,
 )
-from .core import LocalOutlierFactor, SessionVerdict
+from .core import LocalOutlierFactor
 
 __version__ = "1.0.0"
 
@@ -64,13 +63,11 @@ __all__ = [
     "LivenessDetector",
     "LocalOutlierFactor",
     "PerfReport",
-    "SessionVerdict",
     "StreamingVerifier",
     "Verdict",
     "VerificationReport",
     "VotingCombiner",
     "ClipBatch",
-    "extract_features",
     "extract_features_batch",
     "simulate_genuine_session",
     "simulate_attack_session",

@@ -14,11 +14,11 @@ Per-file rules (one module at a time):
 E000      file cannot be analyzed (syntax error / not UTF-8)
 R001      unseeded global randomness (np.random.* / random.*)
 R002      wall-clock reads outside the configured clock allowlist
-R003      unpicklable payloads handed to ``ExecutionEngine.map``
+R003      unpicklable payloads handed to ``ExecutionEngine.map_batches``
 R004      exact float equality on computed values
 R005      mutable default arguments / dataclass field defaults
-R006      DetectorConfig contract violations (deprecated ``replace``,
-          unknown field names in strings/keywords)
+R006      DetectorConfig contract violations (unknown field names in
+          ``with_overrides`` keywords and attribute strings)
 ========  ==========================================================
 
 Whole-program rules (reprograph: project-wide call graph with

@@ -147,8 +147,8 @@ class LockOrderInversionRule(_ConcurrencyRule):
 class BlockingCallRule(_ConcurrencyRule):
     id = "R014"
     title = "blocking call under a ServiceLock or inside a scheduler task"
-    example = "async with self._lock: results = engine.map(fn, clips)"
-    rationale = """time.sleep, file I/O, or a whole ExecutionEngine.map fan-out
+    example = "async with self._lock: results = engine.map_batches(fn, clips)"
+    rationale = """time.sleep, file I/O, or a whole ExecutionEngine.map_batches fan-out
     executed while a ServiceLock is held serializes every contending session
     behind wall-clock work; executed inside a scheduler task it freezes the
     cooperative event loop outright (and deadlocks the virtual driver, which
@@ -170,7 +170,8 @@ class BlockingCallRule(_ConcurrencyRule):
                 node_id = f"{module}:{site.func}"
                 if node_id in graph.nodes:
                     self._check(
-                        graph, model, node_id, site.line, "ExecutionEngine.map"
+                        graph, model, node_id, site.line,
+                        "ExecutionEngine.map_batches",
                     )
         return self.findings
 

@@ -119,7 +119,6 @@ class TaintConfig:
     #: Pickle-boundary sinks for R019: payloads serialized into worker
     #: processes or shared memory.
     pickle_sinks: tuple[str, ...] = (
-        "map@engine",
         "map_batches@engine",
         "pickle.",
         "SignalPack",

@@ -26,7 +26,7 @@ _HAZARD_TEXT = {
 
 def _entry_points(graph: ProgramGraph) -> list[tuple[str, str, str, int]]:
     """(node_id, label, anchor_path, anchor_line) for every analysis
-    entry point: ``ExecutionEngine.map`` task payloads plus module-level
+    entry point: ``ExecutionEngine.map_batches`` task payloads plus module-level
     ``run_*`` functions."""
     entries: list[tuple[str, str, str, int]] = []
     for module, summary in sorted(graph.modules.items()):
@@ -40,7 +40,8 @@ def _entry_points(graph: ProgramGraph) -> list[tuple[str, str, str, int]]:
             entries.append(
                 (
                     node_id,
-                    f"ExecutionEngine.map payload '{graph.dotted_name(node_id)}'",
+                    f"ExecutionEngine.map_batches payload "
+                    f"'{graph.dotted_name(node_id)}'",
                     summary.path,
                     site.line,
                 )
@@ -64,8 +65,8 @@ class TransitiveRandomnessRule(GraphRule):
     id = "R007"
     title = "unseeded randomness reachable from a pool payload or entry point"
     example = "def jitter(): return random.random()  # called by a task fn"
-    rationale = """A task function handed to ExecutionEngine.map (or a run_*
-    protocol entry point) must be deterministic given its payload; a helper
+    rationale = """A task function handed to ExecutionEngine.map_batches (or a
+    run_* protocol entry point) must be deterministic given its payload; a helper
     that draws from global RNG state two calls away breaks pool==serial
     bit-identity just as surely as a direct call — and per-file R001 cannot
     see through project imports.  The finding's evidence lists the call
@@ -314,8 +315,8 @@ class PoolPayloadPickleRule(GraphRule):
     id = "R011"
     title = "unpicklable object packed into a pool payload"
     example = "payloads = [(clip, self._lock) for clip in clips]"
-    rationale = """ExecutionEngine.map pickles every payload element to the
-    worker processes.  An object whose class stores an open file, a lambda,
+    rationale = """ExecutionEngine.map_batches pickles every payload element to
+    the worker processes.  An object whose class stores an open file, a lambda,
     or an enabled Instrumentation handle pickles fine in serial tests and
     explodes only at --jobs > 1 — and when the class lives in another
     module, per-file R003 cannot connect the two.  Enabled handles are

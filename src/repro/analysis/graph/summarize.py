@@ -2,7 +2,7 @@
 
 A :class:`ModuleSummary` is everything the call-graph layer knows about
 a module — bindings, per-function call sites and direct effects, class
-pickle hazards, ``ExecutionEngine.map`` sites, referenced names, and the
+pickle hazards, ``ExecutionEngine.map_batches`` sites, referenced names, and the
 suppression table — in a JSON-serializable form so summaries can be
 content-hash cached across lint runs (see :mod:`.cache`).
 
@@ -56,7 +56,8 @@ __all__ = [
 #: constructor tables per class/module) consumed by R012-R016.
 #: v3 added the secret-flow fields (``TaintInfo`` per function,
 #: dataclass field tables per class) consumed by R017-R021.
-SUMMARY_VERSION = 3
+#: v4 records ``map_batches`` pool sites (the only submission API).
+SUMMARY_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +152,7 @@ class PayloadItem:
 
 @dataclasses.dataclass(frozen=True)
 class MapSite:
-    """One ``ExecutionEngine.map(fn, payloads)`` call site."""
+    """One ``ExecutionEngine.map_batches(fn, tasks)`` call site."""
 
     line: int
     func: str  # enclosing function qual ("" at class level)
@@ -517,11 +518,11 @@ class _CallableSummarizer:
             if target is not None:
                 self.calls.append(dataclasses.replace(target, ref=True))
 
-    # -- ExecutionEngine.map sites --------------------------------------
+    # -- ExecutionEngine.map_batches sites ------------------------------
 
     def _record_map_site(self, node: ast.Call, qual: str) -> None:
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "map"):
+        if not (isinstance(func, ast.Attribute) and func.attr == "map_batches"):
             return
         if "engine" not in ast.unparse(func.value).lower():
             return

@@ -115,16 +115,16 @@ class WallClockRule(Rule):
 @register
 class UnpicklableTaskRule(Rule):
     id = "R003"
-    title = "unpicklable payload handed to ExecutionEngine.map"
-    example = "engine.map(lambda clip: grade(clip), clips)"
-    rationale = """ExecutionEngine.map sends the task function to worker
-    processes by pickling; lambdas, closures and local defs fail there —
-    but only once jobs > 1, so the defect hides in serial test runs.
-    Task functions must be module-level."""
+    title = "unpicklable payload handed to ExecutionEngine.map_batches"
+    example = "engine.map_batches(lambda clip: grade(clip), clips)"
+    rationale = """ExecutionEngine.map_batches sends the task function to
+    worker processes by pickling; lambdas, closures and local defs fail
+    there — but only once jobs > 1, so the defect hides in serial test
+    runs.  Task functions must be module-level."""
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "map":
+        if isinstance(func, ast.Attribute) and func.attr == "map_batches":
             receiver = ast.unparse(func.value).lower()
             if "engine" in receiver:
                 fn_arg: ast.expr | None = node.args[0] if node.args else None
@@ -135,8 +135,8 @@ class UnpicklableTaskRule(Rule):
                 if isinstance(fn_arg, ast.Lambda):
                     self.report(
                         node,
-                        "lambda passed to ExecutionEngine.map cannot be pickled "
-                        "to worker processes; use a module-level function",
+                        "lambda passed to ExecutionEngine.map_batches cannot be "
+                        "pickled to worker processes; use a module-level function",
                     )
                 elif isinstance(fn_arg, ast.Name) and (
                     fn_arg.id in self.ctx.nested_function_names
@@ -144,8 +144,9 @@ class UnpicklableTaskRule(Rule):
                 ):
                     self.report(
                         node,
-                        f"'{fn_arg.id}' is a nested def/lambda; ExecutionEngine.map "
-                        "payloads must be module-level functions (picklable)",
+                        f"'{fn_arg.id}' is a nested def/lambda; "
+                        "ExecutionEngine.map_batches payloads must be "
+                        "module-level functions (picklable)",
                     )
         self.generic_visit(node)
 
@@ -358,19 +359,15 @@ class MutableDefaultRule(Rule):
 class ConfigContractRule(Rule):
     id = "R006"
     title = "DetectorConfig contract violation"
-    example = "tuned = config.replace(clip_duration_s=12.0)"
-    rationale = """DetectorConfig.replace is deprecated (with_overrides is the
-    validated path), and config field names written as strings or keywords
-    must exist on the dataclass — the static twin of with_overrides' runtime
+    example = "tuned = config.with_overrides(clip_durations=12.0)"
+    rationale = """Config field names written as strings or keywords must
+    exist on the dataclass — the static twin of with_overrides' runtime
     unknown-field check, catching typos before a sweep runs."""
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr == "with_overrides":
-                self._check_override_keywords(node)
-            elif func.attr == "replace":
-                self._check_replace(node)
+        if isinstance(func, ast.Attribute) and func.attr == "with_overrides":
+            self._check_override_keywords(node)
         elif isinstance(func, ast.Name) and func.id in {"getattr", "setattr", "hasattr"}:
             self._check_getattr(node)
         self.generic_visit(node)
@@ -395,25 +392,6 @@ class ConfigContractRule(Rule):
                             f"with_overrides key '{key.value}' is not a "
                             "DetectorConfig field (would raise at runtime)",
                         )
-
-    def _check_replace(self, node: ast.Call) -> None:
-        func = node.func
-        assert isinstance(func, ast.Attribute)
-        receiver = ast.unparse(func.value)
-        receiver_base = receiver.split(".")[0].split("(")[0]
-        # dataclasses.replace on other dataclasses is fine; str.replace
-        # et al. take positional arguments and are excluded below.
-        if receiver_base in {"dataclasses", "dc"}:
-            return
-        named = [keyword.arg for keyword in node.keywords if keyword.arg is not None]
-        if node.args or not named:
-            return
-        if all(name in CONFIG_FIELDS for name in named):
-            self.report(
-                node,
-                f"{receiver}.replace(...) uses the deprecated DetectorConfig "
-                "alias; call with_overrides instead",
-            )
 
     def _check_getattr(self, node: ast.Call) -> None:
         if len(node.args) < 2:

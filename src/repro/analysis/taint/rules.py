@@ -118,13 +118,13 @@ class SecretInMessageRule(_TaintRule):
 class SecretAcrossPickleRule(_TaintRule):
     id = "R019"
     title = "key material crosses the pickle boundary"
-    rationale = """ExecutionEngine.map/map_batches payloads and shared-
+    rationale = """ExecutionEngine.map_batches payloads and shared-
     memory packs are pickled into worker processes: the bytes traverse
     pipes and /dev/shm segments that outlive the call and are readable by
     anything sharing the machine.  Workers that need challenge state
     should receive the derived schedule or a digest tag, not the key that
     derives every future session."""
-    example = "engine.map(verify_worker, [(clip, tenant_key)])"
+    example = "engine.map_batches(verify_worker, [(clip, tenant_key)])"
 
     def run(self, graph) -> list[Finding]:
         model = taint_model(graph)

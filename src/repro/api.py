@@ -9,8 +9,8 @@ import lives here, re-exported from the subsystem that owns it:
 * the deployable classifier — :class:`LivenessDetector` and its
   :class:`DetectionResult`;
 * batch feature extraction — :func:`extract_features_batch` over the
-  structure-of-arrays :class:`ClipBatch` core (the per-clip
-  :func:`extract_features` remains as a deprecated batch-of-1 wrapper);
+  structure-of-arrays :class:`ClipBatch` core (a single clip is a batch
+  of one);
 * configuration — :class:`DetectorConfig` (validated copies via
   :meth:`~repro.core.config.DetectorConfig.with_overrides`) and the
   paper's exact :data:`PAPER_CONFIG`;
@@ -48,7 +48,7 @@ here are covered by the compatibility promise.
 from .core.batch import ClipBatch
 from .core.config import PAPER_CONFIG, DetectorConfig
 from .core.detector import DetectionResult, LivenessDetector, verify_clips
-from .core.features import FeatureVector, extract_features, extract_features_batch
+from .core.features import FeatureVector, extract_features_batch
 from .core.pipeline import ChatVerifier, VerificationReport
 from .core.streaming import (
     AttemptVerdict,
@@ -60,18 +60,16 @@ from .core.streaming import (
 )
 from .core.voting import Verdict, VotingCombiner
 from .engine import ExecutionEngine, FeatureCache, PerfReport
-from .experiments.faultmatrix import (
+from .experiments.matrix import (
     DEFAULT_FAULT_SPEC,
+    PROTOCOL_ROLES,
     FaultCell,
     FaultMatrixResult,
-    run_fault_matrix,
-    simulate_faulted_session,
-)
-from .experiments.protocolmatrix import (
-    PROTOCOL_ROLES,
     ProtocolCell,
     ProtocolMatrixResult,
+    run_fault_matrix,
     run_protocol_matrix,
+    simulate_faulted_session,
     simulate_protocol_session,
 )
 from .experiments.simulate import (
@@ -165,7 +163,6 @@ __all__ = [
     "build_slo_report",
     "derive_schedule",
     "derive_session_schedules",
-    "extract_features",
     "extract_features_batch",
     "make_tenant_bank_provider",
     "read_trace",

@@ -22,7 +22,12 @@ from ..video.frame import Frame
 from ..video.stream import VideoStream
 from .endpoints import ProverEndpoint, VerifierEndpoint
 
-__all__ = ["SessionRecord", "VideoChatSession"]
+__all__ = ["WARMUP_S", "SessionRecord", "VideoChatSession"]
+
+#: Default simulated time before recording starts.  Anything scheduled
+#: on absolute session time (derived challenge schedules, a replayed
+#: response) shifts by it.
+WARMUP_S = 2.0
 
 
 @dataclasses.dataclass
@@ -68,7 +73,7 @@ class VideoChatSession:
         uplink: MediaLink | None = None,
         downlink: MediaLink | None = None,
         fps: float = 10.0,
-        warmup_s: float = 2.0,
+        warmup_s: float = WARMUP_S,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         if fps <= 0:

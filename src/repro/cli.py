@@ -30,11 +30,9 @@ from .api import (
     PAPER_CONFIG,
     ChatVerifier,
     ExecutionEngine,
-    simulate_adaptive_attack_session,
-    simulate_attack_session,
     simulate_genuine_session,
-    simulate_replay_attack_session,
 )
+from .experiments.simulate import SessionSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -50,35 +48,18 @@ def _enrolled_verifier(enroll_sessions: int, seed: int) -> ChatVerifier:
     return verifier
 
 
-def _simulate(
-    role: str,
-    seed: int,
-    duration_s: float,
-    delay_s: float,
-    env=None,
-    instrumentation=None,
-):
-    if role == "genuine":
-        return simulate_genuine_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "attack":
-        return simulate_attack_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "replay":
-        return simulate_replay_attack_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "adaptive":
-        return simulate_adaptive_attack_session(
-            processing_delay_s=delay_s,
-            duration_s=duration_s,
-            seed=seed,
-            env=env,
-            instrumentation=instrumentation,
-        )
-    raise ValueError(f"unknown role {role!r}")
+def _small_env(args: argparse.Namespace):
+    """The default room at the ``--frame`` / ``--verifier-frame`` raster.
+
+    Small frames keep batches interactive; detection quality is
+    unaffected (the ROI probe only needs the nasal bridge resolved).
+    """
+    from .experiments.profiles import DEFAULT_ENVIRONMENT
+
+    return DEFAULT_ENVIRONMENT.replace(
+        frame_size=(args.frame, args.frame),
+        verifier_frame_size=(args.verifier_frame, args.verifier_frame),
+    )
 
 
 def _simulate_session_task(payload: tuple) -> dict:
@@ -91,21 +72,19 @@ def _simulate_session_task(payload: tuple) -> dict:
     buffered span records for the parent to merge in submission order
     (what keeps ``--jobs N`` output bit-identical to ``--jobs 1``).
     """
-    bank, config, env, role, delay_s, duration_s, seed = payload
+    bank, config, env, spec = payload
     from .core.pipeline import ChatVerifier
     from .obs import Instrumentation
 
     instr = Instrumentation.enabled()
-    with instr.span("session", stage="simulate", role=role, seed=seed):
-        record = _simulate(
-            role, seed, duration_s, delay_s, env=env, instrumentation=instr
-        )
+    with instr.span("session", stage="simulate", role=spec.kind, seed=spec.seed):
+        record = spec.simulate(env, instrumentation=instr)
         verifier = ChatVerifier(config, instrumentation=instr)
         verifier.detector.fit(bank)
         report = verifier.verify_session(record)
     return {
-        "role": role,
-        "seed": seed,
+        "role": spec.kind,
+        "seed": spec.seed,
         "verdict": "ATTACKER" if report.is_attacker else "live",
         "clips": len(report.attempts),
         "snapshot": instr.snapshot(),
@@ -118,7 +97,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print("enrolling verifier on genuine sessions ...")
     verifier = _enrolled_verifier(args.enroll, seed=args.seed)
     for role in ("genuine", "attack"):
-        record = _simulate(role, args.seed + 100, 15.0, 1.0)
+        record = SessionSpec(role, seed=args.seed + 100).simulate()
         verdict = verifier.verify_session(record)
         attempt = verdict.attempts[0]
         z = attempt.features
@@ -137,7 +116,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shell can branch on the verdict).
     """
     verifier = _enrolled_verifier(args.enroll, seed=args.seed)
-    record = _simulate(args.role, args.seed + 1000, args.duration, args.delay)
+    record = SessionSpec(
+        args.role, args.seed + 1000, args.duration, args.delay
+    ).simulate()
     verdict = verifier.verify_session(record)
     for i, attempt in enumerate(verdict.attempts):
         z = attempt.features
@@ -164,12 +145,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     at any ``--jobs`` count.
     """
     import contextlib
-    import dataclasses as dc
 
     from .core.config import DetectorConfig
     from .engine import task_rng
-    from .experiments.faultmatrix import _enrollment_bank
-    from .experiments.profiles import DEFAULT_ENVIRONMENT
+    from .experiments.matrix import enrollment_bank
     from .experiments.simulate import default_user
     from .obs import (
         Instrumentation,
@@ -178,13 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         render_prometheus,
     )
 
-    # Small frames keep the batch interactive; detection quality is
-    # unaffected (the ROI probe only needs the nasal bridge resolved).
-    env = dc.replace(
-        DEFAULT_ENVIRONMENT,
-        frame_size=(args.frame, args.frame),
-        verifier_frame_size=(args.verifier_frame, args.verifier_frame),
-    )
+    env = _small_env(args)
     config = DetectorConfig()
     user = default_user()
 
@@ -198,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         with instr.span("simulate.batch", stage="simulate", sessions=args.sessions):
             with instr.span("simulate.enroll", stage="simulate"):
-                bank = _enrollment_bank(
+                bank = enrollment_bank(
                     config, env, user, args.enroll, args.seed, engine
                 )
             payloads = [
@@ -206,14 +179,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     bank,
                     config,
                     env,
-                    args.role,
-                    args.delay,
-                    args.duration,
-                    int(task_rng(args.seed, 500, i).integers(0, 2**31 - 1)),
+                    SessionSpec(
+                        args.role,
+                        int(task_rng(args.seed, 500, i).integers(0, 2**31 - 1)),
+                        args.duration,
+                        args.delay,
+                    ),
                 )
                 for i in range(args.sessions)
             ]
-            rows = engine.map(_simulate_session_task, payloads, stage="sessions")
+            rows = engine.map_batches(
+                _simulate_session_task, payloads, stage="sessions"
+            )
         # Merge worker results in submission order: metric merge is
         # associative, so this is the jobs-invariant reduction.
         for row in rows:
@@ -257,18 +234,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Sweep the fault-severity grid through the gated streaming verifier."""
-    import dataclasses as dc
+    from .experiments.matrix import run_fault_matrix
 
-    from .experiments.faultmatrix import run_fault_matrix
-    from .experiments.profiles import DEFAULT_ENVIRONMENT
-
-    # Small frames keep the sweep interactive; detection quality is
-    # unaffected (the ROI probe only needs the nasal bridge resolved).
-    env = dc.replace(
-        DEFAULT_ENVIRONMENT,
-        frame_size=(args.frame, args.frame),
-        verifier_frame_size=(args.verifier_frame, args.verifier_frame),
-    )
+    env = _small_env(args)
     with ExecutionEngine(jobs=args.jobs) as engine:
         result = run_fault_matrix(
             severities=tuple(args.severities),

@@ -9,13 +9,11 @@ from .diagnostics import ClipDiagnostics, ClipIssue, diagnose_clip, reflection_s
 from .features import (
     FeatureExtraction,
     FeatureVector,
-    extract_features,
     extract_features_batch,
-    features_from_signals,
     features_from_signals_batch,
 )
 from .lof import LocalOutlierFactor
-from .pipeline import ChatVerifier, DiagnosedVerdict, SessionVerdict, VerificationReport
+from .pipeline import ChatVerifier, VerificationReport
 from .seeding import spawn_seeds
 from .streaming import CallStatus, StreamingState, StreamingVerifier
 from .voting import Verdict, VotingCombiner
@@ -38,15 +36,11 @@ __all__ = [
     "ClipBatch",
     "FeatureExtraction",
     "FeatureVector",
-    "extract_features",
     "extract_features_batch",
-    "features_from_signals",
     "features_from_signals_batch",
     "verify_clips",
     "LocalOutlierFactor",
     "ChatVerifier",
-    "DiagnosedVerdict",
-    "SessionVerdict",
     "VerificationReport",
     "CallStatus",
     "StreamingState",

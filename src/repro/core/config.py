@@ -10,7 +10,6 @@ constructing modified configs rather than monkey-patching the pipeline.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 __all__ = ["DetectorConfig", "PAPER_CONFIG"]
 
@@ -214,15 +213,6 @@ class DetectorConfig:
                 f"valid fields: {sorted(valid)}"
             )
         return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]
-
-    def replace(self, **changes: object) -> "DetectorConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "DetectorConfig.replace is deprecated; use with_overrides",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**changes)
 
 
 #: The exact configuration evaluated in the paper.

@@ -23,15 +23,13 @@ The documented entry points are the batch functions
 :func:`extract_features_batch` / :func:`features_from_signals_batch`:
 they run the Sec. V chain through the structure-of-arrays kernels of
 :mod:`~repro.core.batch` and vectorize the DTW dynamic program across
-all clips' segments.  The per-clip :func:`extract_features` /
-:func:`features_from_signals` remain as deprecated batch-of-1 wrappers;
-each clip's result is bit-identical either way.
+all clips' segments.  A single clip is a batch of one; each clip's
+result does not depend on the batch it rides in.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -49,9 +47,7 @@ __all__ = [
     "pearson_correlation",
     "normalize_unit",
     "split_segments",
-    "extract_features",
     "extract_features_batch",
-    "features_from_signals",
     "features_from_signals_batch",
 ]
 
@@ -309,34 +305,3 @@ def _features_from_signals_batch(
         )
     return results
 
-
-def extract_features(
-    transmitted_luminance: np.ndarray,
-    received_luminance: np.ndarray,
-    config: DetectorConfig | None = None,
-    instrumentation: Instrumentation | None = None,
-) -> FeatureExtraction:
-    """Deprecated batch-of-1 view of :func:`extract_features_batch`."""
-    warnings.warn(
-        "extract_features is deprecated; use extract_features_batch",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return extract_features_batch(
-        [(transmitted_luminance, received_luminance)], config, instrumentation
-    )[0]
-
-
-def features_from_signals(
-    pre_t: PreprocessedSignal,
-    pre_r: PreprocessedSignal,
-    config: DetectorConfig | None = None,
-    instrumentation: Instrumentation | None = None,
-) -> FeatureExtraction:
-    """Deprecated batch-of-1 view of :func:`features_from_signals_batch`."""
-    warnings.warn(
-        "features_from_signals is deprecated; use features_from_signals_batch",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return features_from_signals_batch([pre_t], [pre_r], config, instrumentation)[0]

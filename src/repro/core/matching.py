@@ -33,7 +33,7 @@ class ChangeMatch:
 
     # The indices refer to whatever arrays were handed to
     # :func:`match_changes`.  Callers that match over a *filtered* view
-    # (e.g. the boundary-guard trim in ``features_from_signals``) must
+    # (e.g. the boundary-guard trim in ``features_from_signals_batch``) must
     # remap the indices back to the unfiltered lists before exposing the
     # matches, so the contract above holds for downstream consumers.
 

@@ -30,7 +30,7 @@ from .features import FeatureVector, extract_features_batch
 from .luminance import received_luminance_signal, transmitted_luminance_signal
 from .voting import Verdict, VotingCombiner
 
-__all__ = ["VerificationReport", "SessionVerdict", "DiagnosedVerdict", "ChatVerifier"]
+__all__ = ["VerificationReport", "ChatVerifier"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,12 +66,6 @@ class VerificationReport:
         if self.diagnostics is None:
             return 0
         return sum(1 for d in self.diagnostics if not d.conclusive)
-
-
-#: Deprecated aliases — both batch shapes were unified into
-#: :class:`VerificationReport`; import that instead.
-SessionVerdict = VerificationReport
-DiagnosedVerdict = VerificationReport
 
 
 class ChatVerifier:

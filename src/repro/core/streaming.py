@@ -67,6 +67,7 @@ from .voting import Verdict, VotingCombiner
 
 __all__ = [
     "AttemptVerdict",
+    "CONDEMNED_STATUSES",
     "CallStatus",
     "ClipQuality",
     "GatedAttempt",
@@ -201,8 +202,9 @@ _REJECTING_VERDICTS = frozenset(
     {AttemptVerdict.REJECT, AttemptVerdict.REPLAY, AttemptVerdict.STALE}
 )
 
-#: Statuses that condemn the peer and fire ``on_alert``.
-_CONDEMNED_STATUSES = frozenset(
+#: Statuses that condemn the peer and fire ``on_alert``; a session that
+#: ends early keeps these and loses every other status.
+CONDEMNED_STATUSES = frozenset(
     {CallStatus.ATTACKER, CallStatus.REPLAY, CallStatus.STALE}
 )
 
@@ -428,7 +430,7 @@ class StreamingVerifier:
         self._attempts.append(attempt)
         if self.on_alert is not None and not self._alerted:
             state = self.state
-            if state.status in _CONDEMNED_STATUSES:
+            if state.status in CONDEMNED_STATUSES:
                 self._alerted = True
                 instr.count("streaming_alerts_total")
                 self.on_alert(state)

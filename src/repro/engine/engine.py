@@ -170,16 +170,6 @@ class ExecutionEngine(AbstractContextManager):
                 results.extend(future.result())
             return results
 
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        tasks: Sequence[_T],
-        stage: str = "map",
-        chunksize: int | None = None,
-    ) -> list[_R]:
-        """Compatibility alias of :meth:`map_batches`."""
-        return self.map_batches(fn, tasks, stage=stage, chunk_size=chunksize)
-
     def stage(self, name: str, tasks: int = 0):
         """Context manager timing an in-process stage (e.g. aggregation)."""
         return self._recorder.stage(name, tasks=tasks)
@@ -199,17 +189,6 @@ class ExecutionEngine(AbstractContextManager):
     # ------------------------------------------------------------------
     # Cached feature extraction
     # ------------------------------------------------------------------
-
-    def extract_features_cached(
-        self,
-        transmitted_luminance: np.ndarray,
-        received_luminance: np.ndarray,
-        config: DetectorConfig,
-    ) -> FeatureVector:
-        """One clip's features, via the content-addressed cache."""
-        return self.extract_features_batch(
-            [(transmitted_luminance, received_luminance)], config
-        )[0]
 
     def extract_features_batch(
         self,

@@ -33,13 +33,7 @@ from ..core.features import FeatureVector, extract_features_batch
 from ..core.luminance import received_luminance_signal, transmitted_luminance_signal
 from ..vision.landmarks import LandmarkDetector
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile, make_population
-from .simulate import (
-    build_genuine_prover,
-    run_session,
-    simulate_adaptive_attack_session,
-    simulate_attack_session,
-    simulate_genuine_session,
-)
+from .simulate import SessionSpec
 
 __all__ = ["ClipInstance", "FeatureDataset", "build_dataset", "clip_from_session"]
 
@@ -159,19 +153,10 @@ def _generate_clip(
     base_seed: int,
 ) -> ClipInstance:
     seed = _clip_seed(base_seed, user_index, role, clip_index)
-    duration = config.clip_duration_s
-    if role == GENUINE:
-        record = simulate_genuine_session(duration_s=duration, seed=seed, env=env, user=user)
-    elif role == ATTACK:
-        record = simulate_attack_session(duration_s=duration, seed=seed, env=env, victim=user)
-    elif role.startswith("adaptive:"):
-        delay = float(role.split(":", 1)[1])
-        record = simulate_adaptive_attack_session(
-            processing_delay_s=delay, duration_s=duration, seed=seed, env=env, victim=user
-        )
-    else:
-        raise ValueError(f"unknown role {role!r}")
-    return clip_from_session(record, user.name, role, seed, config)
+    # SessionSpec validates the kind; "adaptive:<delay s>" carries a delay.
+    kind, _, delay = role.partition(":")
+    spec = SessionSpec(kind, seed, config.clip_duration_s, float(delay) if delay else None)
+    return clip_from_session(spec.simulate(env, user), user.name, role, seed, config)
 
 
 def _cache_key(

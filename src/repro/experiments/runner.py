@@ -16,11 +16,13 @@ Execution model
 Every ``run_*`` function accepts an optional
 :class:`~repro.engine.ExecutionEngine`.  The Monte-Carlo rounds are
 partitioned into self-contained tasks (one task per user, sweep point,
-or training size), and every round derives its random generator from
-the experiment seed plus the task's coordinates
-(:func:`~repro.engine.task_rng`), never from a shared stream.  The
-result is therefore a pure function of the inputs: serial execution,
-``engine(jobs=1)``, and ``engine(jobs=N)`` are all bit-identical.
+or training size), all run by one round task that returns each round's
+raw scores; the runners differ only in how they reduce them.  Every
+round derives its random generator from the experiment seed plus the
+task's coordinates (:func:`~repro.engine.task_rng`), never from a
+shared stream.  The result is therefore a pure function of the inputs:
+serial execution, ``engine(jobs=1)``, and ``engine(jobs=N)`` are all
+bit-identical.
 
 With an engine, feature matrices are derived from the clips' raw
 luminance signals through the engine's content-addressed cache instead
@@ -41,7 +43,7 @@ import numpy as np
 
 from ..core.config import DetectorConfig
 from ..core.detector import LivenessDetector
-from ..core.features import extract_features_batch
+from ..core.features import FeatureVector, extract_features_batch
 from ..core.voting import VotingCombiner
 from ..engine import ExecutionEngine, task_rng
 from .dataset import ATTACK, GENUINE, FeatureDataset, build_dataset
@@ -123,12 +125,25 @@ def _map(
 
     The engine path goes through :meth:`ExecutionEngine.map_batches` —
     the single place chunk sizing and worker submission live — so every
-    runner (sweeps here, session simulation, the fault matrix) shares
-    one submission policy.
+    runner (sweeps here, session simulation, the matrices) shares one
+    submission policy.
     """
     if engine is None:
         return [fn(task) for task in tasks]
     return engine.map_batches(fn, tasks, stage=stage)
+
+
+def _feature_vectors(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    config: DetectorConfig,
+    engine: ExecutionEngine | None,
+    stage: str = "features",
+) -> list[FeatureVector]:
+    """Features of raw signal pairs: the batch core, or the engine's
+    content-addressed cache over it (identical values)."""
+    if engine is None:
+        return [extraction.features for extraction in extract_features_batch(pairs, config)]
+    return engine.extract_features_batch(pairs, config, stage=stage)
 
 
 def _features_of(
@@ -149,10 +164,91 @@ def _features_of(
     clips = dataset.select(user, role)
     if not clips:
         return np.empty((0, 4), dtype=np.float64)
-    features = engine.extract_features_batch(
-        [(c.transmitted_luminance, c.received_luminance) for c in clips], config
+    features = _feature_vectors(
+        [(c.transmitted_luminance, c.received_luminance) for c in clips], config, engine
     )
     return np.stack([fv.as_array() for fv in features])
+
+
+# ----------------------------------------------------------------------
+# The round task behind every figure
+# ----------------------------------------------------------------------
+
+#: One round's raw scores: genuine test scores, attack scores, genuine
+#: scores under "other user" training (None when not asked for), and
+#: the round's generator as scoring left it (Fig. 14 votes draw on).
+_Round = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.random.Generator]
+
+
+def _rounds_task(
+    payload: tuple[
+        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None,
+        int, DetectorConfig, int, tuple[int, ...],
+    ],
+) -> list[_Round]:
+    """Every round of one task (one user, sweep point or training size).
+
+    Round ``r`` draws from ``task_rng(*key, r)``: it fits on
+    ``train_size`` vectors — from ``pool`` when given, else split off
+    the user's own genuine clips — and scores genuine and attack clips;
+    with ``other``, the same generator then draws an "other user"
+    training sample and scores the genuine clips again.
+    """
+    genuine, attacks, pool, other, train_size, config, rounds, key = payload
+    out: list[_Round] = []
+    for round_index in range(rounds):
+        rng = task_rng(*key, round_index)
+        g, a = score_round(genuine, attacks, train_size, config, rng, train_pool=pool)
+        g_other = None
+        if other is not None:
+            g_other, _ = score_round(
+                genuine, np.empty((0, 4)), train_size, config, rng, train_pool=other
+            )
+        out.append((g, a, g_other, rng))
+    return out
+
+
+def _user_rounds(
+    dataset: FeatureDataset,
+    config: DetectorConfig,
+    rounds: int,
+    train_size: int,
+    seed: int,
+    engine: ExecutionEngine | None,
+    with_other: bool,
+) -> list[list[_Round]]:
+    """Own-training rounds per user (plus the next user's bank as the
+    "other" training pool when ``with_other``), in user order."""
+    banks = [
+        (
+            _features_of(dataset, user, GENUINE, config, engine),
+            _features_of(dataset, user, ATTACK, config, engine),
+        )
+        for user in dataset.users
+    ]
+    payloads = [
+        (genuine, attacks, None, banks[(i + 1) % len(banks)][0] if with_other else None,
+         train_size, config, rounds, (seed, i))
+        for i, (genuine, attacks) in enumerate(banks)
+    ]
+    return _map(engine, _rounds_task, payloads, stage="rounds")
+
+
+def _tar(scores: np.ndarray, threshold: float) -> float:
+    return float((scores <= threshold).mean())
+
+
+def _rates(rounds: Sequence[_Round], threshold: float) -> tuple[list[float], list[float]]:
+    """Per-round TAR, and TRR for the rounds that scored any attack."""
+    tars = [_tar(g, threshold) for g, _, _, _ in rounds]
+    trrs = [float((a > threshold).mean()) for _, a, _, _ in rounds if a.size]
+    return tars, trrs
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    if not values:
+        return float("nan"), float("nan")
+    return float(np.mean(values)), float(np.std(values))
 
 
 # ----------------------------------------------------------------------
@@ -183,28 +279,6 @@ class OverallResult:
     avg_trr: float
 
 
-def _overall_user_task(
-    payload: tuple[np.ndarray, np.ndarray, np.ndarray, DetectorConfig, int, int, int, int],
-) -> tuple[list[float], list[float], list[float]]:
-    """All rounds of one user's Fig. 11 evaluation (one engine task)."""
-    genuine, attacks, other, config, rounds, train_size, seed, user_index = payload
-    threshold = config.lof_threshold
-    tars_own: list[float] = []
-    tars_other: list[float] = []
-    trrs: list[float] = []
-    for round_index in range(rounds):
-        rng = task_rng(seed, user_index, round_index)
-        g_scores, a_scores = score_round(genuine, attacks, train_size, config, rng)
-        tars_own.append(float((g_scores <= threshold).mean()))
-        if a_scores.size:
-            trrs.append(float((a_scores > threshold).mean()))
-        g_scores_other, _ = score_round(
-            genuine, np.empty((0, 4)), train_size, config, rng, train_pool=other
-        )
-        tars_other.append(float((g_scores_other <= threshold).mean()))
-    return tars_own, tars_other, trrs
-
-
 def run_overall(
     dataset: FeatureDataset,
     config: DetectorConfig | None = None,
@@ -215,27 +289,19 @@ def run_overall(
 ) -> OverallResult:
     """Reproduce Fig. 11 (Sec. VIII-C)."""
     config = config or DetectorConfig()
-    users = dataset.users
-    if len(users) < 2:
+    if len(dataset.users) < 2:
         raise ValueError("overall evaluation needs at least 2 users")
-    payloads = []
-    for i, user in enumerate(users):
-        genuine = _features_of(dataset, user, GENUINE, config, engine)
-        attacks = _features_of(dataset, user, ATTACK, config, engine)
-        other = _features_of(dataset, users[(i + 1) % len(users)], GENUINE, config, engine)
-        payloads.append((genuine, attacks, other, config, rounds, train_size, seed, i))
-    rows = _map(engine, _overall_user_task, payloads, stage="rounds")
+    threshold = config.lof_threshold
     per_user = []
-    for user, (tars_own, tars_other, trrs) in zip(users, rows):
+    for user, user_rounds in zip(
+        dataset.users,
+        _user_rounds(dataset, config, rounds, train_size, seed, engine, with_other=True),
+    ):
+        tars_own, trrs = _rates(user_rounds, threshold)
+        tars_other = [_tar(g_other, threshold) for _, _, g_other, _ in user_rounds]
         per_user.append(
             UserPerformance(
-                user=user,
-                tar_own_mean=float(np.mean(tars_own)),
-                tar_own_std=float(np.std(tars_own)),
-                tar_other_mean=float(np.mean(tars_other)),
-                tar_other_std=float(np.std(tars_other)),
-                trr_mean=float(np.mean(trrs)) if trrs else float("nan"),
-                trr_std=float(np.std(trrs)) if trrs else float("nan"),
+                user, *_mean_std(tars_own), *_mean_std(tars_other), *_mean_std(trrs)
             )
         )
     return OverallResult(
@@ -262,21 +328,6 @@ class ThresholdSweepResult:
     eer_threshold: float
 
 
-def _threshold_user_task(
-    payload: tuple[np.ndarray, np.ndarray, DetectorConfig, int, int, int, int],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All rounds of one user's pooled-score collection (one engine task)."""
-    genuine, attacks, config, rounds, train_size, seed, user_index = payload
-    genuine_scores: list[np.ndarray] = []
-    attack_scores: list[np.ndarray] = []
-    for round_index in range(rounds):
-        rng = task_rng(seed, user_index, round_index)
-        g, a = score_round(genuine, attacks, train_size, config, rng)
-        genuine_scores.append(g)
-        attack_scores.append(a)
-    return genuine_scores, attack_scores
-
-
 def run_threshold_sweep(
     dataset: FeatureDataset,
     config: DetectorConfig | None = None,
@@ -295,19 +346,9 @@ def run_threshold_sweep(
     if thresholds is None:
         thresholds = np.arange(1.5, 4.01, 0.25)
     thresholds = np.asarray(list(thresholds), dtype=np.float64)
-    payloads = []
-    for i, user in enumerate(dataset.users):
-        genuine = _features_of(dataset, user, GENUINE, config, engine)
-        attacks = _features_of(dataset, user, ATTACK, config, engine)
-        payloads.append((genuine, attacks, config, rounds, train_size, seed, i))
-    rows = _map(engine, _threshold_user_task, payloads, stage="rounds")
-    genuine_scores: list[np.ndarray] = []
-    attack_scores: list[np.ndarray] = []
-    for g_list, a_list in rows:
-        genuine_scores.extend(g_list)
-        attack_scores.extend(a_list)
-    g_all = np.concatenate(genuine_scores)
-    a_all = np.concatenate(attack_scores)
+    rows = _user_rounds(dataset, config, rounds, train_size, seed, engine, with_other=False)
+    g_all = np.concatenate([g for user_rounds in rows for g, _, _, _ in user_rounds])
+    a_all = np.concatenate([a for user_rounds in rows for _, a, _, _ in user_rounds])
     far = np.array([float((a_all <= t).mean()) for t in thresholds])
     frr = np.array([float((g_all > t).mean()) for t in thresholds])
     eer, eer_threshold = equal_error_rate(g_all, a_all)
@@ -334,28 +375,30 @@ class AttemptsResult:
     trr_std: np.ndarray
 
 
-def _attempts_user_task(
-    payload: tuple[
-        np.ndarray, np.ndarray, np.ndarray, DetectorConfig,
-        tuple[int, ...], int, int, int, int, int,
-    ],
-) -> tuple[dict[int, list[float]], dict[int, list[float]], dict[int, list[float]]]:
-    """All voting rounds of one user's Fig. 14 evaluation."""
-    (
-        genuine, attacks, other, config,
-        attempts, rounds, trials_per_round, train_size, seed, user_index,
-    ) = payload
+def run_attempts(
+    dataset: FeatureDataset,
+    config: DetectorConfig | None = None,
+    attempts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
+    rounds: int = 20,
+    trials_per_round: int = 10,
+    train_size: int = 20,
+    seed: int = 13,
+    engine: ExecutionEngine | None = None,
+) -> AttemptsResult:
+    """Reproduce Fig. 14 (Sec. VIII-F): majority voting over D attempts.
+
+    Each round's voting trials continue that round's generator after
+    scoring, so they stay a pure function of the round's coordinates.
+    """
+    config = config or DetectorConfig()
+    attempts = tuple(attempts)
     combiner = VotingCombiner(config.vote_fraction)
     threshold = config.lof_threshold
     acc_own: dict[int, list[float]] = {d: [] for d in attempts}
     acc_other: dict[int, list[float]] = {d: [] for d in attempts}
     rej: dict[int, list[float]] = {d: [] for d in attempts}
-    for round_index in range(rounds):
-        rng = task_rng(seed, user_index, round_index)
-        g_own, a_own = score_round(genuine, attacks, train_size, config, rng)
-        g_other, _ = score_round(
-            genuine, np.empty((0, 4)), train_size, config, rng, train_pool=other
-        )
+    rows = _user_rounds(dataset, config, rounds, train_size, seed, engine, with_other=True)
+    for g_own, a_own, g_other, rng in (r for user_rounds in rows for r in user_rounds):
         for d in attempts:
             for scores, sink, attacker_truth in (
                 (g_own, acc_own, False),
@@ -371,42 +414,6 @@ def _attempts_user_task(
                     if verdict.is_attacker == attacker_truth:
                         correct += 1
                 sink[d].append(correct / trials_per_round)
-    return acc_own, acc_other, rej
-
-
-def run_attempts(
-    dataset: FeatureDataset,
-    config: DetectorConfig | None = None,
-    attempts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
-    rounds: int = 20,
-    trials_per_round: int = 10,
-    train_size: int = 20,
-    seed: int = 13,
-    engine: ExecutionEngine | None = None,
-) -> AttemptsResult:
-    """Reproduce Fig. 14 (Sec. VIII-F): majority voting over D attempts."""
-    config = config or DetectorConfig()
-    attempts = tuple(attempts)
-    users = dataset.users
-    payloads = []
-    for i, user in enumerate(users):
-        genuine = _features_of(dataset, user, GENUINE, config, engine)
-        attacks = _features_of(dataset, user, ATTACK, config, engine)
-        other = _features_of(dataset, users[(i + 1) % len(users)], GENUINE, config, engine)
-        payloads.append(
-            (genuine, attacks, other, config,
-             attempts, rounds, trials_per_round, train_size, seed, i)
-        )
-    rows = _map(engine, _attempts_user_task, payloads, stage="rounds")
-
-    acc_own: dict[int, list[float]] = {d: [] for d in attempts}
-    acc_other: dict[int, list[float]] = {d: [] for d in attempts}
-    rej: dict[int, list[float]] = {d: [] for d in attempts}
-    for user_own, user_other, user_rej in rows:
-        for d in attempts:
-            acc_own[d].extend(user_own[d])
-            acc_other[d].extend(user_other[d])
-            rej[d].extend(user_rej[d])
 
     return AttemptsResult(
         attempts=attempts,
@@ -435,22 +442,6 @@ class TrainingSizeResult:
     trr_std: np.ndarray
 
 
-def _training_size_task(
-    payload: tuple[np.ndarray, np.ndarray, DetectorConfig, int, int, int, int],
-) -> tuple[list[float], list[float]]:
-    """All rounds at one training-set size (one engine task)."""
-    genuine, attacks, config, size, rounds, seed, size_index = payload
-    threshold = config.lof_threshold
-    tars: list[float] = []
-    trrs: list[float] = []
-    for round_index in range(rounds):
-        rng = task_rng(seed, size_index, round_index)
-        g, a = score_round(genuine, attacks, size, config, rng)
-        tars.append(float((g <= threshold).mean()))
-        trrs.append(float((a > threshold).mean()))
-    return tars, trrs
-
-
 def run_training_size(
     dataset: FeatureDataset,
     user: str | None = None,
@@ -466,23 +457,18 @@ def run_training_size(
     genuine = _features_of(dataset, user, GENUINE, config, engine)
     attacks = _features_of(dataset, user, ATTACK, config, engine)
     payloads = [
-        (genuine, attacks, config, size, rounds, seed, size_index)
+        (genuine, attacks, None, None, size, config, rounds, (seed, size_index))
         for size_index, size in enumerate(sizes)
     ]
-    rows = _map(engine, _training_size_task, payloads, stage="rounds")
-    tar_mean, tar_std, trr_mean, trr_std = [], [], [], []
-    for tars, trrs in rows:
-        tar_mean.append(np.mean(tars))
-        tar_std.append(np.std(tars))
-        trr_mean.append(np.mean(trrs))
-        trr_std.append(np.std(trrs))
-    return TrainingSizeResult(
-        sizes=tuple(sizes),
-        tar_mean=np.array(tar_mean),
-        tar_std=np.array(tar_std),
-        trr_mean=np.array(trr_mean),
-        trr_std=np.array(trr_std),
-    )
+    rows = _map(engine, _rounds_task, payloads, stage="rounds")
+    # One (TAR mean, TAR std, TRR mean, TRR std) row per size, then one
+    # series per column.
+    stats = [
+        (*_mean_std(tars), *_mean_std(trrs))
+        for tars, trrs in (_rates(r, config.lof_threshold) for r in rows)
+    ]
+    tar_mean, tar_std, trr_mean, trr_std = np.array(stats).reshape(-1, 4).T.copy()
+    return TrainingSizeResult(tuple(sizes), tar_mean, tar_std, trr_mean, trr_std)
 
 
 # ----------------------------------------------------------------------
@@ -508,28 +494,6 @@ class RateSweepResult:
 
     name: str
     points: tuple[SweepPoint, ...]
-
-
-def _eval_user_task(
-    payload: tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, int,
-        DetectorConfig, int, tuple[int, ...], int,
-    ],
-) -> tuple[list[float], list[float]]:
-    """All rounds of one user within one sweep point (one engine task)."""
-    genuine, attacks, pool, effective_train, config, rounds, seed_key, user_index = payload
-    threshold = config.lof_threshold
-    tars: list[float] = []
-    trrs: list[float] = []
-    for round_index in range(rounds):
-        rng = task_rng(*seed_key, user_index, round_index)
-        g, a = score_round(
-            genuine, attacks, effective_train, config, rng, train_pool=pool
-        )
-        tars.append(float((g <= threshold).mean()))
-        if a.size:
-            trrs.append(float((a > threshold).mean()))
-    return tars, trrs
 
 
 def _evaluate_dataset(
@@ -565,19 +529,52 @@ def _evaluate_dataset(
                 raise ValueError(f"train dataset lacks genuine clips for {user!r}")
             effective_train = min(train_size, pool.shape[0])
         payloads.append(
-            (genuine, attacks, pool, effective_train, config, rounds, seed_key, i)
+            (genuine, attacks, pool, None, effective_train, config, rounds, (*seed_key, i))
         )
-    rows = _map(engine, _eval_user_task, payloads, stage="rounds")
-    tars: list[float] = []
-    trrs: list[float] = []
-    for user_tars, user_trrs in rows:
-        tars.extend(user_tars)
-        trrs.extend(user_trrs)
-    return (
-        float(np.mean(tars)),
-        float(np.std(tars)),
-        float(np.mean(trrs)) if trrs else float("nan"),
-        float(np.std(trrs)) if trrs else float("nan"),
+    rows = _map(engine, _rounds_task, payloads, stage="rounds")
+    tars, trrs = _rates([r for user_rounds in rows for r in user_rounds], config.lof_threshold)
+    return (*_mean_std(tars), *_mean_std(trrs))
+
+
+def _sweep(
+    name: str,
+    points: Sequence[tuple[str, Environment, DetectorConfig]],
+    train: tuple[Environment, DetectorConfig] | None,
+    population: list[UserProfile],
+    clips_per_role: int,
+    rounds: int,
+    train_size: int,
+    seed: int,
+    progress: bool,
+    engine: ExecutionEngine | None,
+) -> RateSweepResult:
+    """The environment-sweep loop: one dataset and one pooled evaluation
+    per ``(label, env, config)`` point, seeded by the point's index.
+
+    ``train`` names the nominal ``(env, config)`` every user enrolled
+    under; None trains each point on its own dataset.
+    """
+
+    def dataset(env: Environment, config: DetectorConfig) -> FeatureDataset:
+        return build_dataset(
+            population=population,
+            clips_per_role=clips_per_role,
+            env=env,
+            config=config,
+            progress=progress,
+            engine=engine,
+        )
+
+    train_dataset = dataset(*train) if train is not None else None
+    return RateSweepResult(
+        name=name,
+        points=tuple(
+            SweepPoint(label, *_evaluate_dataset(
+                dataset(env, config), config, rounds, train_size,
+                seed=(seed, point_index), train_dataset=train_dataset, engine=engine,
+            ))
+            for point_index, (label, env, config) in enumerate(points)
+        ),
     )
 
 
@@ -602,31 +599,13 @@ def run_screen_size(
     and then used in front of whatever screen the user has.
     """
     config = config or DetectorConfig()
-    population = list(population) if population is not None else make_population(4)
-    train_dataset = build_dataset(
-        population=population,
-        clips_per_role=clips_per_role,
-        env=train_env or DEFAULT_ENVIRONMENT,
-        config=config,
-        progress=progress,
-        engine=engine,
+    return _sweep(
+        "screen size",
+        [(label, env, config) for label, env in screens],
+        (train_env or DEFAULT_ENVIRONMENT, config),
+        list(population) if population is not None else make_population(4),
+        clips_per_role, rounds, train_size, seed, progress, engine,
     )
-    points = []
-    for point_index, (label, env) in enumerate(screens):
-        dataset = build_dataset(
-            population=population,
-            clips_per_role=clips_per_role,
-            env=env,
-            config=config,
-            progress=progress,
-            engine=engine,
-        )
-        tar_m, tar_s, trr_m, trr_s = _evaluate_dataset(
-            dataset, config, rounds, train_size,
-            seed=(seed, point_index), train_dataset=train_dataset, engine=engine,
-        )
-        points.append(SweepPoint(label, tar_m, tar_s, trr_m, trr_s))
-    return RateSweepResult(name="screen size", points=tuple(points))
 
 
 def run_sampling_rate(
@@ -655,24 +634,16 @@ def run_sampling_rate(
     """
     base_config = config or DetectorConfig()
     env = env or DEFAULT_ENVIRONMENT
-    population = list(population) if population is not None else make_population(1)
-    points = []
-    for point_index, rate in enumerate(rates_hz):
-        rate_config = base_config.with_overrides(sample_rate_hz=float(rate))
-        dataset = build_dataset(
-            population=population,
-            clips_per_role=clips_per_role,
-            env=env,
-            config=rate_config,
-            progress=progress,
-            engine=engine,
-        )
-        tar_m, tar_s, trr_m, trr_s = _evaluate_dataset(
-            dataset, rate_config, rounds, train_size,
-            seed=(seed, point_index), engine=engine,
-        )
-        points.append(SweepPoint(f"{rate:g} Hz", tar_m, tar_s, trr_m, trr_s))
-    return RateSweepResult(name="sampling rate", points=tuple(points))
+    return _sweep(
+        "sampling rate",
+        [
+            (f"{rate:g} Hz", env, base_config.with_overrides(sample_rate_hz=float(rate)))
+            for rate in rates_hz
+        ],
+        None,
+        list(population) if population is not None else make_population(1),
+        clips_per_role, rounds, train_size, seed, progress, engine,
+    )
 
 
 def run_ambient_light(
@@ -687,36 +658,22 @@ def run_ambient_light(
     progress: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> RateSweepResult:
-    """Reproduce Sec. VIII-I: performance vs ambient illuminance."""
+    """Reproduce Sec. VIII-I: performance vs ambient illuminance.
+
+    Enrollment happens in the nominal room; the sweep changes the room.
+    """
     config = config or DetectorConfig()
     base_env = env or DEFAULT_ENVIRONMENT
-    population = list(population) if population is not None else make_population(2)
-    # Enrollment happens in the nominal room; the sweep changes the room.
-    train_dataset = build_dataset(
-        population=population,
-        clips_per_role=clips_per_role,
-        env=base_env,
-        config=config,
-        progress=progress,
-        engine=engine,
+    return _sweep(
+        "ambient light",
+        [
+            (f"{lux:g} lux", base_env.replace(prover_ambient_lux=float(lux)), config)
+            for lux in lux_levels
+        ],
+        (base_env, config),
+        list(population) if population is not None else make_population(2),
+        clips_per_role, rounds, train_size, seed, progress, engine,
     )
-    points = []
-    for point_index, lux in enumerate(lux_levels):
-        sweep_env = base_env.replace(prover_ambient_lux=float(lux))
-        dataset = build_dataset(
-            population=population,
-            clips_per_role=clips_per_role,
-            env=sweep_env,
-            config=config,
-            progress=progress,
-            engine=engine,
-        )
-        tar_m, tar_s, trr_m, trr_s = _evaluate_dataset(
-            dataset, config, rounds, train_size,
-            seed=(seed, point_index), train_dataset=train_dataset, engine=engine,
-        )
-        points.append(SweepPoint(f"{lux:g} lux", tar_m, tar_s, trr_m, trr_s))
-    return RateSweepResult(name="ambient light", points=tuple(points))
 
 
 # ----------------------------------------------------------------------
@@ -788,13 +745,7 @@ def run_forgery_delay(
             for user in ordered_users
             for clip in per_user_clips[user]
         ]
-        if engine is None:
-            feature_vectors = [
-                extraction.features
-                for extraction in extract_features_batch(pairs, config)
-            ]
-        else:
-            feature_vectors = engine.extract_features_batch(pairs, config)
+        feature_vectors = _feature_vectors(pairs, config, engine)
         rejected = 0
         total = 0
         cursor = 0

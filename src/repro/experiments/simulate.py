@@ -40,6 +40,7 @@ __all__ = [
     "build_verifier",
     "build_genuine_prover",
     "build_links",
+    "build_session",
     "run_session",
     "simulate_genuine_session",
     "simulate_attack_session",
@@ -162,6 +163,32 @@ def build_links(
     return uplink, downlink
 
 
+def build_session(
+    prover: ProverEndpoint,
+    env: Environment,
+    verifier_seed: int,
+    links_seed: int,
+    instrumentation: Instrumentation | None = None,
+) -> VideoChatSession:
+    """Alice, the network path and the clock around the given prover.
+
+    The one place a session is wired: :func:`run_session` and the
+    faulted and protocol-driven sessions of
+    :mod:`~repro.experiments.matrix` differ only in what they do to
+    the session before running it.
+    """
+    verifier = build_verifier(env, verifier_seed)
+    uplink, downlink = build_links(env, links_seed, instrumentation)
+    return VideoChatSession(
+        verifier=verifier,
+        prover=prover,
+        uplink=uplink,
+        downlink=downlink,
+        fps=env.fps,
+        instrumentation=instrumentation,
+    )
+
+
 def run_session(
     prover: ProverEndpoint,
     env: Environment,
@@ -171,16 +198,7 @@ def run_session(
 ) -> SessionRecord:
     """Wire a verifier against the given prover and run the clock."""
     s_verifier, s_links = spawn_seeds(seed, 2)
-    verifier = build_verifier(env, s_verifier)
-    uplink, downlink = build_links(env, s_links, instrumentation)
-    session = VideoChatSession(
-        verifier=verifier,
-        prover=prover,
-        uplink=uplink,
-        downlink=downlink,
-        fps=env.fps,
-        instrumentation=instrumentation,
-    )
+    session = build_session(prover, env, s_verifier, s_links, instrumentation)
     return session.run(duration_s)
 
 
@@ -271,6 +289,28 @@ class SessionSpec:
         if self.kind == "adaptive" and self.processing_delay_s is None:
             raise ValueError("adaptive sessions need processing_delay_s")
 
+    def simulate(
+        self,
+        env: Environment | None = None,
+        user: UserProfile | None = None,
+        instrumentation: Instrumentation | None = None,
+    ) -> SessionRecord:
+        """Run this session: the one kind -> prover dispatch."""
+        common = dict(
+            duration_s=self.duration_s, seed=self.seed, env=env,
+            instrumentation=instrumentation,
+        )
+        if self.kind == "genuine":
+            return simulate_genuine_session(user=user, **common)
+        if self.kind == "attack":
+            return simulate_attack_session(victim=user, **common)
+        if self.kind == "adaptive":
+            assert self.processing_delay_s is not None  # enforced above
+            return simulate_adaptive_attack_session(
+                self.processing_delay_s, victim=user, **common
+            )
+        return simulate_replay_attack_session(victim=user, **common)
+
 
 def _session_task(
     payload: tuple[SessionSpec, Environment | None, UserProfile | None],
@@ -278,26 +318,7 @@ def _session_task(
     """Engine task wrapper: one spec -> one session (module-level for
     pickling)."""
     spec, env, user = payload
-    if spec.kind == "genuine":
-        return simulate_genuine_session(
-            duration_s=spec.duration_s, seed=spec.seed, env=env, user=user
-        )
-    if spec.kind == "attack":
-        return simulate_attack_session(
-            duration_s=spec.duration_s, seed=spec.seed, env=env, victim=user
-        )
-    if spec.kind == "adaptive":
-        assert spec.processing_delay_s is not None  # enforced by SessionSpec
-        return simulate_adaptive_attack_session(
-            processing_delay_s=spec.processing_delay_s,
-            duration_s=spec.duration_s,
-            seed=spec.seed,
-            env=env,
-            victim=user,
-        )
-    return simulate_replay_attack_session(
-        duration_s=spec.duration_s, seed=spec.seed, env=env, victim=user
-    )
+    return spec.simulate(env, user)
 
 
 def simulate_session_batch(

@@ -7,7 +7,7 @@ provides seeded fault schedules (:class:`FaultSpec` →
 landmark-dropout windows, frame freezes, clock skew) and the wrappers
 that replay them against the network stack and a recorded session
 without modifying either's happy path.  The robustness sweep over a
-severity grid lives in :func:`repro.experiments.faultmatrix.run_fault_matrix`.
+severity grid lives in :func:`repro.experiments.matrix.run_fault_matrix`.
 """
 
 from .injector import FaultyChannel, apply_faults_to_record, build_faulty_links

@@ -8,7 +8,7 @@ cryptographic layer itself — nonce handshake, schedule derivation, and
 the binding verdicts for a genuine / replayed / stale / unbound
 response — with no detector or chat simulation involved.  ``--matrix``
 runs the full-stack role × protocol-on/off sweep
-(:func:`~repro.experiments.protocolmatrix.run_protocol_matrix`) through
+(:func:`~repro.experiments.matrix.run_protocol_matrix`) through
 the real chat endpoints instead.
 """
 
@@ -131,14 +131,11 @@ def _demo(args: argparse.Namespace) -> int:
 
 
 def _matrix(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from ..engine import ExecutionEngine
+    from ..experiments.matrix import run_protocol_matrix
     from ..experiments.profiles import DEFAULT_ENVIRONMENT
-    from ..experiments.protocolmatrix import run_protocol_matrix
 
-    env = dataclasses.replace(
-        DEFAULT_ENVIRONMENT,
+    env = DEFAULT_ENVIRONMENT.replace(
         frame_size=(args.frame, args.frame),
         verifier_frame_size=(args.verifier_frame, args.verifier_frame),
     )

@@ -35,7 +35,7 @@ from collections import deque
 from typing import Callable
 
 from ..core.config import DetectorConfig
-from ..core.streaming import CallStatus
+from ..core.streaming import CONDEMNED_STATUSES, CallStatus
 from ..obs.instrument import Instrumentation
 from ..protocol.gate import ProtocolGate
 from ..protocol.provision import ProtocolProvisioner
@@ -323,8 +323,7 @@ class VerificationServer:
                 frames += 1
             state = verifier.state
             status = state.status
-            condemned = (CallStatus.ATTACKER, CallStatus.REPLAY, CallStatus.STALE)
-            if reason != "completed" and status not in condemned:
+            if reason != "completed" and status not in CONDEMNED_STATUSES:
                 # The channel (not the peer) ended the session: whatever
                 # partial evidence exists is not a verdict.  Only an
                 # already-raised condemnation (attacker / replay / stale)

@@ -299,7 +299,7 @@ class TestR014BlockingCalls:
 
                     async def run_batch(self, items):
                         async with self.batch_lock:
-                            return self.engine.map(work, items)
+                            return self.engine.map_batches(work, items)
                 """,
             "locks.py": R013_FILES["locks.py"],
         }

@@ -115,7 +115,7 @@ R007_FILES = {
             return draw()
 
         def run_batch(engine, tasks):
-            return engine.map(task, tasks)
+            return engine.map_batches(task, tasks)
         """,
 }
 
@@ -144,7 +144,7 @@ class TestR007TransitiveRandomness:
                 return draw()
 
             def build_batch(engine, tasks):
-                return engine.map(task, tasks)  # reprolint: disable=R007
+                return engine.map_batches(task, tasks)  # reprolint: disable=R007
             """
         write_tree(tmp_path, files)
         result = graph_lint(tmp_path)
@@ -258,7 +258,7 @@ R011_FILES = {
 
         def run_all(engine, path):
             item = Resource(path)
-            return engine.map(task, [item])
+            return engine.map_batches(task, [item])
         """,
 }
 
@@ -287,7 +287,7 @@ class TestR011CrossModulePickleSafety:
 
                 def run_obs(engine, items):
                     instr = Instrumentation.enabled()
-                    return engine.map(task, [(i, instr) for i in items])
+                    return engine.map_batches(task, [(i, instr) for i in items])
                 """,
         }
         assert_per_file_clean(files)

@@ -24,7 +24,7 @@ R007_FILES = {
             return draw()
 
         def run_batch(engine, tasks):
-            return engine.map(task, tasks)
+            return engine.map_batches(task, tasks)
         """
     ),
 }

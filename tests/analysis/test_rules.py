@@ -25,7 +25,7 @@ RULE_FIXTURES = {
         """,
     "R003": """
         def run(engine, tasks):
-            return engine.map(lambda t: t + 1, tasks)
+            return engine.map_batches(lambda t: t + 1, tasks)
         """,
     "R004": """
         def grade(coverage):
@@ -166,7 +166,7 @@ class TestR003UnpicklablePayload:
             def run(engine, tasks):
                 def work(task):
                     return task
-                return engine.map(work, tasks)
+                return engine.map_batches(work, tasks)
             """
         )
         assert [f.rule for f in findings] == ["R003"]
@@ -178,9 +178,21 @@ class TestR003UnpicklablePayload:
                 return task
 
             def run(engine, tasks):
-                return engine.map(work, tasks)
+                return engine.map_batches(work, tasks)
             """
         )
+
+    def test_map_batches_lambda_flagged(self):
+        """map_batches is the engine's one submission API, so the rule
+        must watch it (a lambda there fails to pickle at jobs > 1)."""
+        findings = findings_for(
+            """
+            def run(engine, tasks):
+                return engine.map_batches(lambda t: t + 1, tasks, stage="x")
+            """
+        )
+        assert [f.rule for f in findings] == ["R003"]
+        assert "map_batches" in findings[0].message
 
     def test_non_engine_map_ignored(self):
         assert not findings_for(
@@ -277,16 +289,6 @@ class TestR006ConfigContract:
                 return config.with_overrides(lof_threshold=2.0)
             """
         )
-
-    def test_deprecated_replace_with_config_fields(self):
-        findings = findings_for(
-            """
-            def sweep(config):
-                return config.replace(lof_threshold=2.0)
-            """
-        )
-        assert [f.rule for f in findings] == ["R006"]
-        assert "with_overrides" in findings[0].message
 
     def test_str_replace_not_confused(self):
         assert not findings_for(

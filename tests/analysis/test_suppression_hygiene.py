@@ -99,7 +99,7 @@ class TestW001UnusedSuppression:
                     return draw()
 
                 def build(engine, tasks):
-                    return engine.map(task, tasks)  # reprolint: disable=R007
+                    return engine.map_batches(task, tasks)  # reprolint: disable=R007
                 """,
         }
         result = lint_tree(tmp_path, files)

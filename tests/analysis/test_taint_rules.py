@@ -175,7 +175,7 @@ class TestR019PickleBoundary:
 
                     def grade_all(engine, tenant_key, clips):
                         payloads = [(tenant_key, clip) for clip in clips]
-                        return engine.map(grade_one, payloads)
+                        return engine.map_batches(grade_one, payloads)
                     """
             },
         )
@@ -196,7 +196,7 @@ class TestR019PickleBoundary:
                     def grade_all(engine, tenant_key, clips):
                         token = hashlib.sha256(tenant_key).digest()
                         payloads = [(token, clip) for clip in clips]
-                        return engine.map(grade_one, payloads)
+                        return engine.map_batches(grade_one, payloads)
                     """
             },
         )

@@ -1,24 +1,16 @@
 """The redesigned batch API surface: ``verify_clips`` as the documented
-entry point, batch extraction exported from :mod:`repro.api`, and the
-per-clip wrappers kept alive behind :class:`DeprecationWarning`."""
+entry point and batch extraction exported from :mod:`repro.api`."""
 
 import warnings
 
 import numpy as np
-import pytest
 
 import repro
 import repro.api
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector, verify_clips
-from repro.core.features import (
-    extract_features,
-    extract_features_batch,
-    features_from_signals,
-    features_from_signals_batch,
-)
+from repro.core.features import extract_features_batch
 from repro.core.pipeline import ChatVerifier
-from repro.core.preprocessing import preprocess
 from repro.experiments.simulate import simulate_genuine_session
 
 
@@ -42,30 +34,8 @@ class TestApiSurface:
             for name in ("ClipBatch", "extract_features_batch", "verify_clips"):
                 assert name in module.__all__
 
-    def test_deprecated_per_clip_wrapper_still_exported(self):
-        assert repro.api.extract_features is extract_features
-        assert "extract_features" in repro.api.__all__
-
 
 class TestDeprecatedWrappers:
-    def test_extract_features_warns_and_matches_batch(self):
-        (t_lum, r_lum), = _make_pairs(1)
-        with pytest.warns(DeprecationWarning, match="extract_features_batch"):
-            old = extract_features(t_lum, r_lum)
-        new = extract_features_batch([(t_lum, r_lum)])[0]
-        assert old.features == new.features
-        assert old.matches == new.matches
-
-    def test_features_from_signals_warns_and_matches_batch(self):
-        (t_lum, r_lum), = _make_pairs(1, seed=23)
-        config = DetectorConfig()
-        pre_t = preprocess(t_lum, config, config.peak_prominence_screen)
-        pre_r = preprocess(r_lum, config, config.peak_prominence_face)
-        with pytest.warns(DeprecationWarning, match="features_from_signals_batch"):
-            old = features_from_signals(pre_t, pre_r)
-        new = features_from_signals_batch([pre_t], [pre_r])[0]
-        assert old.features == new.features
-
     def test_batch_entry_points_do_not_warn(self):
         pairs = _make_pairs(2)
         config = DetectorConfig()

@@ -96,8 +96,3 @@ class TestWithOverrides:
     def test_samples_per_clip_tracks_rate(self):
         assert PAPER_CONFIG.with_overrides(sample_rate_hz=8.0).samples_per_clip == 120
         assert PAPER_CONFIG.with_overrides(sample_rate_hz=5.0).samples_per_clip == 75
-
-    def test_deprecated_replace_alias_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            changed = PAPER_CONFIG.replace(sample_rate_hz=8.0)  # reprolint: disable=R006
-        assert changed == PAPER_CONFIG.with_overrides(sample_rate_hz=8.0)

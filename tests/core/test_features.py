@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.core.features import (
     FeatureVector,
-    extract_features,
+    extract_features_batch,
     normalize_unit,
     pearson_correlation,
     split_segments,
@@ -82,16 +82,16 @@ class TestExtractFeaturesCorrelated:
     """A genuine-looking pair: delayed, scaled reflection of the challenge."""
 
     def test_behavior_features_are_perfect(self, step_signal, reflected_signal, config):
-        fx = extract_features(step_signal, reflected_signal, config)
+        fx = extract_features_batch([(step_signal, reflected_signal)], config)[0]
         assert fx.features.z1 == pytest.approx(1.0)
         assert fx.features.z2 == pytest.approx(1.0)
 
     def test_delay_estimated_near_truth(self, step_signal, reflected_signal, config):
-        fx = extract_features(step_signal, reflected_signal, config)
+        fx = extract_features_batch([(step_signal, reflected_signal)], config)[0]
         assert abs(fx.delay_s - 0.4) < 0.3
 
     def test_trend_features_indicate_live(self, step_signal, reflected_signal, config):
-        fx = extract_features(step_signal, reflected_signal, config)
+        fx = extract_features_batch([(step_signal, reflected_signal)], config)[0]
         assert fx.features.z3 > 0.9
         assert fx.features.z4 < 0.3
 
@@ -108,30 +108,30 @@ class TestExtractFeaturesUncorrelated:
         return step_signal, r
 
     def test_changes_mostly_unmatched(self, attack_pair, config):
-        fx = extract_features(*attack_pair, config)
+        fx = extract_features_batch([attack_pair], config)[0]
         assert fx.features.z1 < 0.6
         assert fx.features.z2 < 0.6
 
     def test_trend_decorrelated(self, attack_pair, config):
-        fx = extract_features(*attack_pair, config)
+        fx = extract_features_batch([attack_pair], config)[0]
         assert fx.features.z3 < 0.6
 
 
 class TestDegenerateInputs:
     def test_flat_received_signal(self, step_signal, config):
-        fx = extract_features(step_signal, np.full(150, 120.0), config)
+        fx = extract_features_batch([(step_signal, np.full(150, 120.0))], config)[0]
         assert fx.features.z1 == pytest.approx(0.0)
         assert fx.features.z2 == pytest.approx(0.0)  # M == 0
 
     def test_flat_both(self, config):
-        fx = extract_features(np.full(150, 100.0), np.full(150, 120.0), config)
+        fx = extract_features_batch([(np.full(150, 100.0), np.full(150, 120.0))], config)[0]
         assert fx.features.z1 == pytest.approx(0.0)
         assert fx.features.z2 == pytest.approx(0.0)
         # Flat trends: no correlation evidence.
         assert fx.features.z3 <= 0.0 or fx.features.z3 == pytest.approx(0.0)
 
     def test_short_signals_do_not_crash(self, config):
-        fx = extract_features(np.full(20, 100.0), np.full(20, 120.0), config)
+        fx = extract_features_batch([(np.full(20, 100.0), np.full(20, 120.0))], config)[0]
         assert isinstance(fx.features, FeatureVector)
 
 
@@ -147,7 +147,7 @@ class TestMatchIndexContract:
         # A pre-clip challenge's reflection: a step at 1.4 s, inside the
         # 2 s start guard, so the matcher never sees this peak.
         received[:14] -= 30.0
-        fx = extract_features(step_signal, received, config)
+        fx = extract_features_batch([(step_signal, received)], config)[0]
         r_times = fx.received.peak_times
         t_times = fx.transmitted.peak_times
         assert r_times.size == 3
@@ -164,7 +164,7 @@ class TestMatchIndexContract:
     def test_matched_pair_times_reproduce_time_difference(
         self, step_signal, reflected_signal, config
     ):
-        fx = extract_features(step_signal, reflected_signal, config)
+        fx = extract_features_batch([(step_signal, reflected_signal)], config)[0]
         for m in fx.matches:
             gap = (
                 fx.received.peak_times[m.received_index]
@@ -181,10 +181,10 @@ class TestBoundaryGuard:
         t[144:] += 50.0  # at 14.4 s, inside the 2 s guard
         r = 120.0 + 0.3 * np.concatenate([np.full(4, t[0]), t[:-4]])
         # Remove the guarded change's reflection (truncated anyway).
-        fx = extract_features(t, r, config)
+        fx = extract_features_batch([(t, r)], config)[0]
         assert fx.features.z1 == pytest.approx(1.0)  # the truncated change is excused
 
     def test_guard_disabled_counts_everything(self, step_signal, reflected_signal):
         cfg = DetectorConfig(boundary_guard_s=0.0)
-        fx = extract_features(step_signal, reflected_signal, cfg)
+        fx = extract_features_batch([(step_signal, reflected_signal)], cfg)[0]
         assert fx.features.z1 == pytest.approx(1.0)  # both changes are interior here

@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.detector import DetectionResult
 from repro.core.features import FeatureVector
-from repro.core.pipeline import (
-    ChatVerifier,
-    DiagnosedVerdict,
-    SessionVerdict,
-    VerificationReport,
-)
+from repro.core.pipeline import ChatVerifier, VerificationReport
 from repro.core.streaming import CallStatus, StreamingState
 from repro.core.voting import Verdict
 
@@ -54,10 +49,6 @@ class TestShape:
 
 
 class TestUnifiedAliases:
-    def test_legacy_names_are_the_same_class(self):
-        assert SessionVerdict is VerificationReport
-        assert DiagnosedVerdict is VerificationReport
-
     def test_batch_verifier_returns_the_report(self, genuine_record):
         verifier = ChatVerifier().enroll([genuine_record] * 3)
         report = verifier.verify_session(genuine_record)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.features import extract_features
+from repro.core.features import extract_features_batch
 from repro.engine import ExecutionEngine, FeatureCache, task_rng
 from repro.experiments.dataset import (
     ATTACK,
@@ -42,7 +42,7 @@ def _make_clip(user, role, index, config, rng):
         r = 120.0 + 0.3 * delayed + rng.normal(0, 0.3, 150)
     else:
         r = 120.0 + rng.normal(0, 2.0, 150)
-    features = extract_features(t, r, config).features
+    features = extract_features_batch([(t, r)], config)[0].features
     return ClipInstance(user, role, index, features, t, r)
 
 
@@ -74,16 +74,16 @@ class TestTaskRng:
 class TestMap:
     def test_serial_map_preserves_order(self):
         with ExecutionEngine(jobs=1) as engine:
-            assert engine.map(_square, range(10)) == [i * i for i in range(10)]
+            assert engine.map_batches(_square, range(10)) == [i * i for i in range(10)]
 
     def test_parallel_map_matches_serial(self):
         tasks = list(range(40))
         with ExecutionEngine(jobs=1) as serial, ExecutionEngine(jobs=3) as parallel:
-            assert parallel.map(_square, tasks) == serial.map(_square, tasks)
+            assert parallel.map_batches(_square, tasks) == serial.map_batches(_square, tasks)
 
     def test_map_records_stage(self):
         with ExecutionEngine(jobs=1) as engine:
-            engine.map(_square, range(5), stage="squares")
+            engine.map_batches(_square, range(5), stage="squares")
             report = engine.perf_report()
         assert [s.name for s in report.stages] == ["squares"]
         assert report.stages[0].tasks == 5
@@ -98,12 +98,9 @@ class TestCachedExtraction:
         config = DetectorConfig()
         clip = small_dataset.instances[0]
         with ExecutionEngine(jobs=1) as engine:
-            via_cache = engine.extract_features_cached(
-                clip.transmitted_luminance, clip.received_luminance, config
-            )
-        direct = extract_features(
-            clip.transmitted_luminance, clip.received_luminance, config
-        ).features
+            pair = (clip.transmitted_luminance, clip.received_luminance)
+            (via_cache,) = engine.extract_features_batch([pair], config)
+        direct = extract_features_batch([pair], config)[0].features
         assert via_cache == direct
 
     def test_second_batch_is_all_hits(self, small_dataset):

@@ -26,7 +26,7 @@ def _run(jobs: int) -> str:
     payloads = [(seed, seed + 1) for seed in range(6)]
     registry = MetricsRegistry()
     engine = ExecutionEngine(jobs=jobs)
-    for row in engine.map(_counting_task, payloads, stage="sessions"):
+    for row in engine.map_batches(_counting_task, payloads, stage="sessions"):
         registry.merge_snapshot(row["snapshot"])
     return render_json(registry.snapshot())
 
@@ -38,7 +38,7 @@ class TestPoolSerialIdentity:
     def test_merged_totals_are_correct(self):
         registry = MetricsRegistry()
         engine = ExecutionEngine(jobs=2)
-        for row in engine.map(_counting_task, [(s, s + 1) for s in range(6)]):
+        for row in engine.map_batches(_counting_task, [(s, s + 1) for s in range(6)]):
             registry.merge_snapshot(row["snapshot"])
         snap = registry.snapshot()
         assert snap.counter_value("clips_total") == sum(range(1, 7))
@@ -50,7 +50,7 @@ class TestPoolSerialIdentity:
 class TestEngineHandle:
     def test_engine_instrumentation_shares_recorder_registry(self):
         engine = ExecutionEngine(jobs=1)
-        engine.map(len, [[1], [1, 2]], stage="probe")
+        engine.map_batches(len, [[1], [1, 2]], stage="probe")
         snap = engine.instrumentation.snapshot()
         assert snap.counter_value("engine_stage_calls_total", stage="probe") == 1
         assert engine.perf_report().stages[0].name == "probe"
@@ -68,6 +68,6 @@ class TestEngineHandle:
         sink = InMemoryTraceSink()
         instr = Instrumentation.enabled(sink=sink)
         engine = ExecutionEngine(jobs=1, instrumentation=instr)
-        engine.map(len, [[1]], stage="probe")
+        engine.map_batches(len, [[1]], stage="probe")
         assert [r["name"] for r in sink.records] == ["engine.probe"]
         assert sink.records[0]["stage"] == "engine"

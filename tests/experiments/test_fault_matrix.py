@@ -8,7 +8,7 @@ from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
 from repro.core.features import FeatureVector
 from repro.engine import ExecutionEngine
-from repro.experiments.faultmatrix import (
+from repro.experiments.matrix import (
     DEFAULT_FAULT_SPEC,
     run_fault_matrix,
     simulate_faulted_session,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import ExecutionEngine
 from repro.experiments.profiles import Environment
-from repro.experiments.protocolmatrix import (
+from repro.experiments.matrix import (
     PROTOCOL_ROLES,
     run_protocol_matrix,
 )

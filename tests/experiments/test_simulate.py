@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.features import extract_features
+from repro.core.features import extract_features_batch
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import (
@@ -23,7 +23,7 @@ def env():
 def _features(record):
     t = transmitted_luminance_signal(record.transmitted)
     r = received_luminance_signal(record.received).luminance
-    return extract_features(t, r).features
+    return extract_features_batch([(t, r)])[0].features
 
 
 class TestDeterminism:

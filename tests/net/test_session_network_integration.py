@@ -12,7 +12,7 @@ from repro.experiments.simulate import (
     default_user,
     simulate_genuine_session,
 )
-from repro.core.features import extract_features
+from repro.core.features import extract_features_batch
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
 
 
@@ -29,7 +29,7 @@ def _run(env, seed=0, duration=15.0):
 def _features(record):
     t = transmitted_luminance_signal(record.transmitted)
     r = received_luminance_signal(record.received).luminance
-    return extract_features(t, r)
+    return extract_features_batch([(t, r)])[0]
 
 
 BASE = Environment(frame_size=(64, 64), verifier_frame_size=(48, 48))

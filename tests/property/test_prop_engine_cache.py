@@ -1,6 +1,6 @@
 """Property: cached extraction is indistinguishable from uncached.
 
-The engine memoizes ``extract_features`` by content hash; for any clip
+The engine memoizes feature extraction by content hash; for any clip
 whatsoever, routing through the cache (cold or warm) must return exactly
 what a direct call returns — otherwise cached runs would silently drift
 from uncached ones.
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DetectorConfig
-from repro.core.features import extract_features
+from repro.core.features import extract_features_batch
 from repro.engine import ExecutionEngine, FeatureCache
 
 CONFIG = DetectorConfig()
@@ -38,10 +38,10 @@ class TestCacheTransparency:
     @settings(max_examples=40, deadline=None)
     def test_cached_equals_uncached(self, clip):
         t, r = clip
-        direct = extract_features(t, r, CONFIG).features
+        direct = extract_features_batch([(t, r)], CONFIG)[0].features
         with ExecutionEngine(jobs=1) as engine:
-            cold = engine.extract_features_cached(t, r, CONFIG)
-            warm = engine.extract_features_cached(t, r, CONFIG)
+            cold = engine.extract_features_batch([(t, r)], CONFIG)[0]
+            warm = engine.extract_features_batch([(t, r)], CONFIG)[0]
         assert cold == direct
         assert warm == direct
 
@@ -54,7 +54,7 @@ class TestCacheTransparency:
         t2 = t + rng.uniform(0.1, 1.0)
         cache = FeatureCache()
         with ExecutionEngine(jobs=1, cache=cache) as engine:
-            first = engine.extract_features_cached(t, r, CONFIG)
-            second = engine.extract_features_cached(t2, r, CONFIG)
-        assert first == extract_features(t, r, CONFIG).features
-        assert second == extract_features(t2, r, CONFIG).features
+            first = engine.extract_features_batch([(t, r)], CONFIG)[0]
+            second = engine.extract_features_batch([(t2, r)], CONFIG)[0]
+        assert first == extract_features_batch([(t, r)], CONFIG)[0].features
+        assert second == extract_features_batch([(t2, r)], CONFIG)[0].features

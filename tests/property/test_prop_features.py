@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import DetectorConfig
 from repro.core.delay import align_signals, estimate_delay
-from repro.core.features import extract_features, normalize_unit
+from repro.core.features import extract_features_batch, normalize_unit
 from repro.core.matching import match_changes
 
 times = st.lists(
@@ -105,7 +105,7 @@ class TestFeatureRanges:
         rng = np.random.default_rng(seed)
         t = 150.0 + np.cumsum(rng.normal(0, rng.uniform(0.1, 8.0), 150))
         r = 120.0 + np.cumsum(rng.normal(0, rng.uniform(0.1, 4.0), 150))
-        fx = extract_features(np.clip(t, 0, 255), np.clip(r, 0, 255), DetectorConfig())
+        fx = extract_features_batch([(np.clip(t, 0, 255), np.clip(r, 0, 255))], DetectorConfig())[0]
         z = fx.features
         assert 0.0 <= z.z1 <= 1.0
         assert 0.0 <= z.z2 <= 1.0

@@ -25,8 +25,17 @@ class TestFacade:
         assert api.VerificationReport is VerificationReport
         assert api.ExecutionEngine is ExecutionEngine
 
-    def test_deprecated_aliases_still_point_at_the_report(self):
-        from repro.core.pipeline import DiagnosedVerdict, SessionVerdict
+    def test_deleted_shims_stay_deleted(self):
+        from repro.core import features, pipeline
+        from repro.core.config import DetectorConfig
+        from repro.engine import ExecutionEngine
 
-        assert SessionVerdict is api.VerificationReport
-        assert DiagnosedVerdict is api.VerificationReport
+        for module in (repro, api, features):
+            assert not hasattr(module, "extract_features")
+        assert not hasattr(features, "features_from_signals")
+        # Naming the deleted alias is the point (R006 polices field names).
+        assert not hasattr(DetectorConfig, "replace")  # reprolint: disable=R006
+        assert not hasattr(ExecutionEngine, "map")
+        for name in ("SessionVerdict", "DiagnosedVerdict"):
+            assert not hasattr(pipeline, name)
+            assert not hasattr(repro, name)
