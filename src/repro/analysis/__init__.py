@@ -32,7 +32,15 @@ R009      public functions never referenced anywhere (dead surface)
 R010      ``repro.api`` facade drift (both directions)
 R011      unpicklable objects flowing into pool payloads across
           module boundaries
+R012-16   concurrency safety (:mod:`repro.analysis.async_`)
+R017-21   secret flow (:mod:`repro.analysis.taint`)
 ========  ==========================================================
+
+All fifteen read the same per-module summaries: one fact pass per
+function (:mod:`repro.analysis.graph.summarize`), cached through one
+generic dataclass/JSON codec (:mod:`repro.analysis.graph.codec`), and
+every fixed point runs on one solver
+(:func:`repro.analysis.graph.callgraph.propagate`).
 
 Run it as ``python -m repro lint [--format json]`` (the graph pass is
 on by default; ``--no-graph`` for per-file only, ``--changed-only``

@@ -19,14 +19,18 @@ five rules R012-R016 share one computation) and answers four questions:
   site, with first-discovery parent pointers so each finding can print
   a ``spawned at file:line -> a -> b`` chain;
 * **guard status** — nodes reachable from a ``run`` site that passes no
-  ``wall_guard_s`` (including tasks spawned from such nodes) are the
-  only places R015 flags unbounded parks, because a guarded run bounds
-  every wait under it.
+  ``wall_guard_s`` (including tasks spawned from such nodes; the same
+  BFS, seeded from those runs alone) are the only places R015 flags
+  unbounded parks, because a guarded run bounds every wait under it.
+
+Both fixed points (locksets and R016's spawn origins) run on the shared
+:func:`~repro.analysis.graph.callgraph.propagate` solver.
 """
 
 from __future__ import annotations
 
 from ..config import LintConfig
+from ..graph.callgraph import propagate
 
 __all__ = ["ConcurrencyModel", "concurrency_model", "DEFAULT_LOCK_CLASSES"]
 
@@ -184,23 +188,34 @@ class ConcurrencyModel:
             self.regions[node_id] = tuple(sorted(regions))
         self._fixpoint_locksets()
         self._collect_roots()
-        self._reach()
+        self._parents = self._reach(
+            [(index, root[3]) for index, root in enumerate(self.roots)]
+        )
+        self.task_reach = set(self._parents)
+        self.unguarded = set(
+            self._reach(
+                [
+                    (index, target)
+                    for index, (_p, _l, kind, target, guarded) in enumerate(self.roots)
+                    if kind == "run" and not guarded
+                ]
+            )
+        )
         self._propagate_origins()
 
     def _fixpoint_locksets(self) -> None:
-        graph = self.graph
-        entry: dict[str, set[str]] = {n: set() for n in graph.nodes}
-        changed = True
-        while changed:
-            changed = False
-            for caller in sorted(graph.nodes):
-                for edge in graph.edges.get(caller, ()):
-                    if edge.callee not in entry:
-                        continue
-                    held = entry[caller] | self._regions_at(caller, edge.line)
-                    if not held <= entry[edge.callee]:
-                        entry[edge.callee] |= held
-                        changed = True
+        entry: dict[str, set[str]] = {n: set() for n in self.graph.nodes}
+
+        def step(edge) -> bool:
+            if edge.callee not in entry:
+                return False
+            held = entry[edge.caller] | self._regions_at(edge.caller, edge.line)
+            if held <= entry[edge.callee]:
+                return False
+            entry[edge.callee] |= held
+            return True
+
+        propagate(self.graph, step)
         self.entry = {n: frozenset(locks) for n, locks in entry.items()}
 
     def _regions_at(self, node_id: str, line: int) -> set[str]:
@@ -249,78 +264,55 @@ class ConcurrencyModel:
                 out.append((target, spawn.line))
         return out
 
-    def _reach(self) -> None:
+    def _reach(self, seeds: list[tuple[int, str]]) -> dict[str, tuple[str | None, int, int]]:
+        """Level-order BFS over call edges and spawn sites from the
+        ``(root index, node)`` seeds: node -> (first-discovery parent or
+        None, hop line, root index).  Levels are visited in sorted order,
+        so the recorded parents (the evidence chains) are deterministic."""
         graph = self.graph
+        parents: dict[str, tuple[str | None, int, int]] = {}
         frontier: list[str] = []
-        for index, (_path, _line, _kind, target, _guarded) in enumerate(self.roots):
-            if target not in self._parents:
-                self._parents[target] = (None, 0, index)
+        for index, target in seeds:
+            if target not in parents:
+                parents[target] = (None, 0, index)
                 frontier.append(target)
         while frontier:
             frontier.sort()
             next_frontier: list[str] = []
             for node_id in frontier:
-                self.task_reach.add(node_id)
-                root_index = self._parents[node_id][2]
-                for edge in graph.edges.get(node_id, ()):
-                    if edge.callee in graph.nodes and edge.callee not in self._parents:
-                        self._parents[edge.callee] = (node_id, edge.line, root_index)
-                        next_frontier.append(edge.callee)
-                for target, line in self._spawn_targets(node_id):
-                    if target not in self._parents:
-                        self._parents[target] = (node_id, line, root_index)
+                root_index = parents[node_id][2]
+                hops = [
+                    (edge.callee, edge.line)
+                    for edge in graph.edges.get(node_id, ())
+                    if edge.callee in graph.nodes
+                ]
+                for target, line in [*hops, *self._spawn_targets(node_id)]:
+                    if target not in parents:
+                        parents[target] = (node_id, line, root_index)
                         next_frontier.append(target)
             frontier = next_frontier
-        self._reach_unguarded()
-
-    def _reach_unguarded(self) -> None:
-        graph = self.graph
-        frontier = sorted(
-            {
-                target
-                for (_p, _l, kind, target, guarded) in self.roots
-                if kind == "run" and not guarded
-            }
-        )
-        seen = set(frontier)
-        while frontier:
-            frontier.sort()
-            next_frontier = []
-            for node_id in frontier:
-                self.unguarded.add(node_id)
-                for edge in graph.edges.get(node_id, ()):
-                    if edge.callee in graph.nodes and edge.callee not in seen:
-                        seen.add(edge.callee)
-                        next_frontier.append(edge.callee)
-                for target, _line in self._spawn_targets(node_id):
-                    if target not in seen:
-                        seen.add(target)
-                        next_frontier.append(target)
-            frontier = next_frontier
+        return parents
 
     def _propagate_origins(self) -> None:
         """Which *spawn sites* each node may execute under — the
         distinct-task relation R016 races are defined over.  (Run roots
         are excluded: two ``run`` calls are two executions, not two
         concurrent tasks.)"""
-        graph = self.graph
-        origins: dict[str, set[tuple[str, int]]] = {n: set() for n in graph.nodes}
+        origins: dict[str, set[tuple[str, int]]] = {n: set() for n in self.graph.nodes}
         for path, line, kind, target, _guarded in self.roots:
             if kind == "spawn":
                 origins[target].add((path, line))
-        changed = True
-        while changed:
-            changed = False
-            for node_id in sorted(graph.nodes):
-                mine = origins[node_id]
-                if not mine:
-                    continue
-                for edge in graph.edges.get(node_id, ()):
-                    if edge.callee in origins and not mine <= origins[edge.callee]:
-                        origins[edge.callee] |= mine
-                        changed = True
+
+        def step(edge) -> bool:
+            mine = origins[edge.caller]
+            if edge.callee not in origins or mine <= origins[edge.callee]:
+                return False
+            origins[edge.callee] |= mine
+            return True
+
         # Spawned tasks are their own origin (seeded above), not their
         # spawner's, so origins only flow along ordinary call edges.
+        propagate(self.graph, step)
         self.origins = {n: frozenset(o) for n, o in origins.items()}
 
     # ------------------------------------------------------------------

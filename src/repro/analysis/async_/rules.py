@@ -13,10 +13,7 @@ from ..findings import Finding
 from ..rulebase import GraphRule, register_graph
 from .lockset import PARKING_METHODS, concurrency_model
 
-__all__ = ["ASYNC_RULE_IDS"]
-
-#: The rule ids ``--no-async`` switches off.
-ASYNC_RULE_IDS = frozenset({"R012", "R013", "R014", "R015", "R016"})
+__all__: list[str] = []
 
 
 class _ConcurrencyRule(GraphRule):

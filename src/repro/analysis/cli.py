@@ -5,9 +5,9 @@ subcommand; everything lint-specific (defaults, exit codes, baseline
 handling) lives next to the code it drives.
 
 The whole-program pass (R007-R011, the concurrency rules R012-R016 and
-the secret-flow taint rules R017-R021) is on by default; ``--no-graph``
-restores the per-file-only behavior, ``--no-async`` keeps the graph
-pass but skips R012-R016, and ``--no-taint`` likewise skips R017-R021.
+the secret-flow taint rules R017-R021, all fed by one fact pass per
+function) is on by default; ``--no-graph`` restores the per-file-only
+behavior.
 ``--explain RULE_ID`` prints one rule's rationale, an example finding
 and the suppression syntax.  ``--changed-only`` is the fast
 pre-commit path: per-file rules and findings are restricted to files
@@ -100,20 +100,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-file rules only; skip call-graph analysis",
     )
     parser.add_argument(
-        "--no-async",
-        dest="async_rules",
-        action="store_false",
-        default=True,
-        help="skip the concurrency-safety rules R012-R016",
-    )
-    parser.add_argument(
-        "--no-taint",
-        dest="taint_rules",
-        action="store_false",
-        default=True,
-        help="skip the secret-flow taint rules R017-R021",
-    )
-    parser.add_argument(
         "--dump-graph",
         choices=("json", "dot"),
         default=None,
@@ -203,8 +189,6 @@ def run_lint(args: argparse.Namespace) -> int:
             config=config,
             cache=cache,
             only=only,
-            async_rules=args.async_rules,
-            taint_rules=args.taint_rules,
         )
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}")

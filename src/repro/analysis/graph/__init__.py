@@ -1,11 +1,13 @@
 """reprograph: the whole-program layer beneath reprolint.
 
-Per-module summaries (:mod:`.summarize`, content-hash cached by
-:mod:`.cache`) are assembled into a project-wide symbol table and call
-graph (:mod:`.callgraph`) with fixed-point transitive effect
-propagation; the interprocedural rules R007-R011 (:mod:`.rules`) run
-over the result and report findings with per-hop call-chain evidence.
-``--dump-graph`` serialization lives in :mod:`.dump`.
+Per-module summaries (:mod:`.summarize`, one fact pass per function,
+content-hash cached by :mod:`.cache` through the generic :mod:`.codec`)
+are assembled into a project-wide symbol table and call graph
+(:mod:`.callgraph`) with fixed-point transitive effect propagation on
+the shared :func:`~.callgraph.propagate` solver; the interprocedural
+rules R007-R011 (:mod:`.rules`) run over the result and report
+findings with per-hop call-chain evidence.  ``--dump-graph``
+serialization lives in :mod:`.dump`.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ counted on the caller's :class:`~repro.obs.metrics.MetricsRegistry`
 (``reprograph_summaries_total{result=hit|miss}``), which is what the
 incrementality tests assert against.
 
-The on-disk form is one JSON document (schema-versioned; a corrupt or
-mismatched file is discarded, never an error).  Entries for files that
-no longer exist on disk are pruned at save time so fixture churn cannot
-grow the cache without bound.
+The on-disk form is one JSON document written through the generic
+:mod:`.codec` (schema-versioned; a corrupt or mismatched file is
+discarded, and a malformed entry is a miss — never an error).  Entries
+for files that no longer exist on disk are pruned at save time so
+fixture churn cannot grow the cache without bound.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .codec import from_json, to_json
 from .summarize import SUMMARY_VERSION, ModuleSummary
 
 __all__ = ["SummaryCache", "content_hash"]
@@ -63,11 +65,11 @@ class SummaryCache:
     def get(self, report_path: str, digest: str) -> ModuleSummary | None:
         """The cached summary for ``report_path`` at ``digest``, or None."""
         entry = self._entries.get(report_path)
-        if entry is None or entry.get("hash") != digest:
+        if not isinstance(entry, dict) or entry.get("hash") != digest:
             self.misses += 1
             return None
         try:
-            summary = ModuleSummary.from_dict(entry["summary"])
+            summary = from_json(ModuleSummary, entry["summary"])
         except (KeyError, TypeError, ValueError):
             self.misses += 1
             return None
@@ -79,7 +81,7 @@ class SummaryCache:
     ) -> None:
         self._entries[report_path] = {
             "hash": digest,
-            "summary": summary.to_dict(),
+            "summary": to_json(summary),
         }
         self._sources[report_path] = source
         self._dirty = True

@@ -23,12 +23,13 @@ print an ``a -> b -> c calls time.time()`` chain with file:line per hop.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 from ..config import DEFAULT_LINT_CONFIG, LintConfig
 from ..effects import clock_effect, rng_effect
 from .summarize import CallTarget, ModuleSummary
 
-__all__ = ["NodeInfo", "Edge", "ProgramGraph", "build_graph"]
+__all__ = ["NodeInfo", "Edge", "ProgramGraph", "build_graph", "propagate"]
 
 _MAX_RESOLVE_DEPTH = 20
 
@@ -303,6 +304,26 @@ def build_graph(
     return graph
 
 
+def propagate(graph: ProgramGraph, step: Callable[[Edge], bool]) -> None:
+    """The one round-robin fixed-point solver over the call edges.
+
+    Each round visits every caller in sorted order and every out-edge in
+    its stored order, applying ``step`` (which returns True when it grew
+    the callee's fact); rounds repeat until one changes nothing.  Facts
+    must only grow over a finite lattice, so the loop terminates, and
+    the fixed visiting order makes any first-assignment evidence
+    deterministic.
+    """
+    order = sorted(graph.nodes)
+    changed = True
+    while changed:
+        changed = False
+        for caller in order:
+            for edge in graph.edges.get(caller, ()):
+                if step(edge):
+                    changed = True
+
+
 def _propagate(graph: ProgramGraph) -> None:
     """Fixed-point transitive effects, recording one origin per (node,
     kind).  First assignment in sorted order wins and is never replaced,
@@ -315,19 +336,19 @@ def _propagate(graph: ProgramGraph) -> None:
                 origins[kind] = ("direct", detail, line)
         transitive[node_id] = origins
 
-    changed = True
-    while changed:
+    def step(edge: Edge) -> bool:
+        callee_info = graph.nodes.get(edge.callee)
+        if callee_info is None:
+            return False
+        callee_allowlisted = graph.is_allowlisted_clock_module(callee_info.path)
         changed = False
-        for caller in sorted(graph.nodes):
-            for edge in graph.edges.get(caller, ()):
-                callee_info = graph.nodes.get(edge.callee)
-                if callee_info is None:
-                    continue
-                callee_allowlisted = graph.is_allowlisted_clock_module(callee_info.path)
-                for kind in sorted(transitive.get(edge.callee, ())):
-                    if kind == "clock" and callee_allowlisted:
-                        continue  # blessed clock modules don't taint callers
-                    if kind not in transitive[caller]:
-                        transitive[caller][kind] = ("call", edge.callee, edge.line)
-                        changed = True
+        for kind in sorted(transitive.get(edge.callee, ())):
+            if kind == "clock" and callee_allowlisted:
+                continue  # blessed clock modules don't taint callers
+            if kind not in transitive[edge.caller]:
+                transitive[edge.caller][kind] = ("call", edge.callee, edge.line)
+                changed = True
+        return changed
+
+    propagate(graph, step)
     graph.transitive = transitive

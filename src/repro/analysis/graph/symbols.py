@@ -51,16 +51,6 @@ class Binding:
     line: int
     target: str | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "line": self.line}
-        if self.target is not None:
-            out["target"] = self.target
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "Binding":
-        return Binding(kind=data["kind"], line=data["line"], target=data.get("target"))
-
 
 def _import_base(module: str, is_package: bool, level: int, from_module: str | None) -> str:
     """Absolute dotted prefix for a (possibly relative) ``from`` import."""

@@ -9,15 +9,15 @@ syntax error or bytes that are not UTF-8 — is itself a finding (rule
 of the report.
 
 With ``graph=True`` the walk additionally builds a per-module summary
-for every file (served from the content-hash :class:`SummaryCache`
-when the bytes are unchanged), assembles the program graph, and runs
-the whole-program rules R007-R011, the concurrency rules R012-R016
-(``async_rules=False`` skips them) and the secret-flow rules R017-R021
-(``taint_rules=False`` skips them) over it.  ``only`` restricts
-which files get per-file rule execution and which findings are
-reported — the ``--changed-only`` fast path — while summaries still
-cover the whole tree, because interprocedural analysis is only sound
-over the whole program.
+for every file — one fact pass per function (see
+:mod:`.graph.summarize`), served from the content-hash
+:class:`SummaryCache` when the bytes are unchanged — assembles the
+program graph, and runs every whole-program rule over it: R007-R011,
+the concurrency rules R012-R016 and the secret-flow rules R017-R021.
+``only`` restricts which files get per-file rule execution and which
+findings are reported — the ``--changed-only`` fast path — while
+summaries still cover the whole tree, because interprocedural analysis
+is only sound over the whole program.
 
 After the rules, suppression hygiene runs over every selected file:
 a ``# reprolint: disable=`` declaration that silenced nothing is W001,
@@ -30,9 +30,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path, PurePath
 
-from .async_.rules import ASYNC_RULE_IDS  # noqa: F401 - import registers R012-R016
+from .async_ import rules as _async_rules  # noqa: F401 - import registers R012-R016
 from .config import DEFAULT_LINT_CONFIG, LintConfig
-from .taint.rules import TAINT_RULE_IDS  # noqa: F401 - import registers R017-R021
 from .context import ModuleContext
 from .findings import Finding, fingerprint_findings
 from .graph import (
@@ -49,6 +48,7 @@ from .rulebase import (
     registered_rule_ids,
     registered_rules,
 )
+from .taint import rules as _taint_rules  # noqa: F401 - import registers R017-R021
 
 __all__ = ["analyze_source", "collect_files", "lint_paths", "LintResult"]
 
@@ -160,8 +160,6 @@ def lint_paths(
     cache: SummaryCache | None = None,
     metrics=None,
     only: set[str] | None = None,
-    async_rules: bool = True,
-    taint_rules: bool = True,
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths``.
 
@@ -169,10 +167,7 @@ def lint_paths(
     (the CLI passes the working directory), else as provided.  ``only``
     is a set of report paths: files outside it are summarized (the
     graph needs the whole program) but get no per-file rule execution
-    and contribute no findings.  ``async_rules=False`` (the CLI's
-    ``--no-async``) skips the concurrency rules R012-R016;
-    ``taint_rules=False`` (``--no-taint``) skips the secret-flow rules
-    R017-R021.
+    and contribute no findings.
     """
     config = config if config is not None else DEFAULT_LINT_CONFIG
     files = collect_files(paths)
@@ -238,12 +233,7 @@ def lint_paths(
     per_file_ids = {
         rule_cls.id for rule_cls in (rules if rules is not None else registered_rules())
     }
-    graph_rule_classes = [
-        rule_cls
-        for rule_cls in registered_graph_rules()
-        if (async_rules or rule_cls.id not in ASYNC_RULE_IDS)
-        and (taint_rules or rule_cls.id not in TAINT_RULE_IDS)
-    ]
+    graph_rule_classes = registered_graph_rules()
 
     program_graph: ProgramGraph | None = None
     if graph:
@@ -282,10 +272,9 @@ def _suppression_hygiene(
     """W001 (suppression silenced nothing) and W002 (unknown rule id).
 
     A suppression is only judged unused when every rule it could have
-    silenced actually ran — a graph-rule id with ``graph=False``, or an
-    async id under ``--no-async``, is left alone.  Wildcards (``all``,
-    ``*``) are always assessable: they claim to silence everything, so
-    silencing nothing is always reportable.
+    silenced actually ran — a graph-rule id with ``graph=False`` is left
+    alone.  Wildcards (``all``, ``*``) are always assessable: they claim
+    to silence everything, so silencing nothing is always reportable.
     """
     known = registered_rule_ids()
     graph_uses = (

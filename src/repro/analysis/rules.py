@@ -14,7 +14,7 @@ import ast
 import dataclasses
 
 from ..core.config import DetectorConfig
-from .effects import RNG_ALLOWED_NUMPY, WALL_CLOCK_PATHS
+from .effects import clock_effect, map_batches_args, rng_effect
 from .rulebase import Rule, register
 
 __all__ = ["CONFIG_FIELDS"]
@@ -52,29 +52,23 @@ class UnseededRandomnessRule(Rule):
     via numpy.random.default_rng / SeedSequence (see core.seeding.spawn_seeds)
     and pass it down."""
 
-    #: Shared with the whole-program layer (see analysis.effects) so the
-    #: two passes cannot disagree about what counts as seeded.
-    _ALLOWED_NUMPY = RNG_ALLOWED_NUMPY
-
     def visit_Call(self, node: ast.Call) -> None:
+        # Classified by analysis.effects, like the whole-program layer,
+        # so the two passes cannot disagree about what counts as seeded.
         target = self.ctx.resolve_dotted(node.func)
-        if target is not None:
-            if (
-                len(target) == 3
-                and target[:2] == ["numpy", "random"]
-                and target[2] not in self._ALLOWED_NUMPY
-            ):
-                self.report(
-                    node,
-                    f"call to numpy.random.{target[2]} uses the global RNG; "
-                    "seed an explicit numpy.random.default_rng instead",
-                )
-            elif len(target) == 2 and target[0] == "random":
-                self.report(
-                    node,
-                    f"call to stdlib random.{target[1]} uses the global RNG; "
-                    "use a seeded numpy.random.default_rng instead",
-                )
+        detail = rng_effect(tuple(target)) if target is not None else None
+        if detail is not None and detail.startswith("numpy."):
+            self.report(
+                node,
+                f"call to {detail} uses the global RNG; "
+                "seed an explicit numpy.random.default_rng instead",
+            )
+        elif detail is not None:
+            self.report(
+                node,
+                f"call to stdlib {detail} uses the global RNG; "
+                "use a seeded numpy.random.default_rng instead",
+            )
         self.generic_visit(node)
 
 
@@ -89,9 +83,6 @@ class WallClockRule(Rule):
     (which everything else, including the rest of obs/, must go through)
     and the historical perf instrumentation in engine/perf.py."""
 
-    #: Shared with the whole-program layer (see analysis.effects).
-    _WALL_CLOCK = WALL_CLOCK_PATHS
-
     def run(self) -> list:
         # The modules allowed to touch the real clock come from the
         # [tool.reprolint] wall-clock-allowlist (default: obs/clock.py
@@ -102,10 +93,11 @@ class WallClockRule(Rule):
 
     def visit_Call(self, node: ast.Call) -> None:
         target = self.ctx.resolve_dotted(node.func)
-        if target is not None and tuple(target) in self._WALL_CLOCK:
+        detail = clock_effect(tuple(target)) if target is not None else None
+        if detail is not None:
             self.report(
                 node,
-                f"wall-clock read {'.'.join(target)}() outside obs/clock.py; "
+                f"wall-clock read {detail}() outside obs/clock.py; "
                 "derive time from the session clock or route timing through "
                 "the obs.clock abstraction",
             )
@@ -123,31 +115,24 @@ class UnpicklableTaskRule(Rule):
     runs.  Task functions must be module-level."""
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "map_batches":
-            receiver = ast.unparse(func.value).lower()
-            if "engine" in receiver:
-                fn_arg: ast.expr | None = node.args[0] if node.args else None
-                if fn_arg is None:
-                    for keyword in node.keywords:
-                        if keyword.arg == "fn":
-                            fn_arg = keyword.value
-                if isinstance(fn_arg, ast.Lambda):
-                    self.report(
-                        node,
-                        "lambda passed to ExecutionEngine.map_batches cannot be "
-                        "pickled to worker processes; use a module-level function",
-                    )
-                elif isinstance(fn_arg, ast.Name) and (
-                    fn_arg.id in self.ctx.nested_function_names
-                    or fn_arg.id in self.ctx.lambda_names
-                ):
-                    self.report(
-                        node,
-                        f"'{fn_arg.id}' is a nested def/lambda; "
-                        "ExecutionEngine.map_batches payloads must be "
-                        "module-level functions (picklable)",
-                    )
+        args = map_batches_args(node)
+        fn_arg = args[0] if args is not None else None
+        if isinstance(fn_arg, ast.Lambda):
+            self.report(
+                node,
+                "lambda passed to ExecutionEngine.map_batches cannot be "
+                "pickled to worker processes; use a module-level function",
+            )
+        elif isinstance(fn_arg, ast.Name) and (
+            fn_arg.id in self.ctx.nested_function_names
+            or fn_arg.id in self.ctx.lambda_names
+        ):
+            self.report(
+                node,
+                f"'{fn_arg.id}' is a nested def/lambda; "
+                "ExecutionEngine.map_batches payloads must be "
+                "module-level functions (picklable)",
+            )
         self.generic_visit(node)
 
 

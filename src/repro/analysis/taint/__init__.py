@@ -9,10 +9,11 @@ replay hole the commitment ledger closed.  This package machine-checks
 secret hygiene the same way determinism (R001-R011) and concurrency
 safety (R012-R016) already are:
 
-* a config-independent per-function :class:`~.summary.TaintInfo`
-  (value expressions of assignments, returns, calls, raises, asserts
-  and ``==`` comparisons) collected at summarize time and cached with
-  the module summaries;
+* a config-independent per-function ``TaintInfo`` (value expressions
+  of assignments, returns, calls, raises, asserts and ``==``
+  comparisons) recorded by the one fact pass in
+  :mod:`repro.analysis.graph.summarize` and cached with the module
+  summaries;
 * a :class:`~.model.TaintModel` that seeds taint from the configured
   sources (``[tool.reprolint.taint]``), runs a per-function dataflow
   plus an interprocedural return-level fixed point over the call
@@ -23,9 +24,4 @@ safety (R012-R016) already are:
   secret crosses the pickle boundary, R020 non-constant-time compare
   of tag/nonce material, R021 secret-bearing dataclass field without
   ``repr=False``.
-
-Like :mod:`repro.analysis.async_`, the package root is deliberately
-inert: ``graph.summarize`` imports :mod:`.summary` while :mod:`.rules`
-imports the graph layer, and an empty root keeps that order
-insensitive.
 """

@@ -2,7 +2,7 @@
 
 One :class:`TaintModel` is built per program graph (memoized on the
 graph object, like the concurrency model) and feeds all five taint
-rules.  It evaluates the cached :class:`~.summary.TaintInfo` records
+rules.  It evaluates the cached :class:`~repro.analysis.graph.summarize.TaintInfo` records
 against the ``[tool.reprolint.taint]`` policy:
 
 * every identifier is typed by name through
@@ -43,7 +43,7 @@ import dataclasses
 from pathlib import PurePath
 
 from ..config import TaintConfig
-from .summary import CallUse, ValueExpr
+from ..graph.summarize import CallUse, ValueExpr
 
 __all__ = [
     "CLEAN_LEVEL",

@@ -22,10 +22,7 @@ from ..findings import Finding
 from ..rulebase import GraphRule, register_graph
 from .model import SECRET_LEVEL, TAG_LEVEL, is_test_path, taint_model
 
-__all__ = ["TAINT_RULE_IDS"]
-
-#: The rule ids ``--no-taint`` switches off.
-TAINT_RULE_IDS = frozenset({"R017", "R018", "R019", "R020", "R021"})
+__all__: list[str] = []
 
 
 class _TaintRule(GraphRule):

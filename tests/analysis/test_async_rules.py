@@ -11,7 +11,7 @@ would just get suppressed wholesale.
 
 import textwrap
 
-from repro.analysis import LintConfig, analyze_source, lint_paths
+from repro.analysis import LintConfig, analyze_source
 
 from .test_graph import graph_lint, write_tree
 
@@ -88,13 +88,6 @@ class TestR012ForeignAwait:
         }
         write_tree(tmp_path, files)
         assert rule_findings(graph_lint(tmp_path), "R012") == []
-
-    def test_no_async_flag_disables_it(self, tmp_path):
-        write_tree(tmp_path, R012_FILES)
-        result = lint_paths(
-            [tmp_path], relative_to=tmp_path, graph=True, async_rules=False
-        )
-        assert rule_findings(result, "R012") == []
 
     def test_inline_suppression_works(self, tmp_path):
         files = {

@@ -115,14 +115,3 @@ class TestExplain:
         assert "example" in out
         assert "compare_digest" in out
 
-
-class TestNoTaintFlag:
-    def test_no_taint_skips_the_secret_flow_pass(self, tmp_path, capsys):
-        target = tmp_path / "leak.py"
-        target.write_text(
-            'def banner(secret):\n    print(f"key {secret}")\n'
-        )
-        assert main(["lint", str(target)]) == 1
-        assert "R017" in capsys.readouterr().out
-        assert main(["lint", str(target), "--no-taint"]) == 0
-        assert "clean" in capsys.readouterr().out

@@ -6,18 +6,24 @@ provably report nothing, and asserts the corresponding graph rule fires
 with call-chain evidence.  That is the entire reason the layer exists.
 """
 
+import json
+import pathlib
 import textwrap
 
 import pytest
 
 from repro.analysis import LintConfig, analyze_source, lint_paths
 from repro.analysis.graph import (
+    ModuleSummary,
     SummaryCache,
     build_graph,
     module_name_for,
     summarize_module,
 )
+from repro.analysis.graph.codec import from_json, to_json
 from repro.analysis.context import ModuleContext
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def write_tree(tmp_path, files):
@@ -71,12 +77,29 @@ class TestSummaries:
         )
         ctx = ModuleContext("src/repro/sampling.py", source)
         summary = summarize_module(ctx)
-        from repro.analysis.graph import ModuleSummary
-
-        clone = ModuleSummary.from_dict(summary.to_dict())
+        clone = _through_codec(summary)
         assert clone == summary
         assert clone.exports == ("draw",)
         assert [c.target for c in clone.functions["draw"].calls] == ["helper"]
+
+        # Every module of the real tree, and the async/taint fixtures,
+        # whose records exercise every field type the codec handles.
+        from . import test_async_rules, test_taint_rules
+
+        sources = {
+            path.relative_to(REPO_ROOT).as_posix(): path.read_text()
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        }
+        fixtures = [
+            getattr(test_async_rules, f"R01{n}_FILES") for n in range(2, 7)
+        ] + [test_taint_rules.TestR017OutputSink.FILES]
+        for files in fixtures:
+            sources.update(
+                (name, textwrap.dedent(text)) for name, text in files.items()
+            )
+        for name, text in sources.items():
+            summary = summarize_module(ModuleContext(name, text))
+            assert _through_codec(summary) == summary, name
 
     def test_suppressed_effect_is_blessed(self):
         source = textwrap.dedent(
@@ -118,6 +141,11 @@ R007_FILES = {
             return engine.map_batches(task, tasks)
         """,
 }
+
+
+def _through_codec(summary):
+    """Encode, pass through real JSON text, decode."""
+    return from_json(ModuleSummary, json.loads(json.dumps(to_json(summary))))
 
 
 class TestR007TransitiveRandomness:
@@ -397,6 +425,35 @@ class TestIncrementalCache:
         cache_file.write_text("{not json")
         result = graph_lint(tmp_path, cache=SummaryCache(cache_file))
         assert result.graph is not None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: entry.clear(),
+            lambda entry: entry.update(summary=[]),
+            lambda entry: entry["summary"].pop("module"),
+            lambda entry: entry["summary"].update(functions=["alpha"]),
+            lambda entry: entry["summary"].update(unknown_field=1),
+            lambda entry: entry["summary"].update(suppressions={"one": ["R001"]}),
+            lambda entry: entry["summary"]["functions"]["alpha"].update(line="1"),
+            lambda entry: entry["summary"]["bindings"]["alpha"].update(kind=None),
+        ],
+    )
+    def test_malformed_entry_is_a_miss(self, tmp_path, corrupt):
+        from repro.obs.metrics import MetricsRegistry
+
+        write_tree(tmp_path, self.FILES)
+        cache_file = tmp_path / "cache" / "summaries.json"
+        cold = graph_lint(tmp_path, cache=SummaryCache(cache_file))
+
+        document = json.loads(cache_file.read_text())
+        corrupt(document["entries"]["alpha.py"])
+        cache_file.write_text(json.dumps(document))
+
+        registry = MetricsRegistry()
+        served = graph_lint(tmp_path, cache=SummaryCache(cache_file), metrics=registry)
+        assert self._counts(registry) == (2.0, 1.0)
+        assert served.graph.modules == cold.graph.modules
 
 
 class TestDeterminism:

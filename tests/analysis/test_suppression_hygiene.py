@@ -5,9 +5,8 @@ would fire here.  When the code drifts and the rule no longer fires,
 the comment silently disables future *real* findings on that line — so
 an unused suppression is itself reported (W001), and one naming a rule
 id that does not exist is reported as a typo (W002).  Suppressions for
-rules that did not run this invocation (graph rules under --no-graph,
-async rules under --no-async) are never judged: absence of evidence is
-not staleness.
+rules that did not run this invocation (graph rules under --no-graph)
+are never judged: absence of evidence is not staleness.
 """
 
 import textwrap
@@ -81,13 +80,6 @@ class TestW001UnusedSuppression:
         assert by_rule(ungraphed, "W001") == []
         graphed = lint_tree(tmp_path, files, graph=True)
         assert len(by_rule(graphed, "W001")) == 1
-
-    def test_async_suppression_not_judged_under_no_async(self, tmp_path):
-        files = {"m.py": "x = 1  # reprolint: disable=R015\n"}
-        off = lint_tree(tmp_path, files, async_rules=False)
-        assert by_rule(off, "W001") == []
-        on = lint_tree(tmp_path, files, async_rules=True)
-        assert len(by_rule(on, "W001")) == 1
 
     def test_graph_rule_use_marks_the_suppression_live(self, tmp_path):
         files = {

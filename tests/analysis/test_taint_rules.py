@@ -323,27 +323,6 @@ class TestR021DataclassField:
         assert "R021" not in rule_ids(graph_lint(tmp_path))
 
 
-class TestTaintToggle:
-    def test_no_taint_skips_r017_r021(self, tmp_path):
-        write_tree(tmp_path, TestR017OutputSink.FILES)
-        result = graph_lint(tmp_path, taint_rules=False)
-        assert not rule_ids(result) & {"R017", "R018", "R019", "R020", "R021"}
-
-    def test_no_taint_leaves_taint_suppressions_unjudged(self, tmp_path):
-        """A disable=R017 comment is not a stale W001 when the rule it
-        targets never ran — same contract --no-async established."""
-        write_tree(
-            tmp_path,
-            {
-                "report.py": """
-                    def banner(secret):
-                        print(f"key {secret}")  # reprolint: disable=R017
-                    """
-            },
-        )
-        assert "W001" not in rule_ids(graph_lint(tmp_path, taint_rules=False))
-
-
 class TestSchemaV4:
     def test_taint_findings_render_with_category_and_evidence(self, tmp_path):
         write_tree(tmp_path, TestR017OutputSink.FILES)
