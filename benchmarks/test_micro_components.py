@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.camera.sensor import ImageSensor
+from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
-from repro.core.dtw import dtw_distance
 from repro.core.lof import LocalOutlierFactor
 from repro.core.preprocessing import preprocess
 from repro.experiments.simulate import simulate_genuine_session
@@ -35,11 +35,21 @@ def test_bench_preprocess_chain(benchmark, luminance_signal):
 
 
 def test_bench_dtw_75_samples(benchmark):
+    """z4 of one 15 s clip: its two 75-sample segment pairs in one call."""
     rng = np.random.default_rng(1)
-    x = rng.normal(size=75)
-    y = rng.normal(size=75)
-    distance = benchmark(lambda: dtw_distance(x, y))
-    assert distance > 0
+    xs = [rng.normal(size=75) for _ in range(2)]
+    ys = [rng.normal(size=75) for _ in range(2)]
+    distances = benchmark(lambda: dtw_distance_batch(xs, ys))
+    assert distances.shape == (2,) and (distances > 0).all()
+
+
+def test_bench_dtw_64_ragged_pairs(benchmark):
+    """A 32-clip batch close: 64 segment pairs, 60-100 samples per side."""
+    rng = np.random.default_rng(2)
+    xs = [rng.normal(size=n) for n in rng.integers(60, 101, size=64)]
+    ys = [rng.normal(size=m) for m in rng.integers(60, 101, size=64)]
+    distances = benchmark(lambda: dtw_distance_batch(xs, ys))
+    assert distances.shape == (64,) and (distances > 0).all()
 
 
 def test_bench_lof_fit_and_score(benchmark):

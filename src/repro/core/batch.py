@@ -11,8 +11,8 @@ the batched kernels that process N clips per NumPy call:
 * ``reflect_convolve_batch`` / ``moving_variance_batch`` /
   ``threshold_filter_batch`` / ``moving_rms_batch`` — the filter stages
   of Sec. V over a dense group of equal-length rows.
-* :func:`dtw_distance_batch` — feature ``z4``'s dynamic program,
-  vectorized across the batch dimension.
+* :func:`dtw_distance_batch` — feature ``z4``'s dynamic program as one
+  anti-diagonal wavefront over every padded pair.
 * :func:`find_peaks_batch` — the peak finder mapped over rows.
 
 Every kernel is **row-independent**: the result of row ``i`` never
@@ -20,9 +20,12 @@ depends on any other row, so running a clip in a batch of one is
 bit-identical to running it in a batch of N.  The per-clip functions in
 :mod:`~repro.core.preprocessing` are thin batch-of-1 views over these
 kernels, and ``tests/property/test_prop_batch.py`` pins the identity
-across ragged batches.  Rows of *different* lengths are handled by
-grouping (:func:`group_by_length`) before the dense kernels run, so
-padding never leaks into results.
+across ragged batches.  The filter kernels see rows of *different*
+lengths only after grouping (:func:`group_by_length`), because a
+filter's edge handling depends on where the row ends.  The DTW kernel
+needs no grouping: it sweeps all pairs padded to one shape, and since a
+DTW cell reads only cells with smaller indices, a pair's own cells
+never read its padding.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ class ClipBatch:
 
     ``data`` has shape ``(clips, max_len)``; row ``i`` holds clip ``i``
     in ``data[i, :lengths[i]]`` and zero padding after it.  The padding
-    is inert — kernels group rows by length and slice the padding off
-    before computing, so it never contaminates a result.
+    is inert: the filter kernels group rows by length and slice it off
+    before computing, and the DTW wavefront never reads it into a
+    pair's own cells, so it never contaminates a result.
     """
 
     data: np.ndarray
@@ -216,44 +220,72 @@ def find_peaks_batch(
     return [find_peaks(np.asarray(row), min_prominence) for row in rows]
 
 
+def _time_major(signals: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``signals`` packed by :meth:`ClipBatch.from_signals` as one
+    contiguous ``(max_len, clips)`` array, plus the length vector."""
+    batch = ClipBatch.from_signals(signals)
+    return np.ascontiguousarray(batch.data.T), batch.lengths
+
+
 def dtw_distance_batch(
     xs: Sequence[np.ndarray],
     ys: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Exact DTW distances for many ``(x, y)`` pairs in one pass.
+    """Exact DTW distances for many ``(x, y)`` pairs in one wavefront.
 
-    Pairs are grouped by ``(len(x), len(y))`` and each group runs one
-    dynamic program whose cells are ``(group,)`` vectors — the i/j loops
-    stay in Python but every arithmetic step covers the whole group.
-    ``abs``/``min``/``add`` are exact in IEEE-754, so each pair's
-    distance is bit-identical to :func:`~repro.core.dtw.dtw_distance`.
+    ``D[i, j] = |x[i-1] - y[j-1]| + min(D[i-1, j-1], D[i-1, j], D[i, j-1])``
+    with ``D[0, 0] = 0`` and the rest of row and column 0 infinite; a
+    pair's distance is ``D[n, m]``, the cost of the cheapest monotone
+    alignment path (steps right, down or diagonal).
+
+    Both sides are packed with :meth:`ClipBatch.from_signals` to one
+    ``N`` and one ``M`` and the cost matrix is swept one anti-diagonal
+    ``s = i + j`` at a time, from 2 to ``N + M``.  Cell ``(i, s - i)``
+    reads diagonal ``s - 2`` at ``i - 1`` and diagonal ``s - 1`` at
+    ``i - 1`` and ``i``, so a step is five in-place vector operations
+    over every pair and every cell on the diagonal.  Three diagonal
+    buffers of ``N + 1`` cells per pair are all the state; they are
+    stored cell-major, ``(N + 1, k)``, so that each slice is one
+    contiguous block.  Pair ``p`` is read off diagonal ``n_p + m_p`` at
+    index ``n_p``.  Its own cells read only smaller ``i`` and ``j``, so
+    the padding never reaches them, and ``abs``/``min``/``add`` are
+    exact in IEEE-754: each distance is bit-identical to the scalar
+    row-by-row dynamic program and does not depend on the batch it
+    rides in.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same number of sequences")
-    a_list = [_as_row(x) for x in xs]
-    b_list = [_as_row(y) for y in ys]
-    for a, b in zip(a_list, b_list):
-        if a.size == 0 or b.size == 0:
-            raise ValueError("dtw inputs must be non-empty")
-    out = np.empty(len(a_list), dtype=np.float64)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(zip(a_list, b_list)):
-        groups.setdefault((a.size, b.size), []).append(i)
-    for (n, m), indices in sorted(groups.items()):
-        A = np.stack([a_list[i] for i in indices])
-        B = np.stack([b_list[i] for i in indices])
-        count = len(indices)
-        prev = np.full((count, m + 1), np.inf)
-        prev[:, 0] = 0.0
-        current = np.empty((count, m + 1))
-        for i in range(1, n + 1):
-            current[:, 0] = np.inf
-            row_cost = np.abs(A[:, i - 1][:, None] - B)
-            for j in range(1, m + 1):
-                best = np.minimum(
-                    np.minimum(prev[:, j - 1], prev[:, j]), current[:, j - 1]
-                )
-                current[:, j] = row_cost[:, j - 1] + best
-            prev, current = current, prev
-        out[np.array(indices)] = prev[:, m]
+    a, n = _time_major(xs)
+    b, m = _time_major(ys)
+    if n.size and min(n.min(), m.min()) < 1:
+        raise ValueError("dtw inputs must be non-empty")
+    big_n, k = a.shape
+    big_m = b.shape[0]
+    out = np.empty(k, dtype=np.float64)
+    if k == 0:
+        return out
+    # Reverse y in time, so that y[s - i - 1] over rising i is a forward slice.
+    b = np.ascontiguousarray(b[::-1])
+    before, prev, cur = (np.full((big_n + 1, k), np.inf) for _ in range(3))
+    before[0] = 0.0  # D[0, 0]; every other boundary cell stays inf
+    finish = dict(group_by_length(n + m))
+    for s in range(2, big_n + big_m + 1):
+        lo, hi = max(1, s - big_m), min(big_n, s - 1)
+        d = cur[lo : hi + 1]
+        np.minimum(before[lo - 1 : hi], prev[lo - 1 : hi], out=d)
+        np.minimum(d, prev[lo : hi + 1], out=d)
+        # Diagonal s - 2 is dead once read, so its cells lo..hi take the
+        # costs.  Index 0 (a boundary) is never touched, and each entry
+        # is either rewritten as diagonal s + 1 or lies past column M,
+        # where no later step reads.
+        c = before[lo : hi + 1]
+        np.subtract(a[lo - 1 : hi], b[big_m - s + lo : big_m - s + hi + 1], out=c)
+        np.abs(c, out=c)
+        np.add(c, d, out=d)
+        if s == 2:
+            before[0] = np.inf  # D[0, 0] feeds D[1, 1] only
+        rows = finish.get(s)
+        if rows is not None:
+            out[rows] = cur[n[rows], rows]
+        before, prev, cur = prev, cur, before
     return out

@@ -22,9 +22,10 @@ falls away on at least one dimension — which is all the LOF model needs.
 The documented entry points are the batch functions
 :func:`extract_features_batch` / :func:`features_from_signals_batch`:
 they run the Sec. V chain through the structure-of-arrays kernels of
-:mod:`~repro.core.batch` and vectorize the DTW dynamic program across
-all clips' segments.  A single clip is a batch of one; each clip's
-result does not depend on the batch it rides in.
+:mod:`~repro.core.batch` and hand every clip's segment pairs to one
+:func:`~repro.core.batch.dtw_distance_batch` call, a single
+anti-diagonal sweep over all of them.  A single clip is a batch of one;
+each clip's result does not depend on the batch it rides in.
 """
 
 from __future__ import annotations
@@ -273,8 +274,8 @@ def _features_from_signals_batch(
             seg_r.append(r_seg)
             seg_owner.append(i)
 
-    # One vectorized dynamic program over every clip's segments at once
-    # (the z4 hot loop that used to run clip-by-clip in pure Python).
+    # One wavefront over every clip's segment pairs at once (the z4 hot
+    # loop that used to run clip-by-clip in pure Python).
     if seg_t:
         distances = dtw_distance_batch(seg_t, seg_r)
         for owner, distance in zip(seg_owner, distances):

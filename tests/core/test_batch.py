@@ -14,6 +14,8 @@ from repro.core.batch import (
     threshold_filter_batch,
 )
 
+from ..property.test_prop_batch import _dtw_reference
+
 
 class TestClipBatch:
     def test_from_signals_pads_and_masks(self):
@@ -105,3 +107,55 @@ class TestDtwDistanceBatch:
 
     def test_empty_batch(self):
         assert dtw_distance_batch([], []).size == 0
+
+
+@pytest.fixture(scope="module")
+def ragged_real_pairs():
+    """64 segment pairs at the shapes z4 sees, with their oracle distances.
+
+    Clip halves are 60-100 samples after delay alignment, and the two
+    sides of a pair differ in length whenever the delay trims one.
+    """
+    rng = np.random.default_rng(16)
+    n = rng.integers(60, 101, size=64)
+    m = np.where(rng.random(64) < 0.5, n, rng.integers(60, 101, size=64))
+    xs = [rng.uniform(0.0, 1.0, size) for size in n]
+    ys = [rng.uniform(0.0, 1.0, size) for size in m]
+    want = np.array([_dtw_reference(x, y) for x, y in zip(xs, ys)])
+    return xs, ys, want
+
+
+class TestDtwOracleAtRealShapes:
+    def test_ragged_64_pairs(self, ragged_real_pairs):
+        xs, ys, want = ragged_real_pairs
+        assert any(x.size != y.size for x, y in zip(xs, ys))
+        assert len({(x.size, y.size) for x, y in zip(xs, ys)}) > 32
+        assert np.array_equal(dtw_distance_batch(xs, ys), want)
+
+    def test_extreme_shapes_in_one_batch(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 30), (30, 1), (1, 1), (30, 30)]
+        xs = [rng.normal(size=n) for n, _ in shapes]
+        ys = [rng.normal(size=m) for _, m in shapes]
+        want = np.array([_dtw_reference(x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(dtw_distance_batch(xs, ys), want)
+
+    def test_large_magnitudes_and_exact_ties(self):
+        rng = np.random.default_rng(18)
+        big = [1e6 - rng.random(40), -1e6 + rng.random(25), rng.choice([-1e6, 1e6], 33)]
+        # Integer-valued steps make many alignment paths cost exactly
+        # the same, so the three-way minimum sees equal candidates.
+        ties = [rng.integers(0, 3, 20).astype(float), np.repeat([0.0, 1.0, 2.0], 7)]
+        xs = big + ties
+        ys = [big[1], big[2], big[0], ties[1], ties[0]]
+        want = np.array([_dtw_reference(x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(dtw_distance_batch(xs, ys), want)
+
+    def test_rows_are_independent(self, ragged_real_pairs):
+        xs, ys, want = ragged_real_pairs
+        alone = np.array([dtw_distance_batch([x], [y])[0] for x, y in zip(xs, ys)])
+        assert np.array_equal(alone, want)
+        assert np.array_equal(dtw_distance_batch(xs, ys), want)
+        order = np.random.default_rng(19).permutation(len(xs))
+        shuffled = dtw_distance_batch([xs[i] for i in order], [ys[i] for i in order])
+        assert np.array_equal(shuffled, want[order])

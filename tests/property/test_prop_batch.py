@@ -1,7 +1,9 @@
 """Property: every ``*_batch`` kernel is bit-identical to a Python loop
 of the per-clip functions, across ragged batches (length 0 and 1
 included).  This is the contract that lets the engine split a batch into
-arbitrary chunks and still produce serial-identical results."""
+arbitrary chunks and still produce serial-identical results.  DTW has no
+per-clip function in the program; its loop is :func:`_dtw_reference`,
+the scalar dynamic program kept here as the oracle."""
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from repro.core.batch import (
     threshold_filter_batch,
 )
 from repro.core.config import DetectorConfig
-from repro.core.dtw import dtw_distance
 from repro.core.features import extract_features_batch
 from repro.core.peaks import find_peaks
 from repro.core.preprocessing import (
@@ -41,15 +42,51 @@ ragged_signals = st.lists(
     max_size=6,
 )
 
-nonempty_signals = st.lists(
-    st.lists(finite, min_size=1, max_size=30).map(np.array),
-    min_size=1,
-    max_size=6,
-)
+
+@st.composite
+def mixed_shape_pairs(draw):
+    """1-D ``(xs, ys)`` pairs whose ``(n, m)`` shapes differ by more than one.
+
+    A ``(1, 1)`` and a ``(30, 12)`` pair ride in every example, in a
+    drawn position among up to four pairs of free shape, so the DTW
+    padding always covers cells of some pair's matrix.
+    """
+    free = st.tuples(st.integers(1, 30), st.integers(1, 30))
+    shapes = draw(st.permutations([(1, 1), (30, 12)] + draw(st.lists(free, max_size=4))))
+    xs = [draw(st.lists(finite, min_size=n, max_size=n).map(np.array)) for n, _ in shapes]
+    ys = [draw(st.lists(finite, min_size=m, max_size=m).map(np.array)) for _, m in shapes]
+    return xs, ys
 
 
 def _pad(signals):
     return ClipBatch.from_signals(signals)
+
+
+def _dtw_reference(x, y):
+    """Scalar DTW oracle: the textbook row-by-row dynamic program.
+
+    Sum of ``|x_i - y_j|`` along the cheapest monotone alignment path
+    (boundary to boundary, steps right/down/diagonal).
+    """
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
+    n, m = a.size, b.size
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    current = np.empty(m + 1)
+    for i in range(1, n + 1):
+        current.fill(np.inf)
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            cost = abs(ai - b[j - 1])
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if current[j - 1] < best:
+                best = current[j - 1]
+            current[j] = cost + best
+        prev, current = current, prev
+    return float(prev[m])
 
 
 class TestClipBatchContainer:
@@ -136,20 +173,13 @@ class TestKernelsMatchPerClipLoop:
 
 
 class TestDtwBatch:
-    @given(nonempty_signals, st.data())
+    @given(mixed_shape_pairs())
     @settings(max_examples=40, deadline=None)
-    def test_bitwise_equal_to_scalar(self, xs, data):
-        ys = [
-            np.array(
-                data.draw(
-                    st.lists(finite, min_size=1, max_size=30), label=f"y[{i}]"
-                )
-            )
-            for i in range(len(xs))
-        ]
+    def test_bitwise_equal_to_scalar(self, pairs):
+        xs, ys = pairs
         batched = dtw_distance_batch(xs, ys)
         for x, y, value in zip(xs, ys, batched):
-            assert value == dtw_distance(x, y)
+            assert value == _dtw_reference(x, y)
 
     def test_rejects_empty_sequences(self):
         with pytest.raises(ValueError):
