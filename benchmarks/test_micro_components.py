@@ -13,6 +13,7 @@ from repro.core.config import DetectorConfig
 from repro.core.lof import LocalOutlierFactor
 from repro.core.preprocessing import preprocess
 from repro.experiments.simulate import simulate_genuine_session
+from repro.service.loadgen import WorkloadConfig, _face_frame
 from repro.vision.expression import ExpressionTrack, PoseState
 from repro.vision.face_model import make_face
 from repro.vision.landmarks import LandmarkDetector
@@ -82,6 +83,25 @@ def test_bench_landmark_detection(benchmark):
     detector = LandmarkDetector()
     landmarks = benchmark(lambda: detector.detect(pixels))
     assert landmarks is not None
+
+
+def test_bench_landmark_detection_service_frame(benchmark):
+    """The 24x24 skin patch the service load generator sends per tick."""
+    pixels = _face_frame(WorkloadConfig(), 120.0, 0.0).pixels
+    detector = LandmarkDetector()
+    landmarks = benchmark(lambda: detector.detect(pixels))
+    assert landmarks is not None
+
+
+def test_bench_skin_mask_96(benchmark):
+    face = make_face("bench", tone="light")
+    renderer = FaceRenderer(face, height=96, width=96, seed=1)
+    pose = PoseState(center_x=0.5, center_y=0.48, scale=0.3, roll=0.0, blink=0.0, mouth_open=0.0)
+    rendered = renderer.render(pose, 120.0, 120.0)
+    pixels = ImageSensor(rng=None).expose(rendered.radiance, 1.0 / 250.0)
+    detector = LandmarkDetector()
+    mask = benchmark(lambda: detector.skin_mask(pixels))
+    assert mask.shape == (96, 96) and mask.any()
 
 
 def test_bench_full_session_simulation(benchmark):

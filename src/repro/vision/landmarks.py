@@ -12,7 +12,12 @@ The detector is a genuine pixel-level algorithm, not a metadata lookup:
    r/b chromaticities finds skin regardless of screen/ambient level.
 2. **Ellipse fit** — face width from robust x-percentiles of the skin
    mask, vertical anchor on the chin (the hairline is unreliable), a
-   population-prior aspect ratio for face height.
+   population-prior aspect ratio for face height.  The percentiles are
+   histogram order statistics: the mask's per-column and per-row skin
+   counts, summed cumulatively, locate the two neighbouring order statistics of
+   each quantile with one ``searchsorted`` per axis, and numpy's
+   ``method="linear"`` interpolation rule is applied to them exactly,
+   so no coordinate list is ever built or partitioned.
 3. **Landmark regression** — the canonical layout mapped through the
    fitted ellipse, with a small seeded jitter modelling the residual
    error real landmark detectors exhibit frame to frame.
@@ -25,6 +30,8 @@ must cope, Sec. IV).
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,6 +39,41 @@ from .face_model import LANDMARK_LAYOUT
 from .geometry import Point
 
 __all__ = ["FaceLandmarks", "LandmarkDetector", "mean_landmark_error"]
+
+#: The 12 layout points ``(u, v)`` in jitter-draw order: bridge x4,
+#: tip x5, left eye, right eye, mouth.
+_LAYOUT_UV: tuple[tuple[float, float], ...] = tuple(
+    uv
+    for group in ("nasal_bridge", "nasal_tip", "left_eye", "right_eye", "mouth")
+    for uv in LANDMARK_LAYOUT[group]
+)
+
+
+def _linear_quantiles(cumulative: np.ndarray, quantiles: Sequence[float]) -> list[float]:
+    """``np.quantile(sample, q, method="linear")`` for each ``q``, from a histogram.
+
+    ``cumulative`` is the cumulative count of an integer sample over the
+    bins ``0..len - 1`` (its last entry is the sample size ``n >= 1``).
+    The order statistic of rank ``k`` is the first bin whose cumulative
+    count exceeds ``k``; both neighbours of every quantile are found in
+    one ``searchsorted`` (clamped to rank ``n - 1`` at the top, as numpy
+    does) and combined with numpy's own interpolation rule, so the
+    result equals ``np.quantile`` bit for bit.
+    """
+    n = int(cumulative[-1])
+    ranks: list[int] = []
+    weights: list[float] = []
+    for q in quantiles:
+        virtual = (n - 1) * q
+        lo = math.floor(virtual)
+        ranks += (min(lo, n - 1), min(lo + 1, n - 1))
+        weights.append(virtual - lo)
+    values = np.searchsorted(cumulative, ranks, side="right").tolist()
+    out = []
+    for a, b, t in zip(values[::2], values[1::2], weights):
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,44 +168,43 @@ class LandmarkDetector:
         pixels = np.asarray(pixels, dtype=np.float64)
         if pixels.ndim != 3 or pixels.shape[2] != 3:
             raise ValueError("pixels must have shape (h, w, 3)")
-        total = pixels.sum(axis=2)
-        bright = total > 45.0
-        safe_total = np.where(total > 1e-9, total, 1.0)
-        r = pixels[:, :, 0] / safe_total
-        b = pixels[:, :, 2] / safe_total
-        return bright & (r > 0.355) & (b < 0.32)
+        r, g, b = pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2]
+        total = r + g + b
+        # Only bright pixels (total > 45) can be skin, and for those the
+        # floor is a no-op, so dark pixels never divide by zero.
+        safe_total = np.maximum(total, 45.0)
+        return (total > 45.0) & (r / safe_total > 0.355) & (b / safe_total < 0.32)
 
     def detect(self, pixels: np.ndarray) -> FaceLandmarks | None:
         """Detect landmarks in one frame; ``None`` when no face is found."""
         mask = self.skin_mask(pixels)
         height, width = mask.shape
-        count = int(mask.sum())
-        if count < self.min_face_fraction * height * width:
+        columns = np.count_nonzero(mask, axis=0).cumsum()
+        count = int(columns[-1]) if width else 0
+        if count == 0 or count < self.min_face_fraction * height * width:
             return None
 
-        ys, xs = np.nonzero(mask)
-        x_lo, x_hi = np.percentile(xs, [2.0, 98.0])
+        x_lo, x_hi = _linear_quantiles(columns, (0.02, 0.98))
+        (chin_y,) = _linear_quantiles(np.count_nonzero(mask, axis=1).cumsum(), (0.99,))
         half_width = max((x_hi - x_lo) / 2.0, 2.0)
         center_x = (x_lo + x_hi) / 2.0
-        chin_y = float(np.percentile(ys, 99.0))
         half_height = half_width * self.assumed_aspect
         center_y = chin_y - half_height
 
-        jitter_sigma = self.jitter_fraction * half_width
-
-        def _map(u: float, v: float) -> Point:
-            jx = float(self._rng.normal(0.0, jitter_sigma))
-            jy = float(self._rng.normal(0.0, jitter_sigma))
-            return Point(center_x + u * half_width + jx, center_y + v * half_height + jy)
-
-        bridge = tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_bridge"])
-        tip = tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_tip"])
+        # One draw for every point; row k is (jx, jy) of layout point k,
+        # the order in which drawing each coordinate in turn takes them.
+        sigma = self.jitter_fraction * half_width
+        jitter = self._rng.normal(0.0, sigma, size=(len(_LAYOUT_UV), 2))
+        points = [
+            Point(center_x + u * half_width + jx, center_y + v * half_height + jy)
+            for (u, v), (jx, jy) in zip(_LAYOUT_UV, jitter.tolist())
+        ]
         return FaceLandmarks(
-            nasal_bridge=bridge,
-            nasal_tip=tip,
-            left_eye=_map(*LANDMARK_LAYOUT["left_eye"][0]),
-            right_eye=_map(*LANDMARK_LAYOUT["right_eye"][0]),
-            mouth=_map(*LANDMARK_LAYOUT["mouth"][0]),
+            nasal_bridge=tuple(points[:4]),
+            nasal_tip=tuple(points[4:9]),
+            left_eye=points[9],
+            right_eye=points[10],
+            mouth=points[11],
         )
 
 

@@ -87,3 +87,12 @@ class TestReceivedSignal:
         signal = received_luminance_signal(stream, detector)
         assert not signal.valid[0]
         assert signal.luminance[0] == signal.luminance[1]
+
+    def test_zero_area_frame_is_hold_filled(self, genuine_record):
+        frames = list(genuine_record.received.frames[:8])
+        frames[3] = Frame(pixels=np.zeros((0, 0, 3)), timestamp=frames[3].timestamp)
+        stream = VideoStream(fps=10.0, frames=frames)
+        signal = received_luminance_signal(stream, LandmarkDetector())
+        assert not signal.valid[3]
+        assert signal.valid[[0, 1, 2, 4, 5, 6, 7]].all()
+        assert signal.luminance[3] == signal.luminance[2]

@@ -1,14 +1,89 @@
-"""Landmark detector: accuracy against rendered ground truth."""
+"""Landmark detector: accuracy against rendered ground truth, and exact
+agreement with the ``np.percentile`` reference it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.camera.sensor import ImageSensor
+from repro.service.loadgen import WorkloadConfig, _face_frame
 from repro.vision.expression import PoseState
-from repro.vision.face_model import make_face
-from repro.vision.landmarks import FaceLandmarks, LandmarkDetector, mean_landmark_error
+from repro.vision.face_model import LANDMARK_LAYOUT, SKIN_TONES, make_face
+from repro.vision.landmarks import (
+    FaceLandmarks,
+    LandmarkDetector,
+    _linear_quantiles,
+    mean_landmark_error,
+)
 from repro.vision.geometry import Point
 from repro.vision.renderer import FaceRenderer
+
+
+def _skin_mask_reference(pixels):
+    pixels = np.asarray(pixels, dtype=np.float64)
+    total = pixels.sum(axis=2)
+    bright = total > 45.0
+    safe_total = np.where(total > 1e-9, total, 1.0)
+    r = pixels[:, :, 0] / safe_total
+    b = pixels[:, :, 2] / safe_total
+    return bright & (r > 0.355) & (b < 0.32)
+
+
+def _detect_reference(detector, pixels):
+    """The percentile-and-scalar-draw detector, advancing ``detector``'s
+    jitter generator exactly as it did: 24 draws per hit, none per miss."""
+    mask = _skin_mask_reference(pixels)
+    height, width = mask.shape
+    count = int(mask.sum())
+    if count < detector.min_face_fraction * height * width:
+        return None
+    ys, xs = np.nonzero(mask)
+    x_lo, x_hi = np.percentile(xs, [2.0, 98.0])
+    half_width = max((x_hi - x_lo) / 2.0, 2.0)
+    center_x = (x_lo + x_hi) / 2.0
+    chin_y = float(np.percentile(ys, 99.0))
+    half_height = half_width * detector.assumed_aspect
+    center_y = chin_y - half_height
+    jitter_sigma = detector.jitter_fraction * half_width
+
+    def _map(u, v):
+        jx = float(detector._rng.normal(0.0, jitter_sigma))
+        jy = float(detector._rng.normal(0.0, jitter_sigma))
+        return Point(center_x + u * half_width + jx, center_y + v * half_height + jy)
+
+    return FaceLandmarks(
+        nasal_bridge=tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_bridge"]),
+        nasal_tip=tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_tip"]),
+        left_eye=_map(*LANDMARK_LAYOUT["left_eye"][0]),
+        right_eye=_map(*LANDMARK_LAYOUT["right_eye"][0]),
+        mouth=_map(*LANDMARK_LAYOUT["mouth"][0]),
+    )
+
+
+def _bits(landmarks):
+    """Every coordinate as its exact float bits, in layout order."""
+    if landmarks is None:
+        return None
+    return [
+        (float(p.x).hex(), float(p.y).hex())
+        for group in landmarks.as_dict().values()
+        for p in group
+    ]
+
+
+def _assert_matches_reference(frames, seed=0):
+    """``detect`` equals the reference on every frame, and both jitter
+    generators end in the same state."""
+    fast, slow = LandmarkDetector(seed=seed), LandmarkDetector(seed=seed)
+    hits = 0
+    for pixels in frames:
+        assert np.array_equal(fast.skin_mask(pixels), _skin_mask_reference(pixels))
+        want = _bits(_detect_reference(slow, pixels))
+        assert _bits(fast.detect(pixels)) == want
+        hits += want is not None
+    assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
+    return hits
 
 
 def _frame_pixels(renderer, pose, illum=120.0):
@@ -120,3 +195,116 @@ class TestSkinMask:
     def test_mask_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             LandmarkDetector().skin_mask(np.zeros((5, 5)))
+
+
+def _random_box_frames(seed, count):
+    """Skin boxes of random size and place on 4-100 px frames, including
+    single-pixel faces and full-frame masks."""
+    rng = np.random.default_rng(seed)
+    skin = (200.0, 120.0, 90.0)
+    frames = []
+    for k in range(count):
+        h, w = (int(v) for v in rng.integers(4, 101, size=2))
+        pixels = np.zeros((h, w, 3))
+        if k % 4 == 0:
+            pixels[int(rng.integers(h)), int(rng.integers(w))] = skin
+        elif k % 4 == 1:
+            pixels[:] = skin
+        else:
+            y0, y1 = sorted(int(v) for v in rng.integers(0, h + 1, size=2))
+            x0, x1 = sorted(int(v) for v in rng.integers(0, w + 1, size=2))
+            pixels[y0:y1, x0:x1] = skin
+        frames.append(pixels)
+    return frames
+
+
+class TestMatchesPercentileReference:
+    """``detect`` reproduces the ``np.percentile`` + 24-scalar-draw
+    detector bit for bit: points, misses and jitter generator state."""
+
+    @pytest.mark.parametrize("tone", sorted(SKIN_TONES))
+    def test_every_skin_tone(self, tone):
+        renderer = FaceRenderer(make_face(tone, tone=tone), 96, 96, seed=2)
+        pixels, _ = _frame_pixels(renderer, _pose())
+        assert _assert_matches_reference([pixels, pixels]) == 2
+
+    def test_service_face_frame(self):
+        config = WorkloadConfig()
+        frames = [_face_frame(config, lum, 0.0).pixels for lum in (0.5, 40.0, 120.0, 230.0)]
+        assert frames[0].shape == (config.frame_height, config.frame_width, 3)
+        # The darkest patch falls below the brightness floor: a miss.
+        assert _assert_matches_reference(frames, seed=3) == len(frames) - 1
+
+    def test_random_skin_boxes(self):
+        frames = _random_box_frames(seed=11, count=400)
+        hits = _assert_matches_reference(frames, seed=4)
+        assert 0 < hits < len(frames)
+
+    def test_single_skin_pixel_and_full_frame(self):
+        one = np.zeros((4, 4, 3))
+        one[1, 2] = (200.0, 120.0, 90.0)
+        full = np.full((7, 5, 3), (200.0, 120.0, 90.0))
+        assert _assert_matches_reference([one, full]) == 2
+
+    def test_upper_interpolation_branch(self):
+        # Skin rows {6, 9}: the chin quantile has weight 0.99, where
+        # numpy's ``b - diff * (1 - t)`` and ``a + diff * t`` differ.
+        two = np.zeros((10, 10, 3))
+        two[[6, 9], 4] = (200.0, 120.0, 90.0)
+        assert _assert_matches_reference([two]) == 1
+
+    def test_noisy_frames(self, renderer, neutral_pose):
+        rng = np.random.default_rng(5)
+        face, _ = _frame_pixels(renderer, neutral_pose)
+        frames = [face + rng.normal(0.0, sigma, face.shape) for sigma in (1.0, 10.0, 40.0)]
+        frames += [rng.uniform(0.0, 255.0, (48, 64, 3)) for _ in range(3)]
+        assert _assert_matches_reference(frames, seed=6) >= 3
+
+    def test_generator_state_after_500_frames(self, renderer):
+        rng = np.random.default_rng(8)
+        poses = [
+            _pose(center_x=float(cx), center_y=float(cy))
+            for cx, cy in rng.uniform(-0.3, 1.3, size=(25, 2))
+        ]
+        rendered = [_frame_pixels(renderer, pose)[0] for pose in poses]
+        frames = [rendered[int(k)] for k in rng.integers(0, len(rendered), size=500)]
+        hits = _assert_matches_reference(frames, seed=9)
+        assert 0 < hits < 500
+
+
+class TestEdgeFrames:
+    def test_zero_area_frame_returns_none(self):
+        assert LandmarkDetector().detect(np.zeros((0, 0, 3))) is None
+        assert LandmarkDetector().detect(np.zeros((0, 8, 3))) is None
+        assert LandmarkDetector().detect(np.zeros((8, 0, 3))) is None
+
+    def test_coordinates_are_plain_floats(self, renderer, neutral_pose):
+        pixels, _ = _frame_pixels(renderer, neutral_pose)
+        landmarks = LandmarkDetector().detect(pixels)
+        for group in landmarks.as_dict().values():
+            for p in group:
+                assert type(p.x) is type(p.y) is float
+
+
+@st.composite
+def _histograms(draw):
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    if not any(counts):
+        counts[draw(st.integers(0, len(counts) - 1))] = 1
+    return counts
+
+
+class TestLinearQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=_histograms(),
+        quantiles=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    # Both arms of numpy's lerp, where they round differently.
+    @example(counts=[0] * 6 + [1, 0, 0, 1], quantiles=[0.99])
+    @example(counts=[1] + [0] * 6 + [30], quantiles=[0.02, 0.98])
+    def test_equals_numpy_linear_quantile(self, counts, quantiles):
+        sample = np.repeat(np.arange(len(counts)), counts)
+        got = _linear_quantiles(np.cumsum(counts), quantiles)
+        want = np.quantile(sample, quantiles, method="linear")
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
