@@ -7,6 +7,7 @@ argument per stage and catch performance regressions.
 import numpy as np
 import pytest
 
+from repro.camera.metering import LightMeter, MeteringMode
 from repro.camera.sensor import ImageSensor
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
@@ -72,6 +73,35 @@ def test_bench_render_frame(benchmark):
     pose = track.sample(1.0)
     result = benchmark(lambda: renderer.render(pose, 120.0, 50.0, 70.0))
     assert result.face_visible
+
+
+def test_bench_render_frame_64(benchmark):
+    """The verifier's 64x64 raster."""
+    face = make_face("bench", tone="light")
+    renderer = FaceRenderer(face, height=64, width=64, seed=1)
+    pose = ExpressionTrack(seed=2).sample(1.0)
+    result = benchmark(lambda: renderer.render(pose, 120.0, 50.0, 70.0))
+    assert result.face_visible
+
+
+def _radiance_96():
+    renderer = FaceRenderer(make_face("bench", tone="light"), height=96, width=96, seed=1)
+    return renderer.render(ExpressionTrack(seed=2).sample(1.0), 120.0, 50.0, 70.0).radiance
+
+
+def test_bench_expose_frame(benchmark):
+    """One noisy 96x96 exposure: the per-pixel Gaussian draw is its floor."""
+    radiance = _radiance_96()
+    sensor = ImageSensor(rng=np.random.default_rng(3))
+    pixels = benchmark(lambda: sensor.expose(radiance, 1.0 / 250.0))
+    assert pixels.shape == (96, 96, 3)
+
+
+def test_bench_multi_zone_metering(benchmark):
+    radiance = _radiance_96()
+    meter = LightMeter(mode=MeteringMode.MULTI_ZONE)
+    level = benchmark(lambda: meter.measure(radiance))
+    assert level > 0
 
 
 def test_bench_landmark_detection(benchmark):

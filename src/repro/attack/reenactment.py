@@ -101,7 +101,10 @@ class ReenactmentAttacker:
             spatial = self._rng.normal(
                 0.0, self.artifact_level * 0.5, size=radiance.shape[:2]
             )
-            radiance = radiance * np.clip(flicker + spatial, 0.8, 1.2)[..., None]
+            # In place: the renderer hands back a fresh raster.
+            gain = np.clip(flicker + spatial, 0.8, 1.2)
+            for channel in range(3):
+                radiance[..., channel] *= gain
         frame = self.camera.capture(
             radiance,
             timestamp=t,

@@ -82,10 +82,10 @@ class AutoExposureController:
 
         Returns the exposure factor to apply to the current frame.
         """
-        if measured_level < 0:
-            raise ValueError("measured_level must be non-negative")
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
+        if not math.isfinite(measured_level) or measured_level < 0:
+            raise ValueError("measured_level must be finite and non-negative")
+        if not math.isfinite(dt) or dt < 0:
+            raise ValueError("dt must be finite and non-negative")
         if self._exposure is None:
             self._exposure = self._ideal(measured_level)
             return self._exposure

@@ -103,7 +103,7 @@ class LightMeter:
     def _multi_zone(self, radiance: np.ndarray) -> float:
         rows, cols = self.grid
         height, width = radiance.shape[:2]
-        luma = radiance.mean(axis=2)
+        luma = (radiance[..., 0] + radiance[..., 1] + radiance[..., 2]) / 3.0
         total = 0.0
         weight_sum = 0.0
         for i in range(rows):

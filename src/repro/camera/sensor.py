@@ -14,9 +14,14 @@ Fig. 6 spectrum, which the 1 Hz low-pass stage removes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ImageSensor"]
+
+#: Raster rows per noise block in :meth:`ImageSensor.expose`.
+_NOISE_BLOCK_ROWS = 16
 
 
 class ImageSensor:
@@ -61,14 +66,24 @@ class ImageSensor:
         radiance = np.asarray(radiance, dtype=np.float64)
         if radiance.ndim != 3 or radiance.shape[2] != 3:
             raise ValueError("radiance must have shape (h, w, 3)")
-        if exposure <= 0:
-            raise ValueError("exposure must be positive")
-        linear = np.clip(radiance * exposure, 0.0, 1.0)
-        pixels = 255.0 * linear ** (1.0 / self.gamma)
+        if not math.isfinite(exposure) or exposure <= 0:
+            raise ValueError("exposure must be finite and positive")
+        # The chain runs in place on this one fresh buffer, so the
+        # caller's radiance is never written.
+        pixels = np.multiply(radiance, exposure)
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+        pixels **= 1.0 / self.gamma
+        pixels *= 255.0
         if self.rng is not None:
-            noise_sigma = np.sqrt(
-                self.read_noise**2
-                + (self.shot_noise_scale**2) * (pixels / 255.0)
-            )
-            pixels = pixels + self.rng.normal(0.0, 1.0, pixels.shape) * noise_sigma
-        return np.clip(pixels, 0.0, 255.0)
+            # Row blocks draw the same stream as one whole-frame draw (C
+            # order), and keep the sigma and noise temporaries in cache.
+            for start in range(0, pixels.shape[0], _NOISE_BLOCK_ROWS):
+                block = pixels[start : start + _NOISE_BLOCK_ROWS]
+                noise_sigma = block / 255.0
+                noise_sigma *= self.shot_noise_scale**2
+                noise_sigma += self.read_noise**2
+                np.sqrt(noise_sigma, out=noise_sigma)
+                noise = self.rng.standard_normal(block.shape)
+                noise *= noise_sigma
+                block += noise
+        return np.clip(pixels, 0.0, 255.0, out=pixels)

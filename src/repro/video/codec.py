@@ -67,10 +67,13 @@ class VideoCodec:
     def encode(self, frame: Frame) -> EncodedFrame:
         """Quantize a frame and estimate its payload size."""
         step = self.quant_step
-        clipped = np.clip(frame.pixels, 0.0, 255.0)
+        levels = np.clip(frame.pixels, 0.0, 255.0)
+        levels /= step
+        np.round(levels, out=levels)
+        levels *= step
         # Re-clip after scaling: values near 255 can round up to the next
         # step (e.g. 254 -> 256 at step 4), which would wrap in uint8.
-        quantized = np.clip(np.round(clipped / step) * step, 0.0, 255.0).astype(np.uint8)
+        quantized = np.clip(levels, 0.0, 255.0, out=levels).astype(np.uint8)
         raw_bytes = quantized.size
         compression = self.base_compression / self.quality
         payload = max(int(raw_bytes / compression), 64)

@@ -91,7 +91,11 @@ class BackgroundModel:
             self.bright_spot = (bright_w / (2.0 * width), (y0 + y1) / (2.0 * height))
 
     def radiance(self, ambient_lux: float, screen_lux: float = 0.0) -> np.ndarray:
-        """Linear radiance of the wall under the given illumination."""
+        """Linear radiance of the wall under the given illumination.
+
+        Always a fresh array: :meth:`FaceRenderer.render` paints the face
+        into it.
+        """
         illum = ambient_lux + self.screen_coupling * screen_lux
         return self.reflectance * illum
 
@@ -144,9 +148,9 @@ class FaceRenderer:
         if self.background.height != height or self.background.width != width:
             raise ValueError("background raster size must match renderer size")
         self._rng = np.random.default_rng(seed + 0x5EED)
-        ys, xs = np.mgrid[0:height, 0:width]
-        self._xs = xs.astype(np.float64) + 0.5
-        self._ys = ys.astype(np.float64) + 0.5
+        # Pixel-centre coordinates along each axis.
+        self._xs = np.arange(width, dtype=np.float64) + 0.5
+        self._ys = np.arange(height, dtype=np.float64) + 0.5
 
     def _pose_params(self, pose: PoseState) -> tuple[float, float, float, float]:
         """(center_x, center_y, half_width, half_height) in pixels."""
@@ -156,13 +160,32 @@ class FaceRenderer:
         ay = ax * self.face.face_aspect
         return cx, cy, ax, ay
 
-    def _face_local(self, pose: PoseState) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pixel face-local (u, v) coordinates for the given pose."""
+    def _face_window(self, pose: PoseState) -> tuple[slice, slice]:
+        """Raster rows and columns that can hold face pixels.
+
+        The bounding box of the rolled ellipse, padded by one pixel and
+        clamped to the raster (empty when the face is fully off-frame).
+        """
         cx, cy, ax, ay = self._pose_params(pose)
         cos_r = math.cos(pose.roll)
         sin_r = math.sin(pose.roll)
-        dx = self._xs - cx
-        dy = self._ys - cy
+        half_w = math.hypot(ax * cos_r, ay * sin_r) + 1.0
+        half_h = math.hypot(ax * sin_r, ay * cos_r) + 1.0
+        r0 = min(max(math.floor(cy - half_h), 0), self.height)
+        r1 = max(min(math.ceil(cy + half_h), self.height), r0)
+        c0 = min(max(math.floor(cx - half_w), 0), self.width)
+        c1 = max(min(math.ceil(cx + half_w), self.width), c0)
+        return slice(r0, r1), slice(c0, c1)
+
+    def _face_local(
+        self, pose: PoseState, rows: slice, cols: slice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Face-local (u, v) coordinates of the pixels in ``rows x cols``."""
+        cx, cy, ax, ay = self._pose_params(pose)
+        cos_r = math.cos(pose.roll)
+        sin_r = math.sin(pose.roll)
+        dx = self._xs[None, cols] - cx
+        dy = self._ys[rows, None] - cy
         u = (cos_r * dx + sin_r * dy) / ax
         v = (-sin_r * dx + cos_r * dy) / ay
         return u, v
@@ -195,28 +218,31 @@ class FaceRenderer:
         plus screen contribution, already combined by the caller);
         ``ambient_lux``/``screen_lux`` drive the background separately.
         """
-        if face_illuminance_lux < 0 or ambient_lux < 0 or screen_lux < 0:
-            raise ValueError("illuminance values must be non-negative")
-        radiance = self.background.radiance(ambient_lux, screen_lux).copy()
-        u, v = self._face_local(pose)
-        r2 = u * u + v * v
-        mask = r2 <= 1.0
-        face_visible = bool(mask.sum() >= 16)
+        for lux in (face_illuminance_lux, ambient_lux, screen_lux):
+            if not math.isfinite(lux) or lux < 0:
+                raise ValueError("illuminance values must be finite and non-negative")
+        radiance = self.background.radiance(ambient_lux, screen_lux)
+        rows, cols = self._face_window(pose)
+        u, v = self._face_local(pose, rows, cols)
+        mask = u * u + v * v <= 1.0
+        face_visible = bool(np.count_nonzero(mask) >= 16)
 
         if face_visible:
             face = self.face
+            # Per-channel reflectance planes, shape (3, h, w).  Materials
+            # override each other in order; pixels outside ``mask`` never
+            # reach the raster, so the materials need no ``& mask``.
             # Lambertian-ish shading: cheeks fall off, forehead catches light.
             shade = np.clip(1.0 - 0.25 * u * u - 0.12 * np.maximum(v, 0.0) ** 2, 0.55, 1.0)
-            skin = np.multiply.outer(shade, face.skin_reflectance)
+            planes = np.multiply.outer(face.skin_reflectance, shade)
 
             # Nose: boosted reflectance (it faces the screen nearly head-on).
             nose = (np.abs(u) < 0.15) & (v > -0.33) & (v < 0.26)
-            skin[nose] = np.multiply.outer(shade[nose], face.nose_reflectance)
+            np.multiply(face.nose_reflectance[:, None, None], shade, out=planes, where=nose)
 
             # Hair occludes the top of the ellipse.
             if face.hair_fraction > 0:
-                hair = v < -(1.0 - 2.0 * face.hair_fraction)
-                skin[hair] = 0.06
+                np.copyto(planes, 0.06, where=v < -(1.0 - 2.0 * face.hair_fraction))
 
             # Eyes (closed eyes revert to skin, which is the point of
             # measuring the nose instead).
@@ -225,30 +251,30 @@ class FaceRenderer:
                 for ex in (-0.42, 0.42):
                     du = (u - ex) / 0.13
                     dv = (v + 0.22) / max(0.065 * openness, 1e-3)
-                    eye = (du * du + dv * dv <= 1.0) & mask
-                    skin[eye] = face.eye_reflectance
+                    np.copyto(planes, face.eye_reflectance, where=du * du + dv * dv <= 1.0)
 
             # Mouth opens while talking.
             mouth_h = 0.03 + 0.09 * pose.mouth_open
             du = u / 0.22
             dv = (v - 0.55) / mouth_h
-            mouth = (du * du + dv * dv <= 1.0) & mask
-            skin[mouth] = face.mouth_reflectance
+            np.copyto(planes, face.mouth_reflectance, where=du * du + dv * dv <= 1.0)
 
-            face_radiance = skin * face_illuminance_lux
+            planes *= face_illuminance_lux
 
             # Glasses: dark frames plus stochastic specular glints that
             # track the *ambient* sources (a noise term for the detector).
             if face.has_glasses:
                 ring = np.abs(np.sqrt((u / 0.19) ** 2 + ((v + 0.22) / 0.12) ** 2) - 1.0)
                 frames = (ring < 0.12) & ((np.abs(u) > 0.2) & (np.abs(u) < 0.62))
-                face_radiance[frames & mask] = 0.04 * face_illuminance_lux
+                np.copyto(planes, 0.04 * face_illuminance_lux, where=frames)
                 if self._rng.random() < 0.3:
                     gx = float(self._rng.uniform(-0.5, 0.5))
                     glint = ((u - gx) ** 2 + (v + 0.22) ** 2) < 0.004
-                    face_radiance[glint & mask] = ambient_lux * 2.5
+                    np.copyto(planes, ambient_lux * 2.5, where=glint)
 
-            radiance[mask] = face_radiance[mask]
+            window = radiance[rows, cols]
+            for channel, plane in enumerate(planes):
+                np.copyto(window[..., channel], plane, where=mask)
 
         return RenderResult(
             radiance=radiance,

@@ -75,6 +75,16 @@ class TestBoundsAndValidation:
         with pytest.raises(ValueError):
             ae.update(1.0, -0.1)
 
+    @pytest.mark.parametrize("measured, dt", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                              (0.2, float("nan")), (0.2, float("inf"))])
+    def test_non_finite_inputs_rejected_and_loop_survives(self, measured, dt):
+        """A non-finite reading used to turn every later exposure into NaN."""
+        ae = AutoExposureController(target_level=0.2)
+        ae.update(0.2, 0.1)
+        with pytest.raises(ValueError):
+            ae.update(measured, dt)
+        assert 0.5 < ae.update(0.4, 0.1) < 1.0
+
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
             AutoExposureController(target_level=0.0)

@@ -71,6 +71,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ImageSensor(rng=None).expose(_radiance(1.0), 0.0)
 
+    @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
+    def test_rejects_non_finite_exposure(self, exposure):
+        with pytest.raises(ValueError):
+            ImageSensor(rng=None).expose(_radiance(1.0), exposure)
+
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError):
             ImageSensor(rng=None).expose(np.zeros((4, 4)), 1.0)

@@ -85,6 +85,13 @@ class TestFaceRendering:
         with pytest.raises(ValueError):
             renderer.render(neutral_pose, -1.0, 50.0)
 
+    @pytest.mark.parametrize("lux", [(float("nan"), 50.0, 0.0), (50.0, float("nan"), 0.0),
+                                     (50.0, 50.0, float("nan")), (float("inf"), 50.0, 0.0)])
+    def test_non_finite_illuminance_rejected(self, renderer, neutral_pose, lux):
+        """NaN lux used to slip past the ``< 0`` check into NaN radiance."""
+        with pytest.raises(ValueError):
+            renderer.render(neutral_pose, *lux)
+
 
 class TestLandmarkGroundTruth:
     def test_landmarks_track_translation(self, renderer):
