@@ -1,11 +1,11 @@
-"""Extension bench — active challenge scheduling + diagnostics.
+"""Extension bench — active challenge scheduling.
 
 Not a paper figure: quantifies the two deployment extensions DESIGN.md
 adds on top of the paper.
 
 * Without challenges, the paper's always-answer pipeline *rejects* a
-  legitimate user (their video proved nothing); the diagnostics layer
-  answers *inconclusive* instead.
+  legitimate user (their video proved nothing); the streaming quality
+  gate (``NO_CHALLENGES``) answers *inconclusive* instead.
 * The challenge scheduler guarantees every clip carries at least the
   required number of challenges, making the inconclusive case
   unreachable for a cooperating verifier.

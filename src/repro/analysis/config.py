@@ -117,11 +117,10 @@ class TaintConfig:
         "histogram@",
     )
     #: Pickle-boundary sinks for R019: payloads serialized into worker
-    #: processes or shared memory.
+    #: processes.
     pickle_sinks: tuple[str, ...] = (
         "map_batches@engine",
         "pickle.",
-        "SignalPack",
     )
 
 

@@ -32,6 +32,7 @@ from .api import (
     ExecutionEngine,
     simulate_genuine_session,
 )
+from .engine import jobs_count
 from .experiments.simulate import SessionSpec
 
 __all__ = ["main", "build_parser"]
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_count,
         default=1,
         help="worker processes for the execution engine (1 = serial; "
         "results and merged metrics are identical at any job count)",
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--only", nargs="*")
     figures.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_count,
         default=1,
         help="worker processes for the execution engine (1 = serial; "
         "results are identical at any job count)",
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_count,
         default=1,
         help="worker processes for the execution engine (1 = serial; "
         "results are identical at any job count)",

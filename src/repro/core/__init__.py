@@ -5,7 +5,6 @@ from .calibration import CalibrationResult, calibrate_threshold, leave_one_out_s
 from .challenge import ChallengeQuality, ChallengeScheduler, challenge_quality
 from .config import PAPER_CONFIG, DetectorConfig
 from .detector import DetectionResult, LivenessDetector, verify_clips
-from .diagnostics import ClipDiagnostics, ClipIssue, diagnose_clip, reflection_snr
 from .features import (
     FeatureExtraction,
     FeatureVector,
@@ -29,10 +28,6 @@ __all__ = [
     "DetectorConfig",
     "DetectionResult",
     "LivenessDetector",
-    "ClipDiagnostics",
-    "ClipIssue",
-    "diagnose_clip",
-    "reflection_snr",
     "ClipBatch",
     "FeatureExtraction",
     "FeatureVector",

@@ -15,9 +15,8 @@ every detection clip is guaranteed ``min_challenges`` significant
 changes, spaced at least ``min_gap_s`` apart so the Sec. V smoothing
 chain resolves them as distinct peaks.
 
-:func:`challenge_quality` grades a finished clip — used by the
-diagnostics module to mark clips as *inconclusive* rather than risk a
-verdict on weak evidence.
+:func:`challenge_quality` grades a finished clip: how many such
+challenges it carries, and so whether it can support a verdict at all.
 """
 
 from __future__ import annotations

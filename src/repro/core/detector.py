@@ -172,11 +172,10 @@ def verify_clips(
 
     The documented entry point for offline verification.  Features for
     every ``(transmitted, received)`` luminance pair are extracted in one
-    pass through the batch core — or, when an
-    :class:`~repro.engine.ExecutionEngine` is given, through its
-    content-addressed cache and (for ``jobs > 1``) its shared-memory
-    process pool — then classified against the detector's LOF model.
-    Results come back in submission order, each bit-identical to
+    pass through the batch core — through the content-addressed cache
+    of an :class:`~repro.engine.ExecutionEngine` when one is given —
+    then classified against the detector's LOF model.  Results come back
+    in submission order, each bit-identical to
     :meth:`LivenessDetector.verify_clip` on that pair alone.
 
     The engine path returns :class:`DetectionResult` objects without the

@@ -25,7 +25,6 @@ from ..video.stream import VideoStream
 from ..vision.landmarks import LandmarkDetector
 from .config import DetectorConfig
 from .detector import DetectionResult, LivenessDetector, verify_clips
-from .diagnostics import ClipDiagnostics, diagnose_clip
 from .features import FeatureVector, extract_features_batch
 from .luminance import received_luminance_signal, transmitted_luminance_signal
 from .voting import Verdict, VotingCombiner
@@ -35,20 +34,18 @@ __all__ = ["VerificationReport", "ChatVerifier"]
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """The one result shape every verifier returns: verdict, per-clip
-    attempts, and (when the caller asked for evidence grading) the
-    per-clip diagnostics.
+    """The one result shape every verifier returns: the verdict and the
+    per-clip attempts behind it.
 
-    ``verdict`` is ``None`` when no clip carried enough evidence to
-    support any decision (e.g. the verifier never challenged) — the
-    honest answer a deployed system should surface instead of guessing.
-    Plain :meth:`ChatVerifier.verify_session` always produces a verdict;
-    the diagnosed path may not.
+    ``verdict`` is ``None`` when no attempt carried enough evidence to
+    support any decision — the honest answer a deployed system should
+    surface instead of guessing.  Only the quality-gated
+    :class:`~repro.core.streaming.StreamingVerifier` can end that way;
+    :meth:`ChatVerifier.verify_session` always produces a verdict.
     """
 
     verdict: Verdict | None
     attempts: tuple[DetectionResult, ...]
-    diagnostics: tuple[ClipDiagnostics, ...] | None = None
 
     @property
     def is_attacker(self) -> bool:
@@ -58,14 +55,6 @@ class VerificationReport:
     @property
     def is_conclusive(self) -> bool:
         return self.verdict is not None
-
-    @property
-    def inconclusive_clips(self) -> int:
-        """Clips whose evidence was graded and found inconclusive (0
-        when diagnostics were not collected)."""
-        if self.diagnostics is None:
-            return 0
-        return sum(1 for d in self.diagnostics if not d.conclusive)
 
 
 class ChatVerifier:
@@ -174,55 +163,11 @@ class ChatVerifier:
                     f"({self.config.clip_duration_s}s)"
                 )
             verdict = self.combiner.combine(attempts)
-        self._count_session(verdict)
+        outcome = "attacker" if verdict.is_attacker else "legitimate"
+        self.instrumentation.count("verifier_sessions_total", verdict=outcome)
         return VerificationReport(verdict=verdict, attempts=tuple(attempts))
 
-    def verify_session_diagnosed(
-        self,
-        record: SessionRecord,
-        min_challenges: int = 1,
-    ) -> VerificationReport:
-        """Like :meth:`verify_session`, but grade each clip's evidence
-        first and vote only over *conclusive* clips.
-
-        Clips where the verifier issued no challenge (or the face was
-        unusable) prove nothing about the peer; counting them as
-        rejections would punish legitimate users, counting them as
-        acceptances would reward channel-suppressing attackers.
-        """
-        attempts: list[DetectionResult] = []
-        diagnostics: list[ClipDiagnostics] = []
-        for t_clip, r_clip in self._paired_clips(record.transmitted, record.received):
-            t_lum, r_lum = self.extract_signals(t_clip, r_clip)
-            diag = diagnose_clip(
-                t_lum, r_lum, config=self.config, min_challenges=min_challenges
-            )
-            diagnostics.append(diag)
-            if diag.conclusive:
-                attempts.append(self.detector.verify_clip(t_lum, r_lum))
-        if not diagnostics:
-            raise ValueError(
-                "session shorter than one detection clip "
-                f"({self.config.clip_duration_s}s)"
-            )
-        verdict = self.combiner.combine(attempts) if attempts else None
-        self._count_session(verdict)
-        return VerificationReport(
-            verdict=verdict,
-            attempts=tuple(attempts),
-            diagnostics=tuple(diagnostics),
-        )
-
     # ------------------------------------------------------------------
-
-    def _count_session(self, verdict: Verdict | None) -> None:
-        if verdict is None:
-            outcome = "inconclusive"
-        elif verdict.is_attacker:
-            outcome = "attacker"
-        else:
-            outcome = "legitimate"
-        self.instrumentation.count("verifier_sessions_total", verdict=outcome)
 
     def _paired_clips(
         self,

@@ -537,10 +537,10 @@ class StreamingVerifier:
                 verdict=None,
             )
         verdicts = [a.verdict for a in attempts]
-        verdict = self.combiner.combine_conclusive_bools(
-            [v in _REJECTING_VERDICTS for v in verdicts],
-            [a.conclusive for a in attempts],
-        )
+        # Inconclusive attempts hold their window slot but leave the
+        # voting denominator; with none conclusive there is no verdict.
+        votes = [a.verdict in _REJECTING_VERDICTS for a in attempts if a.conclusive]
+        verdict = self.combiner.combine_bools(votes) if votes else None
         if verdict is None:
             status = _gated_protocol_status(attempts)
         elif verdict.is_attacker:

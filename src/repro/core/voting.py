@@ -41,60 +41,16 @@ class VotingCombiner:
         self.vote_fraction = vote_fraction
 
     def combine(self, results: Sequence[DetectionResult]) -> Verdict:
-        """Combine attempts; attacker iff rejects exceed fraction * D."""
-        if not results:
-            raise ValueError("need at least one detection attempt")
-        rejects = sum(1 for r in results if r.rejected)
-        total = len(results)
-        return Verdict(
-            is_attacker=rejects > self.vote_fraction * total,
-            reject_votes=rejects,
-            total_votes=total,
-            vote_fraction=self.vote_fraction,
-        )
-
-    def combine_conclusive(
-        self,
-        results: Sequence[DetectionResult],
-        conclusive: Sequence[bool],
-    ) -> Verdict | None:
-        """Vote over the conclusive attempts only.
-
-        Quality-gated verification grades each attempt's evidence before
-        it may vote; inconclusive attempts (degraded clips: landmark
-        dropout, loss-frozen signal, no challenges) are excluded from the
-        denominator ``D`` entirely, instead of counting as accepts or
-        rejects.  Returns ``None`` when no attempt is conclusive — the
-        honest "cannot judge yet" outcome.
-        """
-        if len(results) != len(conclusive):
-            raise ValueError("results and conclusive must have equal length")
-        kept = [r for r, ok in zip(results, conclusive) if ok]
-        if not kept:
-            return None
-        return self.combine(kept)
-
-    def combine_conclusive_bools(
-        self,
-        rejections: Sequence[bool],
-        conclusive: Sequence[bool],
-    ) -> Verdict | None:
-        """:meth:`combine_conclusive` over raw rejection booleans.
-
-        The streaming gate votes on *effective* rejections — an attempt
-        can reject for reasons the LOF result alone does not carry
-        (protocol ``REPLAY`` / ``STALE`` bindings) — so the rule needs a
-        boolean form with the same inconclusive-exclusion semantics.
-        """
-        if len(rejections) != len(conclusive):
-            raise ValueError("rejections and conclusive must have equal length")
-        kept = [bool(r) for r, ok in zip(rejections, conclusive) if ok]
-        if not kept:
-            return None
-        return self.combine_bools(kept)
+        """:meth:`combine_bools` over the attempts' LOF rejections."""
+        return self.combine_bools([r.rejected for r in results])
 
     def combine_bools(self, rejections: Sequence[bool]) -> Verdict:
-        """Same rule over raw per-attempt rejection booleans."""
+        """The rule: attacker iff rejects exceed ``vote_fraction * D``.
+
+        Takes raw per-attempt rejections because an attempt can reject
+        for reasons its LOF result alone does not carry (the streaming
+        gate's protocol ``REPLAY`` / ``STALE`` bindings).
+        """
         if not rejections:
             raise ValueError("need at least one detection attempt")
         rejects = sum(bool(r) for r in rejections)

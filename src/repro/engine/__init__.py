@@ -8,10 +8,11 @@ Public surface:
   config fingerprint).
 * :class:`PerfReport` / :class:`StagePerf` — printable run measurements.
 * :func:`task_rng` — the per-task seeding rule every runner uses.
+* :func:`jobs_count` — the ``argparse`` type of every CLI ``--jobs``.
 """
 
 from .cache import FeatureCache, clip_signal_hash, config_fingerprint
-from .engine import ExecutionEngine, task_rng
+from .engine import ExecutionEngine, jobs_count, task_rng
 from .perf import PerfRecorder, PerfReport, StagePerf
 
 __all__ = [
@@ -22,5 +23,6 @@ __all__ = [
     "StagePerf",
     "clip_signal_hash",
     "config_fingerprint",
+    "jobs_count",
     "task_rng",
 ]

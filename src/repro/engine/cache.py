@@ -53,19 +53,11 @@ def clip_signal_hash(
 class FeatureCache:
     """In-memory content-addressed store of extracted feature vectors.
 
-    Parameters
-    ----------
-    max_entries:
-        Optional bound; when exceeded the oldest entries are evicted
-        (insertion order — the access pattern of sweeps is "extract the
-        whole dataset, then reuse it", so FIFO loses nothing).  ``None``
-        keeps everything.
+    Unbounded: entries are four floats each, and sweeps extract the whole
+    dataset once and then reuse it.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 or None")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._store: dict[str, FeatureVector] = {}
         self.hits = 0
         self.misses = 0
@@ -95,9 +87,6 @@ class FeatureCache:
         return found
 
     def put(self, key: str, features: FeatureVector) -> None:
-        if self.max_entries is not None and key not in self._store:
-            while len(self._store) >= self.max_entries:
-                self._store.pop(next(iter(self._store)))
         self._store[key] = features
 
     def clear(self) -> None:

@@ -22,13 +22,16 @@ traffic is counted, and :meth:`perf_report` returns a printable
 :class:`~repro.engine.perf.PerfReport` (the CLI's ``--perf`` flag).
 
 Workers are plain ``concurrent.futures`` processes; task functions must
-be module-level (picklable).  The pool is created lazily on the first
-parallel ``map`` and torn down by :meth:`close` (or the context
-manager), so a serial engine never pays for a pool.
+be module-level (picklable).  The pool serves :meth:`map_batches` only:
+cache misses always run through the in-process batch core, which the
+pool does not beat.  It is created lazily on the first parallel map and
+torn down by :meth:`close` (or the context manager), so a serial engine
+never pays for a pool.
 """
 
 from __future__ import annotations
 
+import argparse
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import AbstractContextManager
@@ -42,16 +45,11 @@ from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
 from .cache import FeatureCache
 from .perf import PerfRecorder, PerfReport
-from .sharedmem import SignalPack, extract_pack_chunk
 
-__all__ = ["ExecutionEngine", "task_rng"]
+__all__ = ["ExecutionEngine", "jobs_count", "task_rng"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Below this many cache misses the pool + shared-memory setup cannot
-#: beat simply running the batch core in-process.
-_MIN_SHARED_BATCH = 2
 
 
 def task_rng(*key: int) -> np.random.Generator:
@@ -66,17 +64,23 @@ def task_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
+def jobs_count(text: str) -> int:
+    """The ``argparse`` type of every CLI ``--jobs`` flag.
+
+    Accepts only positive integers, so ``--jobs 0`` is a usage error
+    (exit code 2) at parse time instead of the engine's ``ValueError``.
+    """
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _run_chunk(payload: tuple[Callable[[Any], Any], list[Any]]) -> list[Any]:
     """Worker-side execution of one chunk of tasks (module-level for
     pickling): the function is shipped once per chunk, not once per task."""
     fn, chunk = payload
     return [fn(task) for task in chunk]
-
-
-def _chunk_bounds(count: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``count`` items into ``chunks`` contiguous non-empty ranges."""
-    edges = [count * c // chunks for c in range(chunks + 1)]
-    return list(zip(edges[:-1], edges[1:]))
 
 
 class ExecutionEngine(AbstractContextManager):
@@ -91,8 +95,6 @@ class ExecutionEngine(AbstractContextManager):
         Shared :class:`FeatureCache`; a private one is created when not
         given.  Pass one engine (or one cache) across several runners to
         let sweeps reuse each other's extractions.
-    max_cache_entries:
-        Bound for the private cache (ignored when ``cache`` is given).
     instrumentation:
         Optional :class:`~repro.obs.instrument.Instrumentation`.  Its
         tracer (when present) records ``engine.<stage>`` spans around
@@ -106,13 +108,12 @@ class ExecutionEngine(AbstractContextManager):
         self,
         jobs: int = 1,
         cache: FeatureCache | None = None,
-        max_cache_entries: int | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.cache = cache if cache is not None else FeatureCache(max_cache_entries)
+        self.cache = cache if cache is not None else FeatureCache()
         self._recorder = PerfRecorder()
         external = Instrumentation.ensure(instrumentation)
         #: The handle pipelines running under this engine should record
@@ -197,14 +198,11 @@ class ExecutionEngine(AbstractContextManager):
         stage: str = "features",
     ) -> list[FeatureVector]:
         """Features for many clips: cache lookups first, then one
-        parallel map over the misses only.
+        in-process structure-of-arrays batch over the misses only.
 
-        Misses run through the structure-of-arrays batch core — in
-        process for a serial engine, or fanned out over the pool via one
-        shared-memory :class:`~repro.engine.sharedmem.SignalPack` so
-        workers attach to the signal bytes instead of unpickling them.
-        Duplicate pairs within one batch are extracted once.  An empty
-        batch is a no-op (no span, no stage sample, no pool).
+        The misses never go to the pool, so the result is the same at
+        any ``jobs``.  Duplicate pairs within one batch are extracted
+        once.  An empty batch is a no-op (no span, no stage sample).
         """
         pairs = list(pairs)
         if not pairs:
@@ -230,50 +228,11 @@ class ExecutionEngine(AbstractContextManager):
                     miss_keys.append(key)
                     miss_pairs.append((t, r))
             if miss_pairs:
-                for key, features in zip(
-                    miss_keys, self._extract_misses(miss_pairs, config)
-                ):
-                    self.cache.put(key, features)
-                    found[key] = features
+                extracted = extract_features_batch(miss_pairs, config)
+                for key, extraction in zip(miss_keys, extracted):
+                    self.cache.put(key, extraction.features)
+                    found[key] = extraction.features
         return [found[key] for key in keys]
-
-    def _extract_misses(
-        self,
-        miss_pairs: list[tuple[np.ndarray, np.ndarray]],
-        config: DetectorConfig,
-    ) -> list[FeatureVector]:
-        """Extract uncached pairs: batch core in-process, or chunked over
-        the pool through one shared-memory pack.
-
-        Chunks partition the miss list into at most ``min(jobs, n)``
-        contiguous non-empty ranges (never an empty chunk, never an
-        empty segment), and the batch kernels are row-independent, so
-        concatenating chunk results reproduces the serial batch bitwise.
-        """
-        total_samples = sum(
-            np.asarray(t).size + np.asarray(r).size for t, r in miss_pairs
-        )
-        if (
-            self.jobs == 1
-            or len(miss_pairs) < _MIN_SHARED_BATCH
-            or total_samples == 0
-        ):
-            return [
-                extraction.features
-                for extraction in extract_features_batch(miss_pairs, config)
-            ]
-        pool = self._ensure_pool()
-        with SignalPack(miss_pairs) as pack:
-            futures = [
-                pool.submit(extract_pack_chunk, (pack.handle, lo, hi, config))
-                for lo, hi in _chunk_bounds(
-                    len(miss_pairs), min(self.jobs, len(miss_pairs))
-                )
-            ]
-            extracted: list[FeatureVector] = []
-            for future in futures:
-                extracted.extend(future.result())
-        return extracted
 
     # ------------------------------------------------------------------
     # Performance
@@ -286,12 +245,6 @@ class ExecutionEngine(AbstractContextManager):
             cache_hits=self.cache.hits,
             cache_misses=self.cache.misses,
         )
-
-    def reset_perf(self) -> None:
-        """Zero the timers and counters (cache contents are kept)."""
-        self._recorder.reset()
-        self.cache.hits = 0
-        self.cache.misses = 0
 
     # ------------------------------------------------------------------
     # Lifecycle

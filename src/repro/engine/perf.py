@@ -149,12 +149,6 @@ class PerfRecorder:
             if tasks:
                 self.registry.counter(_STAGE_TASKS, stage=name).inc(tasks)
 
-    def add_tasks(self, name: str, tasks: int) -> None:
-        """Count extra work items against an (already timed) stage."""
-        if name not in self._stage_order:
-            self._stage_order.append(name)
-        self.registry.counter(_STAGE_TASKS, stage=name).inc(tasks)
-
     def _series_value(self, name: str, stage: str) -> float:
         found = self.registry.get(name, stage=stage)
         return found.value if found is not None else 0

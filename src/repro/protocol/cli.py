@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 
 from ..core.redact import redact
+from ..engine import jobs_count
 from .gate import ProtocolGate
 from .nonce import ack_tag, handshake_payload, verify_ack
 from .provision import ProtocolProvisioner
@@ -56,7 +57,13 @@ def add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verifier-frame", type=int, default=48, help="verifier frame edge (pixels)"
     )
-    parser.add_argument("--jobs", type=int, default=0, help="worker processes")
+    parser.add_argument(
+        "--jobs",
+        type=jobs_count,
+        default=1,
+        help="matrix worker processes (1 = serial; results are identical "
+        "at any job count)",
+    )
 
 
 def _provision_pair(tenant: str) -> tuple[ProtocolGate, ProtocolGate, int]:

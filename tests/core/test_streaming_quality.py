@@ -21,7 +21,6 @@ from repro.core.streaming import (
     QualityIssue,
     StreamingVerifier,
 )
-from repro.core.voting import VotingCombiner
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import simulate_genuine_session
 from repro.video.frame import Frame, blank_frame
@@ -176,22 +175,23 @@ class TestVoteWindowWithInconclusive:
         assert state.verdict is None
 
 
-class TestCombineConclusive:
-    def test_empty_conclusive_set_returns_none(self):
-        combiner = VotingCombiner(0.7)
-        assert combiner.combine_conclusive([_result(True)], [False]) is None
+class TestConclusiveVote:
+    """Inconclusive attempts leave the voting denominator; with none
+    conclusive the state has no verdict (see
+    ``test_all_inconclusive_window_reports_inconclusive``)."""
 
-    def test_only_conclusive_attempts_enter_the_denominator(self):
-        combiner = VotingCombiner(0.7)
-        results = [_result(True), _result(True), _result(False)]
-        # All conclusive: 2/3 rejects < 0.7 -> not an attacker.
-        assert not combiner.combine(results).is_attacker
-        # Gate the accept out: 2/2 rejects > 0.7 -> attacker.
-        verdict = combiner.combine_conclusive(results, [True, True, False])
-        assert verdict.is_attacker
-        assert verdict.total_votes == 2
-
-    def test_length_mismatch_rejected(self):
-        combiner = VotingCombiner(0.7)
-        with pytest.raises(ValueError):
-            combiner.combine_conclusive([_result(True)], [True, False])
+    def test_only_conclusive_attempts_vote(self, trained_detector):
+        verifier = StreamingVerifier(trained_detector)
+        verifier._attempts.extend(
+            [
+                _gated(rejected=True),
+                _gated(rejected=True),
+                _gated(rejected=False, conclusive=False),
+            ]
+        )
+        # Counted, the accept would hold rejects at 2/3 < 0.7; gated out,
+        # 2/2 rejects > 0.7 -> attacker.
+        state = verifier.state
+        assert state.verdict.total_votes == 2
+        assert state.verdict.is_attacker
+        assert state.status is CallStatus.ATTACKER

@@ -70,26 +70,3 @@ class TestAccounting:
         cache.get("absent")
         cache.clear()
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-
-
-class TestEviction:
-    def test_fifo_eviction_keeps_newest(self):
-        cache = FeatureCache(max_entries=2)
-        for i in range(3):
-            cache.put(f"k{i}", FeatureVector(i, 0, 0, 0))
-        assert len(cache) == 2
-        assert cache.get("k0") is None  # oldest evicted
-        assert cache.get("k1") is not None
-        assert cache.get("k2") is not None
-
-    def test_overwriting_existing_key_does_not_evict(self):
-        cache = FeatureCache(max_entries=2)
-        cache.put("a", FeatureVector(0, 0, 0, 0))
-        cache.put("b", FeatureVector(1, 0, 0, 0))
-        cache.put("a", FeatureVector(2, 0, 0, 0))
-        assert len(cache) == 2
-        assert cache.get("a") == FeatureVector(2, 0, 0, 0)
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            FeatureCache(max_entries=0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
+from repro.core.detector import LivenessDetector, verify_clips
 from repro.core.features import extract_features_batch
 from repro.engine import ExecutionEngine, FeatureCache, task_rng
 from repro.experiments.dataset import (
@@ -23,6 +24,7 @@ from repro.experiments.dataset import (
 )
 from repro.experiments.profiles import Environment, make_population
 from repro.experiments.runner import run_overall, run_threshold_sweep
+from repro.obs import Instrumentation, render_json
 
 
 def _square(x: int) -> int:
@@ -44,6 +46,18 @@ def _make_clip(user, role, index, config, rng):
         r = 120.0 + rng.normal(0, 2.0, 150)
     features = extract_features_batch([(t, r)], config)[0].features
     return ClipInstance(user, role, index, features, t, r)
+
+
+def _make_pairs(count, seed=7):
+    """Ragged random luminance pairs (no genuine structure needed)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        length = int(rng.integers(40, 160))
+        t_lum = rng.uniform(80.0, 140.0, length)
+        r_lum = rng.uniform(0.2, 0.9, length)
+        pairs.append((t_lum, r_lum))
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +163,66 @@ class TestCachedExtraction:
             second.extract_features_batch([pair], config)
         assert cache.hits == 1
         assert cache.misses == 1
+
+
+class TestPoolSerialIdentity:
+    def test_features_identical_at_jobs_1_2_4(self):
+        pairs = _make_pairs(6)
+        config = DetectorConfig()
+        serial = [ex.features for ex in extract_features_batch(pairs, config)]
+        for jobs in (1, 2, 4):
+            with ExecutionEngine(jobs=jobs) as engine:
+                assert engine.extract_features_batch(pairs, config) == serial, jobs
+
+    def test_verdicts_and_metrics_identical_at_jobs_1_2_4(self):
+        config = DetectorConfig()
+        bank_pairs = _make_pairs(8, seed=3)
+        probe_pairs = _make_pairs(5, seed=4)
+
+        def _run(jobs):
+            instr = Instrumentation.enabled()
+            detector = LivenessDetector(config, instrumentation=instr)
+            detector.fit_from_clips(bank_pairs)
+            with ExecutionEngine(jobs=jobs) as engine:
+                results = verify_clips(probe_pairs, detector, engine=engine)
+            return results, render_json(instr.snapshot())
+
+        base_results, base_metrics = _run(1)
+        for jobs in (2, 4):
+            results, metrics = _run(jobs)
+            assert metrics == base_metrics, jobs
+            for got, want in zip(results, base_results):
+                assert got.features == want.features
+                assert got.lof_score == want.lof_score
+                assert got.accepted == want.accepted
+
+
+class TestZeroWorkEdges:
+    def test_empty_map_batches_emits_nothing(self):
+        with ExecutionEngine(jobs=4) as engine:
+            assert engine.map_batches(len, [], stage="probe") == []
+            snap = engine.instrumentation.snapshot()
+            assert snap.counter_value("engine_stage_calls_total", stage="probe") == 0
+            assert not engine.perf_report().stages
+
+    def test_empty_extract_batch_emits_nothing(self):
+        with ExecutionEngine(jobs=4) as engine:
+            assert engine.extract_features_batch([], DetectorConfig()) == []
+            assert not engine.perf_report().stages
+
+    def test_fewer_clips_than_jobs_extracts_correctly(self):
+        pairs = _make_pairs(2)
+        config = DetectorConfig()
+        serial = [ex.features for ex in extract_features_batch(pairs, config)]
+        with ExecutionEngine(jobs=4) as engine:
+            assert engine.extract_features_batch(pairs, config) == serial
+
+    def test_zero_sample_pairs_stay_in_process(self):
+        pairs = [(np.array([]), np.array([])), (np.array([]), np.array([]))]
+        config = DetectorConfig()
+        serial = [ex.features for ex in extract_features_batch(pairs, config)]
+        with ExecutionEngine(jobs=4) as engine:
+            assert engine.extract_features_batch(pairs, config) == serial
 
 
 class TestRunnerEquivalence:

@@ -33,15 +33,6 @@ class TestRecorder:
             "rounds",
         ]
 
-    def test_add_tasks_counts_against_existing_stage(self):
-        rec = PerfRecorder()
-        with rec.stage("features", tasks=2):
-            pass
-        rec.add_tasks("features", 3)
-        report = _snapshot(rec)
-        assert report.stages[0].tasks == 5
-        assert report.tasks_completed == 5
-
     def test_reset_zeroes_counters(self):
         rec = PerfRecorder()
         with rec.stage("x", tasks=9):
@@ -162,13 +153,3 @@ class TestCounters:
             engine.count("clips_total", 2)
             report = engine.perf_report()
         assert report.counters["clips_total"] == 2
-
-    def test_engine_reset_perf_zeroes_counters(self):
-        from repro.engine import ExecutionEngine
-
-        with ExecutionEngine(jobs=1) as engine:
-            engine.count("clips_total", 2)
-            engine.reset_perf()
-            report = engine.perf_report()
-        assert report.counters == {}
-        assert report.cache_hits == 0

@@ -90,6 +90,23 @@ class TestParser:
         assert args.tenant == "tenant-demo"
 
 
+JOBS_COMMANDS = ("simulate", "figures", "faults", "protocol")
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize("command", JOBS_COMMANDS)
+    def test_defaults_to_one(self, command):
+        assert build_parser().parse_args([command]).jobs == 1
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS)
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestInfo:
     def test_info_prints_paper_constants(self, capsys):
         assert main(["info"]) == 0
