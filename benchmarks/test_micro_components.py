@@ -11,7 +11,9 @@ from repro.camera.metering import LightMeter, MeteringMode
 from repro.camera.sensor import ImageSensor
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
+from repro.core.features import normalize_unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
+from repro.core.peaks import find_peaks
 from repro.core.preprocessing import preprocess
 from repro.experiments.simulate import simulate_genuine_session
 from repro.service.loadgen import WorkloadConfig, _face_frame
@@ -34,6 +36,27 @@ def test_bench_preprocess_chain(benchmark, luminance_signal):
     config = DetectorConfig()
     result = benchmark(lambda: preprocess(luminance_signal, config, 10.0))
     assert result.smoothed.size == 150
+
+
+def test_bench_find_peaks_smoothed_200(benchmark):
+    """The peak finder on one 20 s clip's smoothed variance signal."""
+    x = np.full(200, 180.0)
+    x[60:] -= 50.0
+    x[140:] += 50.0
+    x += np.random.default_rng(3).normal(0, 0.5, 200)
+    config = DetectorConfig()
+    smoothed = preprocess(x, config, config.peak_prominence_screen).smoothed
+    peaks = benchmark(lambda: find_peaks(smoothed, config.peak_prominence_screen))
+    assert len(peaks) == 2
+
+
+def test_bench_pearson_90(benchmark):
+    """z3 of one 18 s segment pair: two unit-range 90-sample signals."""
+    rng = np.random.default_rng(4)
+    x = normalize_unit(rng.normal(size=90))
+    y = normalize_unit(x + rng.normal(0, 0.2, 90))
+    r = benchmark(lambda: pearson_correlation(x, y))
+    assert 0.5 < r < 1.0
 
 
 def test_bench_dtw_75_samples(benchmark):

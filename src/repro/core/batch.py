@@ -13,7 +13,6 @@ the batched kernels that process N clips per NumPy call:
   of Sec. V over a dense group of equal-length rows.
 * :func:`dtw_distance_batch` — feature ``z4``'s dynamic program as one
   anti-diagonal wavefront over every padded pair.
-* :func:`find_peaks_batch` — the peak finder mapped over rows.
 
 Every kernel is **row-independent**: the result of row ``i`` never
 depends on any other row, so running a clip in a batch of one is
@@ -35,8 +34,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .peaks import Peak, find_peaks
-
 __all__ = [
     "ClipBatch",
     "group_by_length",
@@ -44,7 +41,6 @@ __all__ = [
     "moving_variance_batch",
     "threshold_filter_batch",
     "moving_rms_batch",
-    "find_peaks_batch",
     "dtw_distance_batch",
 ]
 
@@ -205,19 +201,6 @@ def moving_rms_batch(rows: np.ndarray, window: int) -> np.ndarray:
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + window - half, length)
     return np.sqrt((csum2[:, hi] - csum2[:, lo]) / (hi - lo))
-
-
-def find_peaks_batch(
-    rows: Sequence[np.ndarray] | np.ndarray,
-    min_prominence: float,
-) -> list[list[Peak]]:
-    """Peak finding mapped over a batch of rows.
-
-    The finder itself is a per-row scan (plateau handling makes it
-    control-flow heavy); batching here is for interface symmetry with
-    the dense kernels, not vectorization.
-    """
-    return [find_peaks(np.asarray(row), min_prominence) for row in rows]
 
 
 def _time_major(signals: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -91,13 +91,19 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
-    if a.size < 2:
+    n = a.size
+    if n < 2:
         return 0.0
-    std_a = a.std()
-    std_b = b.std()
+    # One mean per side, reused: the same sums and divisions as numpy's
+    # mean() and std(), so the result is bit-identical to
+    # ((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std()).
+    da = a - a.sum() / n
+    db = b - b.sum() / n
+    std_a = np.sqrt((da * da).sum() / n)
+    std_b = np.sqrt((db * db).sum() / n)
     if std_a < 1e-12 or std_b < 1e-12:
         return 0.0
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (std_a * std_b))
+    return float((da * db).sum() / n / (std_a * std_b))
 
 
 def normalize_unit(signal: np.ndarray) -> np.ndarray:

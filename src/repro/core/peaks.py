@@ -25,60 +25,20 @@ class Peak:
     prominence: float
 
 
-def _local_maxima(x: np.ndarray) -> list[int]:
-    """Indices of plateau-aware strict local maxima.
+def find_peaks(signal: np.ndarray, min_prominence: float) -> list[Peak]:
+    """All local maxima with prominence >= ``min_prominence``.
 
     A plateau (run of equal values) counts as one maximum, reported at
     its midpoint, when both neighbours of the run are strictly lower.
     Signal endpoints are never maxima (their outer side is unknown).
-    """
-    maxima: list[int] = []
-    n = x.size
-    i = 1
-    while i < n - 1:
-        if x[i] <= x[i - 1]:
-            i += 1
-            continue
-        # Ascent found; walk any plateau.
-        j = i
-        while j < n - 1 and x[j + 1] == x[i]:
-            j += 1
-        if j < n - 1 and x[j + 1] < x[i]:
-            maxima.append((i + j) // 2)
-        i = j + 1
-    return maxima
+    A maximum's prominence is its height minus the higher of its two
+    saddles: walking left and right until terrain rises above the peak
+    (or the signal ends), the lowest point passed on each side.
 
-
-def _prominence(x: np.ndarray, peak: int, maxima: list[int]) -> float:
-    """Topographic prominence of one peak.
-
-    Walk left and right until terrain rises above the peak (or the signal
-    ends), recording the lowest point (saddle) on each side; prominence is
-    the peak height minus the higher of the two saddles.
-    """
-    height = x[peak]
-
-    left_min = height
-    i = peak - 1
-    while i >= 0 and x[i] <= height:
-        left_min = min(left_min, x[i])
-        i -= 1
-    if i < 0:
-        # No higher ground to the left: the left base is the global walk min.
-        pass
-
-    right_min = height
-    i = peak + 1
-    n = x.size
-    while i < n and x[i] <= height:
-        right_min = min(right_min, x[i])
-        i += 1
-
-    return float(height - max(left_min, right_min))
-
-
-def find_peaks(signal: np.ndarray, min_prominence: float) -> list[Peak]:
-    """All local maxima with prominence >= ``min_prominence``.
+    One pass over the samples as Python floats: numpy scalar indexing
+    costs more than the comparisons themselves, and Python floats follow
+    the same IEEE rules (a NaN compares false, so it is never a maximum
+    and it stops a saddle walk).
 
     Parameters
     ----------
@@ -93,12 +53,40 @@ def find_peaks(signal: np.ndarray, min_prominence: float) -> list[Peak]:
         raise ValueError("signal must be 1-D")
     if min_prominence <= 0:
         raise ValueError("min_prominence must be positive")
-    if x.size < 3:
-        return []
-    maxima = _local_maxima(x)
-    peaks = []
-    for index in maxima:
-        prom = _prominence(x, index, maxima)
-        if prom >= min_prominence:
-            peaks.append(Peak(index=index, height=float(x[index]), prominence=prom))
+    v = x.tolist()
+    n = len(v)
+    last = n - 1
+    peaks: list[Peak] = []
+    i = 1
+    while i < last:
+        h = v[i]
+        if h <= v[i - 1]:
+            i += 1
+            continue
+        # Ascent found; walk any plateau.
+        j = i
+        while j < last and v[j + 1] == h:
+            j += 1
+        if j < last and v[j + 1] < h:
+            index = (i + j) // 2
+            # The midpoint's own value: a plateau may mix 0.0 and -0.0.
+            height = v[index]
+            left = height
+            for k in range(index - 1, -1, -1):
+                sample = v[k]
+                if not sample <= height:
+                    break
+                if sample < left:
+                    left = sample
+            right = height
+            for k in range(index + 1, n):
+                sample = v[k]
+                if not sample <= height:
+                    break
+                if sample < right:
+                    right = sample
+            prominence = height - max(left, right)
+            if prominence >= min_prominence:
+                peaks.append(Peak(index=index, height=height, prominence=prominence))
+        i = j + 1
     return peaks

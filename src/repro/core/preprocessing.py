@@ -193,8 +193,17 @@ def preprocess_batch(
     three FIR kernels are designed once per call instead of once per
     clip.  Row independence of the batch kernels makes every clip's
     result bit-identical to :func:`preprocess` on that clip alone.
+
+    Raises ``ValueError`` naming the first signal that holds a NaN or
+    infinite sample: the variance stage's running sums would carry it
+    to the end of the clip, and the threshold stage would turn the rest
+    of the clip into zeros, silently rejecting a live face.
     """
     batch = signals if isinstance(signals, ClipBatch) else ClipBatch.from_signals(signals)
+    padding = np.arange(batch.max_length) >= batch.lengths[:, None]
+    finite = (np.isfinite(batch.data) | padding).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"signal {int(np.argmin(finite))} has a non-finite sample")
     lowpass_kernel = design_lowpass(
         config.lowpass_cutoff_hz, config.sample_rate_hz, config.lowpass_taps
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -66,16 +67,17 @@ class FeatureCache:
         return len(self._store)
 
     @staticmethod
-    def key_for(
-        transmitted_luminance: np.ndarray,
-        received_luminance: np.ndarray,
+    def keys_for(
+        pairs: Sequence[tuple[np.ndarray, np.ndarray]],
         config: DetectorConfig,
-    ) -> str:
-        return (
-            clip_signal_hash(transmitted_luminance, received_luminance)
-            + ":"
-            + config_fingerprint(config)
-        )
+    ) -> list[str]:
+        """One key per ``(transmitted, received)`` luminance pair under
+        ``config``: the pair's content hash, ``":"``, the config
+        fingerprint.  The fingerprint is computed once per call; it is
+        not memoized across calls, because config equality treats
+        ``0.0 == -0.0`` while the fingerprint does not."""
+        suffix = ":" + config_fingerprint(config)
+        return [clip_signal_hash(t, r) + suffix for t, r in pairs]
 
     def get(self, key: str) -> FeatureVector | None:
         """Look up by key, counting the hit or miss."""

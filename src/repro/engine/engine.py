@@ -203,11 +203,14 @@ class ExecutionEngine(AbstractContextManager):
         The misses never go to the pool, so the result is the same at
         any ``jobs``.  Duplicate pairs within one batch are extracted
         once.  An empty batch is a no-op (no span, no stage sample).
+        A non-finite sample raises ``ValueError`` from
+        :func:`~repro.core.preprocessing.preprocess_batch`, whose signal
+        index counts this batch's distinct cache misses.
         """
         pairs = list(pairs)
         if not pairs:
             return []
-        keys = [self.cache.key_for(t, r, config) for t, r in pairs]
+        keys = self.cache.keys_for(pairs, config)
         span = self.instrumentation.span(
             f"engine.{stage}", stage="engine", tasks=len(pairs), jobs=self.jobs
         )

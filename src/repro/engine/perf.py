@@ -126,11 +126,6 @@ class PerfRecorder:
         self._stage_order: list[str] = []
         self._started = self._clock.now()
 
-    def reset(self) -> None:
-        self.registry.clear()
-        self._stage_order.clear()
-        self._started = self._clock.now()
-
     def count(self, name: str, n: int = 1) -> None:
         """Bump a named event counter (surfaced in the report)."""
         self.registry.counter(name).inc(n)

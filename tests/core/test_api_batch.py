@@ -4,6 +4,7 @@ entry point and batch extraction exported from :mod:`repro.api`."""
 import warnings
 
 import numpy as np
+import pytest
 
 import repro
 import repro.api
@@ -11,6 +12,7 @@ from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector, verify_clips
 from repro.core.features import extract_features_batch
 from repro.core.pipeline import ChatVerifier
+from repro.engine import ExecutionEngine
 from repro.experiments.simulate import simulate_genuine_session
 
 
@@ -56,6 +58,25 @@ class TestVerifyClips:
             assert got.features == want.features
             assert got.lof_score == want.lof_score
             assert got.accepted == want.accepted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["transmitted", "received"])
+    @pytest.mark.parametrize("with_engine", [False, True])
+    def test_non_finite_sample_is_refused(
+        self, step_signal, reflected_signal, side, bad, with_engine
+    ):
+        # One such sample used to zero the rest of its clip's variance
+        # signal (z1 = z2 = 0): a silent false reject of a live face.
+        detector = LivenessDetector(DetectorConfig())
+        detector.fit_from_clips(_make_pairs(8, seed=5))
+        pairs = [(step_signal, reflected_signal + k) for k in range(3)]
+        broken = [step_signal.copy(), reflected_signal.copy()]
+        broken[side == "received"][90] = bad
+        pairs.insert(2, tuple(broken))
+        with ExecutionEngine(jobs=1) as engine:
+            with pytest.raises(ValueError, match="signal 2 has a non-finite sample"):
+                verify_clips(pairs, detector, engine=engine if with_engine else None)
+            assert len(engine.cache) == 0
 
     def test_empty_batch_returns_empty(self):
         detector = LivenessDetector(DetectorConfig())

@@ -6,7 +6,6 @@ import pytest
 from repro.core.batch import (
     ClipBatch,
     dtw_distance_batch,
-    find_peaks_batch,
     group_by_length,
     moving_rms_batch,
     moving_variance_batch,
@@ -88,7 +87,6 @@ class TestKernelValidation:
         assert moving_variance_batch(rows, 4).shape == (2, 0)
         assert moving_rms_batch(rows, 4).shape == (2, 0)
         assert threshold_filter_batch(rows, 0.5).shape == (2, 0)
-        assert find_peaks_batch(rows, 0.1) == [[], []]
 
 
 class TestDtwDistanceBatch:

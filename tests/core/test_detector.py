@@ -85,6 +85,19 @@ class TestVerification:
         assert result.extraction is not None
         assert result.accepted
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["transmitted", "received"])
+    def test_verify_clip_refuses_non_finite_sample(
+        self, step_signal, reflected_signal, side, bad
+    ):
+        # One such sample used to zero the rest of the clip's variance
+        # signal (z1 = z2 = 0): a silent false reject of a live face.
+        det = LivenessDetector().fit(_genuine_bank())
+        pair = [step_signal.copy(), reflected_signal.copy()]
+        pair[side == "received"][60] = bad
+        with pytest.raises(ValueError, match="signal 0 has a non-finite sample"):
+            det.verify_clip(*pair)
+
     def test_verify_clip_rejects_uncorrelated(self, step_signal):
         det = LivenessDetector().fit(_genuine_bank())
         fake = np.full(150, 140.0)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import DetectorConfig
 from repro.core.features import (
@@ -34,6 +37,42 @@ class TestPearson:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             pearson_correlation(np.zeros(3), np.zeros(4))
+
+
+def _pearson_reference(x, y):
+    """The formula before the one-mean rewrite, kept as the oracle:
+    ``std()`` and ``mean()`` each reduce every input again."""
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("inputs must be 1-D arrays of equal length")
+    if a.size < 2:
+        return 0.0
+    std_a = a.std()
+    std_b = b.std()
+    if std_a < 1e-12 or std_b < 1e-12:
+        return 0.0
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (std_a * std_b))
+
+
+@st.composite
+def _signal_pairs(draw):
+    """Equal-length pairs: unit-range like the normalized segments z3
+    reads, or wide-range, and sometimes strided views."""
+    n = draw(st.integers(min_value=0, max_value=160))
+    bound = draw(st.sampled_from([1.0, 1e6]))
+    elements = st.floats(min_value=-bound, max_value=bound, allow_nan=False)
+    step = draw(st.sampled_from([1, 2]))
+    pair = [draw(hnp.arrays(np.float64, n * step, elements=elements))[::step] for _ in "ab"]
+    return tuple(pair)
+
+
+class TestPearsonMatchesReference:
+    @given(_signal_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, pair):
+        x, y = pair
+        assert repr(pearson_correlation(x, y)) == repr(_pearson_reference(x, y))
 
 
 class TestNormalizeUnit:

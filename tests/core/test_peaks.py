@@ -1,9 +1,104 @@
-"""Peak finding: local maxima, plateaus, prominence gating."""
+"""Peak finding: local maxima, plateaus, prominence gating, and the
+one-pass finder against the two-walk finder it replaced."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import DetectorConfig
 from repro.core.peaks import Peak, find_peaks
+from repro.core.preprocessing import preprocess_batch
+
+
+@np.errstate(invalid="ignore")  # inf - inf prominence is NaN; the gate drops it
+def _find_peaks_reference(signal, min_prominence):
+    """The finder before the one-pass rewrite, kept verbatim as the
+    oracle: a plateau-aware ascent scan, then a left/right saddle walk
+    per maximum, all on numpy scalars."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("signal must be 1-D")
+    if min_prominence <= 0:
+        raise ValueError("min_prominence must be positive")
+    if x.size < 3:
+        return []
+    maxima = []
+    n = x.size
+    i = 1
+    while i < n - 1:
+        if x[i] <= x[i - 1]:
+            i += 1
+            continue
+        j = i
+        while j < n - 1 and x[j + 1] == x[i]:
+            j += 1
+        if j < n - 1 and x[j + 1] < x[i]:
+            maxima.append((i + j) // 2)
+        i = j + 1
+    peaks = []
+    for peak in maxima:
+        height = x[peak]
+        left_min = height
+        i = peak - 1
+        while i >= 0 and x[i] <= height:
+            left_min = min(left_min, x[i])
+            i -= 1
+        right_min = height
+        i = peak + 1
+        while i < n and x[i] <= height:
+            right_min = min(right_min, x[i])
+            i += 1
+        prom = float(height - max(left_min, right_min))
+        if prom >= min_prominence:
+            peaks.append(Peak(index=peak, height=float(x[peak]), prominence=prom))
+    return peaks
+
+
+def _exact(peaks):
+    """Peaks as comparable tuples that also tell 0.0 from -0.0 and a
+    Python float from a numpy scalar (``Peak`` equality does neither)."""
+    return [(p.index, repr(p.height), repr(p.prominence)) for p in peaks]
+
+
+# Values that make ties and plateaus likely, signed zeros, magnitudes
+# near +-1e6 (where adding 1 still changes the value) and non-finite
+# samples, mixed with arbitrary floats.
+_POOL = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e6, 1e6 + 1.0, -1e6, math.nan, math.inf, -math.inf)
+_value = st.one_of(
+    st.sampled_from(_POOL),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_finite_value = st.one_of(
+    st.sampled_from([v for v in _POOL if math.isfinite(v)]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_rising = st.lists(_finite_value, min_size=2, max_size=6).map(sorted)
+_falling = _rising.map(lambda run: run[::-1])
+
+
+@st.composite
+def terrain(draw, value=_value):
+    """A signal built from single samples, plateaus and monotone runs,
+    any of which may touch either end."""
+    plateau = st.tuples(value, st.integers(min_value=2, max_value=5)).map(
+        lambda run: [run[0]] * run[1]
+    )
+    pieces = draw(
+        st.lists(
+            st.one_of(value.map(lambda v: [v]), plateau, _rising, _falling),
+            max_size=10,
+        )
+    )
+    return np.array([v for piece in pieces for v in piece], dtype=np.float64)
+
+
+_prominence = st.one_of(
+    st.sampled_from([1e-12, 0.5, 1.0, 10.0, 1e6]),
+    st.floats(min_value=1e-12, max_value=2e6),
+)
 
 
 class TestBasicDetection:
@@ -86,3 +181,75 @@ class TestValidation:
         peak = Peak(index=1, height=2.0, prominence=1.0)
         with pytest.raises(Exception):
             peak.height = 5.0  # type: ignore[misc]
+
+
+class TestOneWalkMatchesReference:
+    """The one-pass finder is bit-identical to :func:`_find_peaks_reference`:
+    same indices, same heights (sign of zero included), same prominences."""
+
+    @given(terrain(), _prominence)
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([0.0, 1.0, 3.0, 3.0, 3.0, 3.0, 1.0]), 0.5)  # even plateau
+    @example(np.array([math.nan, 5.0, 3.0, 4.0, 0.0]), 0.5)  # right after a NaN
+    @example(np.array([-1.0, 0.0, -0.0, -0.0, -1.0]), 0.5)  # mixed-sign-zero plateau
+    @example(np.array([0.0, math.inf, math.inf, 0.0, math.inf, -1.0]), 1.0)
+    @example(np.array([-1e6, 1e6, 1e6 + 1.0, 1e6, -1e6]), 1.0)
+    def test_terrain(self, x, prominence):
+        assert _exact(find_peaks(x, prominence)) == _exact(
+            _find_peaks_reference(x, prominence)
+        )
+
+    @given(st.lists(_value, max_size=5), _prominence)
+    @settings(max_examples=200, deadline=None)
+    def test_short_signals(self, values, prominence):
+        x = np.array(values, dtype=np.float64)
+        assert _exact(find_peaks(x, prominence)) == _exact(
+            _find_peaks_reference(x, prominence)
+        )
+
+
+def _kind_pair(rng, kind, n):
+    """A raw luminance pair shaped like a genuine face, a reenactment or
+    a forger (an echo delayed by a processing time)."""
+    t = np.full(n, 180.0)
+    t[int(rng.integers(25, 55)) :] -= 50.0
+    t[int(rng.integers(85, 120)) :] += 50.0
+    delay = int(rng.integers(2, 6)) + (int(rng.integers(4, 15)) if kind == "forger" else 0)
+    if kind == "reenactment":
+        r = np.full(n, 174.0)
+        r[int(rng.integers(10, n - 10)) :] += rng.uniform(5, 20)
+    else:
+        r = 120.0 + rng.uniform(0.12, 0.4) * np.concatenate([np.full(delay, t[0]), t[:-delay]])
+    return t, r + rng.normal(0.0, rng.uniform(0.3, 2.0), n)
+
+
+class TestRealSmoothedSignals:
+    @pytest.mark.parametrize("n", [150, 175, 200])
+    @pytest.mark.parametrize("kind", ["genuine", "reenactment", "forger"])
+    def test_preprocessed_clips(self, kind, n):
+        config = DetectorConfig()
+        rng = np.random.default_rng([n, len(kind)])
+        pairs = [_kind_pair(rng, kind, n) for _ in range(8)]
+        found = 0
+        for side, prominence in (
+            (0, config.peak_prominence_screen),
+            (1, config.peak_prominence_face),
+        ):
+            for pre in preprocess_batch([p[side] for p in pairs], config, prominence):
+                for gate in (prominence, 1e-9):
+                    got = find_peaks(pre.smoothed, gate)
+                    assert _exact(got) == _exact(_find_peaks_reference(pre.smoothed, gate))
+                    found += len(got)
+        assert found > 0
+
+
+class TestScipyCrossCheck:
+    @given(terrain(_finite_value), st.floats(min_value=1e-6, max_value=1e3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_find_peaks(self, x, prominence):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        ours = find_peaks(x, prominence)
+        indices, props = scipy_signal.find_peaks(x, prominence=prominence)
+        assert [p.index for p in ours] == indices.tolist()
+        assert [p.prominence for p in ours] == props["prominences"].tolist()
+        assert [p.height for p in ours] == x[indices].tolist()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.batch import ClipBatch
 from repro.core.config import DetectorConfig
 from repro.core.preprocessing import (
     design_lowpass,
@@ -11,6 +12,7 @@ from repro.core.preprocessing import (
     moving_rms,
     moving_variance,
     preprocess,
+    preprocess_batch,
     savgol_coefficients,
     savgol_filter,
     threshold_filter,
@@ -236,3 +238,30 @@ class TestPreprocessComposition:
         cfg5 = DetectorConfig(sample_rate_hz=5.0)
         pre = preprocess(step_signal, cfg5, 10.0)
         assert np.allclose(pre.peak_times, pre.peak_indices / 5.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_preprocess_refuses(self, step_signal, config, bad):
+        x = step_signal.copy()
+        x[70] = bad
+        with pytest.raises(ValueError, match="signal 0 has a non-finite sample"):
+            preprocess(x, config, 0.5)
+
+    def test_batch_names_the_first_bad_signal(self, step_signal, config):
+        bad = step_signal.copy()
+        bad[-1] = np.nan
+        signals = [step_signal, step_signal[:120], bad, bad[:130].copy()]
+        signals[3][5] = np.inf
+        with pytest.raises(ValueError, match="signal 2 has a non-finite sample"):
+            preprocess_batch(signals, config, 0.5)
+
+    def test_padding_is_not_a_sample(self, step_signal, config):
+        data = np.full((2, step_signal.size), np.nan)
+        data[0] = step_signal
+        data[1, :100] = step_signal[:100]
+        batch = ClipBatch(data=data, lengths=np.array([step_signal.size, 100]))
+        got = preprocess_batch(batch, config, 0.5)
+        want = preprocess_batch([step_signal, step_signal[:100]], config, 0.5)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.smoothed, b.smoothed) and a.peaks == b.peaks

@@ -17,9 +17,18 @@ class TestKeys:
     def test_same_inputs_same_key(self):
         t, r = _signals()
         config = DetectorConfig()
-        assert FeatureCache.key_for(t, r, config) == FeatureCache.key_for(
-            t.copy(), r.copy(), config
+        assert FeatureCache.keys_for([(t, r)], config) == FeatureCache.keys_for(
+            [(t.copy(), r.copy())], config
         )
+
+    def test_keys_are_signal_hash_and_fingerprint(self):
+        pairs = [_signals(seed) for seed in range(3)] + [_signals(0, n=40)]
+        pairs.append(pairs[0])  # a repeat keeps its key
+        for config in (DetectorConfig(), DetectorConfig().with_overrides(lof_threshold=2.5)):
+            assert FeatureCache.keys_for(pairs, config) == [
+                clip_signal_hash(t, r) + ":" + config_fingerprint(config) for t, r in pairs
+            ]
+        assert FeatureCache.keys_for([], DetectorConfig()) == []
 
     def test_signal_change_changes_key(self):
         t, r = _signals()
@@ -56,7 +65,7 @@ class TestAccounting:
     def test_miss_then_hit(self):
         cache = FeatureCache()
         t, r = _signals()
-        key = cache.key_for(t, r, DetectorConfig())
+        (key,) = cache.keys_for([(t, r)], DetectorConfig())
         assert cache.get(key) is None
         cache.put(key, FeatureVector(1.0, 1.0, 0.9, 0.1))
         assert cache.get(key) == FeatureVector(1.0, 1.0, 0.9, 0.1)

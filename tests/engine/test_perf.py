@@ -33,12 +33,8 @@ class TestRecorder:
             "rounds",
         ]
 
-    def test_reset_zeroes_counters(self):
-        rec = PerfRecorder()
-        with rec.stage("x", tasks=9):
-            pass
-        rec.reset()
-        report = _snapshot(rec)
+    def test_fresh_recorder_has_no_stages(self):
+        report = _snapshot(PerfRecorder())
         assert report.stages == ()
         assert report.tasks_completed == 0
 
@@ -110,11 +106,10 @@ class TestManualClockTiming:
         assert report.wall_s == pytest.approx(4.0)
         assert report.tasks_per_sec == pytest.approx(1.5)
 
-    def test_reset_rereads_the_clock(self):
+    def test_wall_starts_when_the_recorder_is_built(self):
         clock = ManualClock()
-        rec = PerfRecorder(clock=clock)
         clock.advance(5.0)
-        rec.reset()
+        rec = PerfRecorder(clock=clock)
         clock.advance(1.0)
         assert _snapshot(rec).wall_s == pytest.approx(1.0)
 
@@ -140,11 +135,8 @@ class TestCounters:
         rec.count("x")
         assert report.counters["x"] == 1
 
-    def test_reset_clears_counters(self):
-        rec = PerfRecorder()
-        rec.count("x", 5)
-        rec.reset()
-        assert _snapshot(rec).counters == {}
+    def test_fresh_recorder_has_no_counters(self):
+        assert _snapshot(PerfRecorder()).counters == {}
 
     def test_engine_count_passthrough(self):
         from repro.engine import ExecutionEngine
