@@ -41,6 +41,7 @@ from .config import DetectorConfig
 from .peaks import Peak, find_peaks
 
 __all__ = [
+    "NonFiniteSampleError",
     "design_lowpass",
     "lowpass_filter",
     "moving_variance",
@@ -53,6 +54,15 @@ __all__ = [
     "preprocess",
     "preprocess_batch",
 ]
+
+
+class NonFiniteSampleError(ValueError):
+    """A signal handed to :func:`preprocess_batch` holds a NaN or an
+    infinite sample; ``index`` is that signal's position in the batch."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"signal {index} has a non-finite sample")
+        self.index = index
 
 
 def design_lowpass(cutoff_hz: float, sample_rate_hz: float, taps: int) -> np.ndarray:
@@ -152,6 +162,45 @@ def _as_signal(signal: np.ndarray) -> np.ndarray:
     return x
 
 
+#: Distinct filter-field sets whose kernels :func:`_filter_kernels` keeps.
+_KERNEL_MEMO_SIZE = 32
+_KERNELS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _filter_kernels(config: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low-pass, Savitzky-Golay and moving-average kernels of
+    ``config``'s chain, designed once per distinct set of filter fields
+    and shared as read-only arrays.
+
+    The memo key is the ``repr`` of each field, not its value: config
+    equality treats ``0.0 == -0.0`` (the ``FeatureCache.keys_for`` note),
+    so a value key could hand one config another's kernels.
+    """
+    fields = (
+        config.lowpass_cutoff_hz,
+        config.sample_rate_hz,
+        config.lowpass_taps,
+        config.savgol_window,
+        config.savgol_polyorder,
+        config.moving_average_window,
+    )
+    key = tuple(map(repr, fields))
+    kernels = _KERNELS.get(key)
+    if kernels is None:
+        cutoff_hz, sample_rate_hz, taps, window, polyorder, average_window = fields
+        lowpass = design_lowpass(cutoff_hz, sample_rate_hz, taps)
+        savgol = savgol_coefficients(window, polyorder)
+        if average_window < 1:
+            raise ValueError("window must be >= 1")
+        kernels = (lowpass, savgol, np.full(average_window, 1.0 / average_window))
+        for kernel in kernels:
+            kernel.flags.writeable = False
+        if len(_KERNELS) >= _KERNEL_MEMO_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]  # the oldest entry
+        _KERNELS[key] = kernels
+    return kernels
+
+
 @dataclasses.dataclass(frozen=True)
 class PreprocessedSignal:
     """All intermediates of the Sec. V chain for one luminance signal."""
@@ -190,29 +239,23 @@ def preprocess_batch(
     """Run the full Sec. V chain over N clips, batched per stage.
 
     Clips are grouped by length (padding never enters a kernel) and the
-    three FIR kernels are designed once per call instead of once per
-    clip.  Row independence of the batch kernels makes every clip's
-    result bit-identical to :func:`preprocess` on that clip alone.
+    three FIR kernels are designed once per distinct set of filter
+    fields, not once per call or clip.  Row independence of the batch
+    kernels makes every clip's result bit-identical to
+    :func:`preprocess` on that clip alone.
 
-    Raises ``ValueError`` naming the first signal that holds a NaN or
-    infinite sample: the variance stage's running sums would carry it
-    to the end of the clip, and the threshold stage would turn the rest
-    of the clip into zeros, silently rejecting a live face.
+    Raises :class:`NonFiniteSampleError` (a ``ValueError``) naming the
+    first signal that holds a NaN or infinite sample: the variance
+    stage's running sums would carry it to the end of the clip, and the
+    threshold stage would turn the rest of the clip into zeros, silently
+    rejecting a live face.
     """
     batch = signals if isinstance(signals, ClipBatch) else ClipBatch.from_signals(signals)
     padding = np.arange(batch.max_length) >= batch.lengths[:, None]
     finite = (np.isfinite(batch.data) | padding).all(axis=1)
     if not finite.all():
-        raise ValueError(f"signal {int(np.argmin(finite))} has a non-finite sample")
-    lowpass_kernel = design_lowpass(
-        config.lowpass_cutoff_hz, config.sample_rate_hz, config.lowpass_taps
-    )
-    savgol_kernel = savgol_coefficients(config.savgol_window, config.savgol_polyorder)
-    if config.moving_average_window < 1:
-        raise ValueError("window must be >= 1")
-    average_kernel = np.full(
-        config.moving_average_window, 1.0 / config.moving_average_window
-    )
+        raise NonFiniteSampleError(int(np.argmin(finite)))
+    lowpass_kernel, savgol_kernel, average_kernel = _filter_kernels(config)
     results: list[PreprocessedSignal | None] = [None] * len(batch)
     for length, indices in group_by_length(batch.lengths):
         raw = batch.data[indices][:, :length]

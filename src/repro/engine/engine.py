@@ -41,6 +41,7 @@ import numpy as np
 
 from ..core.config import DetectorConfig
 from ..core.features import FeatureVector, extract_features_batch
+from ..core.preprocessing import NonFiniteSampleError
 from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
 from .cache import FeatureCache
@@ -203,9 +204,9 @@ class ExecutionEngine(AbstractContextManager):
         The misses never go to the pool, so the result is the same at
         any ``jobs``.  Duplicate pairs within one batch are extracted
         once.  An empty batch is a no-op (no span, no stage sample).
-        A non-finite sample raises ``ValueError`` from
-        :func:`~repro.core.preprocessing.preprocess_batch`, whose signal
-        index counts this batch's distinct cache misses.
+        A non-finite sample raises
+        :class:`~repro.core.preprocessing.NonFiniteSampleError` (a
+        ``ValueError``) with the caller's index of the offending pair.
         """
         pairs = list(pairs)
         if not pairs:
@@ -219,7 +220,8 @@ class ExecutionEngine(AbstractContextManager):
             pending: set[str] = set()
             miss_keys: list[str] = []
             miss_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-            for key, (t, r) in zip(keys, pairs):
+            miss_index: list[int] = []  # the caller's index of each miss
+            for i, (key, (t, r)) in enumerate(zip(keys, pairs)):
                 if key in found or key in pending:  # duplicate within this batch
                     self.cache.hits += 1
                     continue
@@ -230,8 +232,12 @@ class ExecutionEngine(AbstractContextManager):
                     pending.add(key)
                     miss_keys.append(key)
                     miss_pairs.append((t, r))
+                    miss_index.append(i)
             if miss_pairs:
-                extracted = extract_features_batch(miss_pairs, config)
+                try:
+                    extracted = extract_features_batch(miss_pairs, config)
+                except NonFiniteSampleError as exc:
+                    raise NonFiniteSampleError(miss_index[exc.index]) from None
                 for key, extraction in zip(miss_keys, extracted):
                     self.cache.put(key, extraction.features)
                     found[key] = extraction.features

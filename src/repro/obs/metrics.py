@@ -350,9 +350,5 @@ class MetricsRegistry:
                 hist.sum += s.sum
                 hist.count += s.count
 
-    def clear(self) -> None:
-        """Drop every series (the registry object itself stays bound)."""
-        self._series.clear()
-
     def __repr__(self) -> str:
         return f"MetricsRegistry(series={len(self._series)})"

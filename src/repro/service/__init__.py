@@ -21,6 +21,7 @@ from .loadgen import (
 from .queues import END_OF_STREAM, FrameQueue
 from .realtime import RealTimeScheduler
 from .scheduler import (
+    ForeignAwaitError,
     Scheduler,
     ServiceLock,
     TIMEOUT,
@@ -42,6 +43,7 @@ from .tenants import TenantBankCache
 __all__ = [
     "Admission",
     "END_OF_STREAM",
+    "ForeignAwaitError",
     "FrameQueue",
     "RealTimeScheduler",
     "SERVICE_LATENCY_BUCKETS_S",

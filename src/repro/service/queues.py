@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from .scheduler import TIMEOUT, Scheduler, Waiter
+from .scheduler import TIMEOUT, Scheduler
 
 __all__ = ["END_OF_STREAM", "FrameQueue"]
 
@@ -44,7 +44,7 @@ class FrameQueue:
         self._scheduler = scheduler
         self._maxsize = maxsize
         self._items: deque[Any] = deque()
-        self._getters: deque[Waiter] = deque()
+        self._getters: deque[Any] = deque()
         self.dropped = 0
         self._closed = False
 

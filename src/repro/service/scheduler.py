@@ -4,39 +4,46 @@ Everything in :mod:`repro.service` that waits — frame queues, admission
 slots, deadlines, pacing sleeps — waits through a :class:`Scheduler`, so
 one service codebase runs in two very different time regimes:
 
-* :class:`VirtualScheduler` — a deterministic discrete-event mode.  Time
-  is a :class:`~repro.obs.clock.ManualClock` advanced only when *every*
-  registered task is parked on a scheduler primitive; due timers then
-  fire strictly in ``(deadline, registration)`` order.  Two runs of the
-  same workload execute the same event sequence, at any concurrency —
-  the property the ``loadtest`` pool-vs-serial identity check pins down.
+* :class:`VirtualScheduler` — a deterministic discrete-event mode with
+  no event loop.  It is a trampoline: it resumes every service coroutine
+  itself with ``coro.send(value)``, in the FIFO order of a ready deque,
+  and each coroutine suspends by yielding a :class:`Waiter` slot.  Time
+  is a :class:`~repro.obs.clock.ManualClock` advanced only when the
+  ready deque is empty, i.e. when *every* task is parked on a slot; due
+  timers then fire strictly in ``(deadline, registration)`` order.  Two
+  runs of the same workload execute the same event sequence, at any
+  concurrency — the property the ``loadtest`` pool-vs-serial identity
+  check pins down.
 * :class:`~repro.service.realtime.RealTimeScheduler` — plain asyncio
   against the wall clock, for actually serving live traffic.  It lives
   in its own module because it is the service's one blessed wall-clock
-  site (reprolint R002/R008 allowlist).
+  site (reprolint R002/R008 allowlist), and it is the only module of the
+  service that imports asyncio.
 
 The scheduler also owns task lifecycle (:meth:`Scheduler.spawn` /
-:class:`TaskHandle.join`): spawned coroutines never leak exceptions into
-the event loop — failures are captured on the handle and re-raised at
+:class:`TaskHandle.join`): spawned coroutines never leak exceptions out
+of the driver — failures are captured on the handle and re-raised at
 join time, which is how the service guarantees "zero unhandled task
 exceptions" under chaos.
 
 Design rule for service code: a registered task may only suspend through
 scheduler primitives (``sleep``, ``park``, ``join``, the lock/queue
-built on them).  Awaiting anything else would stall virtual time.
+built on them).  reprolint R012 checks this statically; at run time the
+virtual driver raises :class:`ForeignAwaitError` the moment a task
+yields anything but a :class:`Waiter`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
 from collections import deque
 from collections.abc import Coroutine
+from heapq import heappop, heappush
 from typing import Any
 
-from ..obs.clock import ManualClock
+from ..obs.clock import ManualClock, MonotonicClock
 
 __all__ = [
+    "ForeignAwaitError",
     "Scheduler",
     "ServiceLock",
     "TIMEOUT",
@@ -59,13 +66,30 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-class Waiter:
-    """One parked task's wake-up slot (a future plus bookkeeping)."""
+class ForeignAwaitError(RuntimeError):
+    """A virtual-time task awaited something other than a scheduler slot."""
 
-    __slots__ = ("fut",)
+
+class Waiter:
+    """One parked task's wake-up slot in virtual time.
+
+    Awaiting an unfired slot yields the slot itself to the driver, which
+    records the awaiting coroutine in ``task``; resolving the slot fires
+    it and queues that coroutine with the value.  Awaiting a fired slot
+    returns its value without suspending.
+    """
+
+    __slots__ = ("fired", "value", "task")
 
     def __init__(self) -> None:
-        self.fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.fired = False
+        self.value: Any = None
+        self.task: Coroutine | None = None
+
+    def __await__(self):
+        if self.fired:
+            return self.value
+        return (yield self)
 
 
 class TaskHandle:
@@ -84,11 +108,21 @@ class TaskHandle:
         self._done = False
         self._result: Any = None
         self._error: BaseException | None = None
-        self._joiners: list[Waiter] = []
+        self._joiners: list[Any] = []
 
     @property
     def done(self) -> bool:
         return self._done
+
+    async def _capture(self, coro: Coroutine) -> None:
+        """Run ``coro`` to its end and keep its outcome for :meth:`join`."""
+        result, error = None, None
+        try:
+            result = await coro
+        except Exception as exc:  # noqa: BLE001 - delivered at join()
+            error = exc
+        finally:
+            self._finish(result, error)
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self._done = True
@@ -110,7 +144,7 @@ class TaskHandle:
 
 
 class Scheduler:
-    """Shared task/waiter machinery; subclasses supply the time regime."""
+    """The time-regime interface the service is written against."""
 
     def now(self) -> float:
         raise NotImplementedError
@@ -118,62 +152,31 @@ class Scheduler:
     async def sleep(self, delay: float) -> None:
         raise NotImplementedError
 
-    async def park(self, waiter: Waiter, timeout: float | None = None) -> Any:
+    async def park(self, waiter: Any, timeout: float | None = None) -> Any:
         """Suspend until ``waiter`` is resolved; :data:`TIMEOUT` on expiry."""
         raise NotImplementedError
 
     def run(self, main: Coroutine, wall_guard_s: float | None = None) -> Any:
         """Drive ``main`` (and everything it spawns) to completion.
 
-        ``wall_guard_s`` bounds the *wall-clock* run time with an
-        ``asyncio.wait_for``: a wedged run (a task awaiting something
-        the scheduler cannot see) surfaces as ``asyncio.TimeoutError``
-        instead of hanging forever — the tests' no-hang safety net.
+        ``wall_guard_s`` bounds the *wall-clock* run time: a wedged or
+        livelocked run surfaces as ``TimeoutError`` instead of hanging
+        forever — the tests' no-hang safety net.
         """
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Machinery shared by both regimes
-    # ------------------------------------------------------------------
+    def make_waiter(self) -> Any:
+        """A fresh wake-up slot for :meth:`park`."""
+        raise NotImplementedError
 
-    def make_waiter(self) -> Waiter:
-        return Waiter()
-
-    def resolve(self, waiter: Waiter, value: Any) -> bool:
+    def resolve(self, waiter: Any, value: Any) -> bool:
         """Wake a parked task; False when the waiter already fired
         (timed out or was woken by someone else)."""
-        if waiter.fut.done():
-            return False
-        waiter.fut.set_result(value)
-        self._on_resolved()
-        return True
-
-    def _on_resolved(self) -> None:
-        """Hook: the virtual regime tracks parked-task counts here."""
-
-    def _task_started(self) -> None:
-        """Hook: a spawned task began running."""
-
-    def _task_finished(self) -> None:
-        """Hook: a spawned task finished (normally or not)."""
+        raise NotImplementedError
 
     def spawn(self, coro: Coroutine, name: str = "task") -> TaskHandle:
         """Start a service task; its outcome is read back via ``join``."""
-        handle = TaskHandle(self, name)
-        self._task_started()
-
-        async def _wrapped() -> None:
-            result, error = None, None
-            try:
-                result = await coro
-            except Exception as exc:  # noqa: BLE001 - delivered at join()
-                error = exc
-            finally:
-                self._task_finished()
-                handle._finish(result, error)
-
-        asyncio.get_running_loop().create_task(_wrapped(), name=name)
-        return handle
+        raise NotImplementedError
 
 
 #: Virtual delays snap to this dyadic grid (2^-20 s, ~0.95 µs).  Dyadic
@@ -185,6 +188,9 @@ class Scheduler:
 #: byte-identical.
 _TIME_GRID = float(1 << 20)
 
+#: Resumes between two reads of the wall clock by the wall guard.
+_GUARD_STRIDE = 1024
+
 
 def _quantize(delay: float) -> float:
     return round(delay * _TIME_GRID) / _TIME_GRID
@@ -193,10 +199,13 @@ def _quantize(delay: float) -> float:
 class VirtualScheduler(Scheduler):
     """Deterministic discrete-event scheduler over a :class:`ManualClock`.
 
-    The driver loop (:meth:`run`) alternates two phases: let every
-    runnable task execute until it parks, then pop the earliest pending
-    timer, advance the manual clock to it, and wake its owner.  Ties on
-    the deadline break by registration order, so the event sequence is a
+    The driver (:meth:`run`) alternates two phases: resume ready tasks
+    in FIFO order until the ready deque is empty (every task is parked),
+    then pop the earliest pending timer, advance the manual clock to it,
+    and queue its owner.  A task joins the ready deque when it is
+    spawned and when a slot it is parked on is resolved — the order in
+    which asyncio's ``call_soon`` would run the same tasks.  Ties on the
+    deadline break by registration order, so the event sequence is a
     pure function of the workload — wall time never enters.
     """
 
@@ -204,9 +213,10 @@ class VirtualScheduler(Scheduler):
         self._clock = ManualClock(start)
         self._timers: list[tuple[float, int, Waiter]] = []
         self._seq = 0
-        self._tasks = 0  # live registered tasks
-        self._parked = 0  # of which: awaiting an unresolved waiter
-        self._idle: asyncio.Event | None = None
+        self._ready: deque[tuple[Coroutine, Any]] = deque()
+        # Unfinished tasks: the driven coroutine -> its handle and the
+        # spawned coroutine it wraps.
+        self._live: dict[Coroutine, tuple[TaskHandle, Coroutine]] = {}
 
     def now(self) -> float:
         return self._clock.now()
@@ -216,90 +226,115 @@ class VirtualScheduler(Scheduler):
         """The underlying manual clock (for e.g. a virtual-time tracer)."""
         return self._clock
 
-    # -- parked/idle bookkeeping ---------------------------------------
+    # -- tasks and slots -----------------------------------------------
 
-    def _maybe_idle(self) -> None:
-        if self._idle is not None and self._parked == self._tasks:
-            self._idle.set()
+    def make_waiter(self) -> Waiter:
+        return Waiter()
 
-    def _on_resolved(self) -> None:
-        self._parked -= 1
+    def resolve(self, waiter: Waiter, value: Any) -> bool:
+        if waiter.fired:
+            return False
+        waiter.fired = True
+        waiter.value = value
+        if waiter.task is not None:
+            self._ready.append((waiter.task, value))
+        return True
 
-    def _task_started(self) -> None:
-        self._tasks += 1
-
-    def _task_finished(self) -> None:
-        self._tasks -= 1
-        self._maybe_idle()
+    def spawn(self, coro: Coroutine, name: str = "task") -> TaskHandle:
+        handle = TaskHandle(self, name)
+        task = handle._capture(coro)
+        self._live[task] = (handle, coro)
+        self._ready.append((task, None))
+        return handle
 
     # -- primitives ----------------------------------------------------
 
     def _register_timer(self, deadline: float, waiter: Waiter) -> None:
         self._seq += 1
-        heapq.heappush(self._timers, (deadline, self._seq, waiter))
+        heappush(self._timers, (deadline, self._seq, waiter))
 
     async def park(self, waiter: Waiter, timeout: float | None = None) -> Any:
         if timeout is not None:
-            self._register_timer(self.now() + _quantize(timeout), waiter)
-        self._parked += 1
-        self._maybe_idle()
-        return await waiter.fut
+            self._register_timer(self._clock.now() + _quantize(timeout), waiter)
+        return await waiter
 
     async def sleep(self, delay: float) -> None:
-        waiter = self.make_waiter()
-        self._register_timer(self.now() + _quantize(max(delay, 0.0)), waiter)
-        self._parked += 1
-        self._maybe_idle()
-        await waiter.fut
+        waiter = Waiter()
+        self._register_timer(self._clock.now() + _quantize(max(delay, 0.0)), waiter)
+        await waiter
 
     # -- the driver ----------------------------------------------------
 
-    def _fire_next_timer(self) -> None:
-        while self._timers:
-            deadline, _, waiter = heapq.heappop(self._timers)
-            if waiter.fut.done():
-                continue  # lazily discarded (woken early, e.g. queue put)
-            if deadline > self.now():
-                self._clock.advance(deadline - self.now())
-            self.resolve(waiter, TIMEOUT)
-            return
-        raise RuntimeError(
-            "virtual-time deadlock: every task is parked and no timer is "
-            "pending — some wait is missing its timeout"
-        )
-
     def run(self, main: Coroutine, wall_guard_s: float | None = None) -> Any:
-        if wall_guard_s is None:
-            return asyncio.run(self._drive(main))
-
-        async def _guarded() -> Any:
-            return await asyncio.wait_for(self._drive(main), wall_guard_s)
-
-        return asyncio.run(_guarded())
-
-    async def _drive(self, main: Coroutine) -> Any:
-        self._idle = asyncio.Event()
         handle = self.spawn(main, name="main")
-        while not handle.done:
-            if self._parked != self._tasks:
-                self._idle.clear()
-                await self._idle.wait()
-                continue
-            self._fire_next_timer()
-            # Give the woken task the loop before re-checking idleness.
-            self._idle.clear()
-            await asyncio.sleep(0)
-        self._idle = None
-        return await handle.join()
+        ready, live, timers, clock = self._ready, self._live, self._timers, self._clock
+        if wall_guard_s is not None:
+            wall = MonotonicClock()
+            give_up = wall.now() + wall_guard_s
+        countdown = _GUARD_STRIDE
+        try:
+            while True:
+                while ready:
+                    task, value = ready.popleft()
+                    try:
+                        slot = task.send(value)
+                    except StopIteration:
+                        del live[task]
+                        continue
+                    if type(slot) is not Waiter:
+                        raise ForeignAwaitError(
+                            f"task {live[task][0].name!r} awaited {slot!r}, which is "
+                            "not a scheduler slot: only scheduler primitives may "
+                            "suspend a task in virtual time"
+                        )
+                    slot.task = task
+                    countdown -= 1
+                    if not countdown:
+                        countdown = _GUARD_STRIDE
+                        if wall_guard_s is not None and wall.now() > give_up:
+                            raise TimeoutError(
+                                f"virtual-time run exceeded its {wall_guard_s} s "
+                                "wall guard"
+                            )
+                if handle.done:
+                    break
+                # Every task is parked: fire the earliest live timer.
+                while True:
+                    if not timers:
+                        raise RuntimeError(
+                            "virtual-time deadlock: every task is parked and no "
+                            "timer is pending — some wait is missing its timeout"
+                        )
+                    deadline, _, waiter = heappop(timers)
+                    if not waiter.fired:
+                        break  # fired ones were woken early (e.g. queue put)
+                if deadline > clock.now():
+                    clock.advance(deadline - clock.now())
+                self.resolve(waiter, TIMEOUT)
+        finally:
+            self._close_pending()
+        if handle._error is not None:
+            raise handle._error
+        return handle._result
+
+    def _close_pending(self) -> None:
+        """Close every unfinished task so its ``finally`` blocks run, and
+        drop the queues that could still resume one."""
+        pending = list(self._live.items())
+        self._live.clear()
+        for task, (_, coro) in pending:
+            task.close()
+            coro.close()  # a task that never started never awaited it
+        self._ready.clear()
+        self._timers.clear()
 
 
 class ServiceLock:
     """FIFO mutex built on scheduler parks (fair across sessions).
 
-    ``asyncio.Lock`` would park tasks on futures the virtual driver
-    cannot see, stalling virtual time; this lock routes contention
-    through the scheduler so a blocked fit request is just another
-    parked task.
+    ``asyncio.Lock`` would park tasks where the virtual driver cannot
+    see them; this lock routes contention through the scheduler so a
+    blocked fit request is just another parked task.
     """
 
     __slots__ = ("_scheduler", "_locked", "_waiters")
@@ -307,7 +342,7 @@ class ServiceLock:
     def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
         self._locked = False
-        self._waiters: deque[Waiter] = deque()
+        self._waiters: deque[Any] = deque()
 
     @property
     def locked(self) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable
+from typing import Any, Callable
 
 from ..core.config import DetectorConfig
 from ..core.streaming import CONDEMNED_STATUSES, CallStatus
@@ -42,7 +42,7 @@ from ..protocol.provision import ProtocolProvisioner
 from ..protocol.schedule import ProtocolConfig
 from ..video.frame import Frame
 from .queues import END_OF_STREAM, FrameQueue
-from .scheduler import TIMEOUT, Scheduler, TaskHandle, Waiter
+from .scheduler import TIMEOUT, Scheduler, TaskHandle
 from .tenants import TenantBankCache
 
 __all__ = [
@@ -191,7 +191,7 @@ class VerificationServer:
             )
         self._active = 0  # sessions holding a verification slot
         self._committed = 0  # admitted and not yet finished (incl. queued)
-        self._slot_waiters: deque[Waiter] = deque()  # admission queue (FIFO)
+        self._slot_waiters: deque[Any] = deque()  # admission queue (FIFO)
         self._session_seq = 0
         # Concurrency high-water marks are wall-order facts, not
         # determinism-checked metrics: under concurrent execution they

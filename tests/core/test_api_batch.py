@@ -78,6 +78,21 @@ class TestVerifyClips:
                 verify_clips(pairs, detector, engine=engine if with_engine else None)
             assert len(engine.cache) == 0
 
+    def test_engine_names_the_callers_index_among_duplicates(
+        self, step_signal, reflected_signal
+    ):
+        # Duplicate pairs are extracted once, so the bad pair is the
+        # second distinct cache miss; the error must still name index 2.
+        detector = LivenessDetector(DetectorConfig())
+        detector.fit_from_clips(_make_pairs(8, seed=5))
+        good = (step_signal, reflected_signal)
+        bad = (step_signal, reflected_signal.copy())
+        bad[1][90] = np.nan
+        pairs = [good, good, bad, good]
+        with ExecutionEngine(jobs=1) as engine:
+            with pytest.raises(ValueError, match="signal 2 has a non-finite sample"):
+                verify_clips(pairs, detector, engine=engine)
+
     def test_empty_batch_returns_empty(self):
         detector = LivenessDetector(DetectorConfig())
         assert verify_clips([], detector) == []

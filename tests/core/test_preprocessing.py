@@ -1,11 +1,14 @@
 """The Sec. V filter chain: each stage's numerics plus the composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.batch import ClipBatch
 from repro.core.config import DetectorConfig
 from repro.core.preprocessing import (
+    _filter_kernels,
     design_lowpass,
     lowpass_filter,
     moving_average,
@@ -238,6 +241,42 @@ class TestPreprocessComposition:
         cfg5 = DetectorConfig(sample_rate_hz=5.0)
         pre = preprocess(step_signal, cfg5, 10.0)
         assert np.allclose(pre.peak_times, pre.peak_indices / 5.0)
+
+
+class TestKernelMemo:
+    """preprocess_batch designs its FIR kernels once per config."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"lowpass_taps": 31, "savgol_polyorder": 2}, {"sample_rate_hz": 5.0}],
+    )
+    def test_memoised_kernels_equal_fresh_designs_bit_for_bit(self, overrides):
+        config = DetectorConfig(**overrides)
+        fresh = (
+            design_lowpass(
+                config.lowpass_cutoff_hz, config.sample_rate_hz, config.lowpass_taps
+            ),
+            savgol_coefficients(config.savgol_window, config.savgol_polyorder),
+            np.full(config.moving_average_window, 1.0 / config.moving_average_window),
+        )
+        for _ in range(2):  # the designing call and a memo hit
+            memo = _filter_kernels(config)
+            for got, want in zip(memo, fresh, strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_design_per_filter_fields_shared_read_only(self, config):
+        first = _filter_kernels(config)
+        # Fields outside the filter chain do not make a new design.
+        again = _filter_kernels(dataclasses.replace(config, lof_threshold=2.5))
+        assert all(a is b for a, b in zip(first, again, strict=True))
+        for kernel in first:
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0] = 0.0
+        other = _filter_kernels(dataclasses.replace(config, moving_average_window=5))
+        assert other[2].size == 5
+        assert other[0].tobytes() == first[0].tobytes()
 
 
 class TestNonFiniteInput:

@@ -82,13 +82,6 @@ class TestRegistryContracts:
         assert reg.get("present") is not None
         assert len(reg) == 1
 
-    def test_clear_empties_but_keeps_object(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.clear()
-        assert len(reg) == 0
-        assert reg.snapshot() == MetricsSnapshot()
-
 
 class TestHistogram:
     def test_bucket_layout(self):

@@ -1,8 +1,10 @@
 """Shared fixtures for the service-layer tests.
 
 ``run_guarded`` is the suite's no-hang safety net: every scheduler run
-is bounded by an ``asyncio.wait_for`` wall guard, so a service bug that
-wedges the event loop fails the test instead of hanging the session.
+is bounded by a wall guard (``wall_guard_s``), so a service bug that
+livelocks the virtual driver fails the test with ``TimeoutError``
+instead of hanging the session.  A task that suspends on anything but a
+scheduler slot fails at once with ``ForeignAwaitError``.
 """
 
 from __future__ import annotations

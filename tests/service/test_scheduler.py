@@ -1,10 +1,12 @@
 """VirtualScheduler semantics: deterministic discrete-event time."""
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
-from repro.service import TIMEOUT, ServiceLock, VirtualScheduler
+from repro.service import TIMEOUT, ForeignAwaitError, ServiceLock, VirtualScheduler
 from repro.service.scheduler import _TIME_GRID
 
 from .conftest import run_guarded
@@ -151,15 +153,103 @@ class TestParkAndJoin:
         with pytest.raises(RuntimeError, match="virtual-time deadlock"):
             run_guarded(sched, main())
 
-    def test_wall_guard_surfaces_a_wedged_run(self, sched):
-        """A task awaiting a future the scheduler cannot see stalls
-        virtual time; the wall guard converts the hang into an error."""
 
-        async def wedged():
-            await asyncio.get_running_loop().create_future()
+class TestWallGuardAndForeignAwaits:
+    """Runs that never finish, and suspensions the driver cannot see,
+    fail loudly instead of hanging the process."""
 
-        with pytest.raises(asyncio.TimeoutError):
-            sched.run(wedged(), wall_guard_s=0.2)
+    def test_wall_guard_stops_a_sleep_zero_livelock(self, sched):
+        """Every turn fires a timer but virtual time never advances."""
+
+        async def spin():
+            while True:
+                await sched.sleep(0)
+
+        with pytest.raises(TimeoutError, match="wall guard"):
+            sched.run(spin(), wall_guard_s=0.2)
+
+    def test_wall_guard_stops_a_resolve_ping_pong_without_timers(self, sched):
+        """Two tasks wake each other forever: the ready deque never
+        empties, so no timer ever fires."""
+
+        async def player(inbox, outbox):
+            while True:
+                waiter = sched.make_waiter()
+                inbox.append(waiter)
+                await sched.park(waiter)
+                sched.resolve(outbox.pop(), None)
+
+        async def main():
+            ping, pong = [], []
+            first = sched.spawn(player(ping, pong), name="ping")
+            second = sched.spawn(player(pong, ping), name="pong")
+            await sched.sleep(0)  # both parked: serve the first ball
+            sched.resolve(ping.pop(), None)
+            await first.join()
+            await second.join()
+
+        with pytest.raises(TimeoutError, match="wall guard"):
+            sched.run(main(), wall_guard_s=0.2)
+
+    def test_foreign_await_raises_the_named_error(self, sched):
+        closed = []
+
+        async def stray():
+            try:
+                await asyncio.sleep(0)
+            finally:
+                closed.append("stray")
+
+        async def never_started():
+            closed.append("never started")
+
+        async def main():
+            handle = sched.spawn(stray(), name="stray")
+            sched.spawn(never_started(), name="late")  # queued behind stray
+            await handle.join()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ForeignAwaitError, match="task 'stray' awaited None"):
+                run_guarded(sched, main())
+            gc.collect()
+        # The pending tasks were closed: the parked one ran its finally
+        # block, the unstarted one is not reported as never awaited.
+        assert closed == ["stray"]
+        assert not [w for w in caught if "never awaited" in str(w.message)]
+
+    def test_deadlock_closes_parked_tasks(self, sched):
+        closed = []
+
+        async def stuck():
+            try:
+                await sched.park(sched.make_waiter())
+            finally:
+                closed.append("stuck")
+
+        async def main():
+            await sched.spawn(stuck(), name="stuck").join()
+
+        with pytest.raises(RuntimeError, match="virtual-time deadlock"):
+            run_guarded(sched, main())
+        assert closed == ["stuck"]
+
+    def test_tasks_still_parked_when_main_returns_are_closed(self, sched):
+        closed = []
+
+        async def lingering():
+            try:
+                await sched.sleep(100.0)
+            finally:
+                closed.append(sched.now())
+
+        async def main():
+            sched.spawn(lingering(), name="lingering")
+            await sched.sleep(1.0)
+            return "done"
+
+        assert run_guarded(sched, main()) == "done"
+        assert closed == [1.0]  # closed at once, its timer never fired
 
 
 class TestServiceLock:
