@@ -35,6 +35,126 @@ from . import test_async_rules, test_graph, test_rules, test_taint_rules
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_analyzer.json")
 
+#: Shapes the per-file rules and the fact pass must see the same way
+#: however the module is traversed: module-level effects, nested defs
+#: and local lambdas in methods and coroutines, a lambda in a class
+#: body, test asserts inside nested functions (and the order in which
+#: "computed" names propagate), a suppression on a continuation line,
+#: dataclass ``field(default=[])`` and both numpy.random import forms.
+EDGE_CASE_FILES = {
+    "pkg/__init__.py": "",
+    "pkg/sampling.py": """
+        import dataclasses
+        import random as rnd
+        import time
+
+        import numpy.random
+        from numpy.random import rand
+
+        SEED_NOISE = rand(3)
+        STARTED = time.time()
+        JITTER = numpy.random.normal()
+        PICK = rnd.choice([1, 2])
+        BLESSED = time.perf_counter(
+        )  # reprolint: disable=R002
+
+
+        def draw(scale=[]):
+            import datetime as dt
+
+            stamp = dt.datetime.now()
+            return numpy.random.uniform(0, 1), stamp, scale
+
+
+        def module_task(item):
+            return item
+
+
+        @dataclasses.dataclass
+        class Bucket:
+            items: list = dataclasses.field(default=[])
+            tags: dict = dataclasses.field(default_factory=dict)
+            limit: float = 0.5
+
+
+        class Sampler:
+            scale = lambda self, x: x * 2.0
+
+            def sample(self, engine, tasks, cache={}):
+                def inner(k, acc=[]):
+                    acc.append(rand(k))
+                    return acc
+
+                pick = lambda k, seen=set(): rnd.random() + k
+                checked = self.scale(1.0) == 2.0
+                return (
+                    engine.map_batches(inner, tasks),
+                    engine.map_batches(module_task, tasks),
+                    pick(1),
+                    checked,
+                )
+
+            async def refresh(self, engine, tasks):
+                async def later(delay=dict()):
+                    return time.monotonic()
+
+                step = lambda t: t
+                ready = await later()
+                late = time.time_ns(
+                    1,
+                )  # reprolint: disable=R002
+                return engine.map_batches(step, tasks), ready, late
+
+            def tune(self, config):
+                return config.with_overrides(lof_treshold=2.0, **{"tua": 1})
+        """,
+    "tests/__init__.py": "",
+    "tests/test_edge.py": """
+        from pkg.sampling import Bucket, draw
+
+        assert float("1.5") == 1.5
+        if True:
+            assert float("2.5") == 2.5
+
+
+        def test_outer(build):
+            result = build()
+
+            def check(value):
+                assert value == 0.5
+                assert result.score == 1.0
+
+            check(result.score)
+            helper = lambda: 2.0
+            assert helper() == 2.0
+            assert result, result.score == 0.75
+            plain = Bucket().limit == 0.5
+            assert plain
+
+
+        def test_order(build):
+            for _ in range(2):
+                early = late
+            late = build()
+            assert early == 1.0
+            assert draw()[0] != 0.125
+
+
+        class TestNested:
+            def test_method(self, compute):
+                def nested():
+                    got = compute()
+                    assert got == 0.25
+
+                async def waiter():
+                    value = compute()
+                    assert value == -0.5
+
+                nested()
+                return waiter
+        """,
+}
+
 
 def _trees() -> dict[str, tuple[dict[str, str], object]]:
     """Case name -> (fixture files, lint config)."""
@@ -53,6 +173,7 @@ def _trees() -> dict[str, tuple[dict[str, str], object]]:
         name = f"{rule_id}_FILES"
         trees[name] = (getattr(test_async_rules, name), DEFAULT_LINT_CONFIG)
     trees["R017_FILES"] = (test_taint_rules.TestR017OutputSink.FILES, DEFAULT_LINT_CONFIG)
+    trees["EDGE_CASE_FILES"] = (EDGE_CASE_FILES, DEFAULT_LINT_CONFIG)
     return trees
 
 
