@@ -37,8 +37,9 @@ R017-21   secret flow (:mod:`repro.analysis.taint`)
 ========  ==========================================================
 
 All fifteen read the same per-module summaries: one fact pass per
-function (:mod:`repro.analysis.graph.summarize`), cached through one
-generic dataclass/JSON codec (:mod:`repro.analysis.graph.codec`), and
+function (:mod:`repro.analysis.graph.summarize`) over the one-pass module
+index the per-file rules query (:mod:`repro.analysis.context`), cached
+through one generic dataclass/JSON codec (:mod:`repro.analysis.graph.codec`), and
 every fixed point runs on one solver
 (:func:`repro.analysis.graph.callgraph.propagate`).
 

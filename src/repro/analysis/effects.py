@@ -1,13 +1,14 @@
-"""Shared effect vocabulary: which external calls are RNG / wall-clock.
+"""Shared vocabulary of the per-file rules and the whole-program layer.
 
-The per-file rules (R001/R002) and the whole-program summarizer
+The per-file rules (R001-R006) and the whole-program summarizer
 (:mod:`repro.analysis.graph.summarize`) must agree on what counts as
 "unseeded randomness" and "a wall-clock read" — otherwise a call the
 per-file rule flags could propagate differently through the call graph.
-Both layers classify a fully resolved dotted path (``numpy.random.rand``,
-``time.perf_counter``) through the two functions here, and both read
+:func:`call_effect` classifies every fully resolved dotted path
+(``numpy.random.rand``, ``time.perf_counter``) for both, and both read
 pool submissions (R003 per file, R007/R011/R014 through the graph)
-through :func:`map_batches_args`.
+through :func:`map_batches_args`, as well as the small expression
+shapes below.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from __future__ import annotations
 import ast
 
 __all__ = [
-    "rng_effect",
-    "clock_effect",
+    "call_effect",
+    "callee_name",
+    "dotted_parts",
+    "first_call_in",
+    "is_dataclass",
     "map_batches_args",
 ]
 
@@ -54,21 +58,54 @@ WALL_CLOCK_PATHS = frozenset(
 )
 
 
-def rng_effect(path: tuple[str, ...]) -> str | None:
-    """The offending dotted name when ``path`` draws from global RNG
-    state, else None (seeded constructors are allowed)."""
+def call_effect(path: tuple[str, ...]) -> tuple[str, str] | None:
+    """``("rng", detail)`` when ``path`` draws from global RNG state
+    (seeded constructors are allowed), ``("clock", detail)`` when it
+    reads the wall clock, else None; ``detail`` is the dotted name."""
     if len(path) == 3 and path[:2] == ("numpy", "random") and path[2] not in RNG_ALLOWED_NUMPY:
-        return ".".join(path)
+        return "rng", ".".join(path)
     if len(path) == 2 and path[0] == "random":
-        return ".".join(path)
-    return None
-
-
-def clock_effect(path: tuple[str, ...]) -> str | None:
-    """The offending dotted name when ``path`` reads the wall clock."""
+        return "rng", ".".join(path)
     if path in WALL_CLOCK_PATHS:
-        return ".".join(path)
+        return "clock", ".".join(path)
     return None
+
+
+def dotted_parts(expr: ast.expr) -> tuple[str, list[str]] | None:
+    """(base name, attribute chain) for a plain dotted expression."""
+    parts: list[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.reverse()
+    return node.id, parts
+
+
+def callee_name(func: ast.expr) -> str:
+    """The final segment of a callee (``print``, ``field``, ``get``)."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
+
+
+def first_call_in(expr: ast.expr) -> ast.Call | None:
+    for sub in ast.walk(expr):
+        if isinstance(sub, ast.Call):
+            return sub
+    return None
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """True when any decorator is ``dataclass`` (bare, dotted or called)."""
+    return any(
+        callee_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
 
 
 def map_batches_args(

@@ -26,7 +26,7 @@ import dataclasses
 from typing import Callable
 
 from ..config import DEFAULT_LINT_CONFIG, LintConfig
-from ..effects import clock_effect, rng_effect
+from ..effects import call_effect
 from .summarize import CallTarget, ModuleSummary
 
 __all__ = ["NodeInfo", "Edge", "ProgramGraph", "build_graph", "propagate"]
@@ -284,16 +284,9 @@ def build_graph(
                     if init_id in graph.nodes:
                         edges.append(Edge(node_id, init_id, call.line, call.ref))
                 elif resolved[0] == "external":
-                    path = resolved[1]
-                    for kind, detail in (
-                        ("rng", rng_effect(path)),
-                        ("clock", clock_effect(path)),
-                    ):
-                        if detail is None:
-                            continue
-                        if kind == "clock" and allowlisted:
-                            continue
-                        effects.append((kind, detail, call.line, "cross"))
+                    effect = call_effect(resolved[1])
+                    if effect is not None and not (effect[0] == "clock" and allowlisted):
+                        effects.append((*effect, call.line, "cross"))
             unique = sorted(set(edges), key=lambda e: (e.callee, e.line, e.ref))
             graph.edges[node_id] = tuple(unique)
             graph.direct_effects[node_id] = tuple(

@@ -29,14 +29,15 @@ to the recorders:
   model does that at graph time against ``[tool.reprolint.taint]``, so
   summaries stay cache-stable across policy edits.
 
-Effect detection reuses the per-file machinery: literal dotted calls are
-resolved through :meth:`~repro.analysis.context.ModuleContext.
-resolve_dotted` (the same import-alias tables R001/R002 use) and
-classified by :mod:`repro.analysis.effects`, so the two layers cannot
-disagree about what counts as randomness or a clock read.  An effect on
-a line carrying the corresponding per-file suppression (``R001`` for
-RNG, ``R002`` for clock) is treated as *blessed* and not recorded — a
-justified inline suppression extends to the whole-program rules.
+The fact pass reads the per-file rules' index: a function's nodes are
+its :class:`~repro.analysis.context.ModuleContext` node list (in
+``ast.walk`` order), and each call's callee path and RNG/clock class
+come from :meth:`~repro.analysis.context.ModuleContext.resolve_call` —
+the one answer R001/R002 read too, so the two layers cannot disagree.
+An effect on a line carrying the corresponding per-file suppression
+(``R001`` for RNG, ``R002`` for clock) is treated as *blessed* and not
+recorded — a justified inline suppression extends to the whole-program
+rules.  The referenced names come from the same index.
 
 Calls the module cannot resolve locally (a name imported from another
 project module) are recorded as absolute dotted targets; the resolver in
@@ -50,7 +51,7 @@ import ast
 import dataclasses
 
 from ..context import ModuleContext
-from ..effects import clock_effect, map_batches_args, rng_effect
+from ..effects import callee_name, dotted_parts, first_call_in, is_dataclass, map_batches_args
 from .symbols import Binding, collect_bindings, module_name_for
 
 __all__ = [
@@ -101,6 +102,9 @@ _TIMEOUT_ARITY = {"park": 2, "get": 1, "run": 2}
 
 #: Dotted externals that block the hosting thread.
 _BLOCKING_PREFIXES = ("subprocess.", "os.system", "shutil.")
+
+#: The per-file rule whose suppression blesses each effect kind.
+_EFFECT_RULES = {"rng": "R001", "clock": "R002"}
 
 #: Hard cap on recorded secret-flow items per function; a generated
 #: megafunction cannot blow up the summary cache.
@@ -434,10 +438,6 @@ class ModuleSummary:
     var_ctors: dict[str, CallTarget] = dataclasses.field(default_factory=dict)
     error: str | None = None
 
-    def is_suppressed(self, line: int, rule_id: str) -> bool:
-        rules = self.suppressions.get(line, ())
-        return rule_id in rules or "all" in rules or "*" in rules
-
 
 def error_summary(path: str, message: str) -> ModuleSummary:
     """Placeholder summary for a file that could not be analyzed."""
@@ -462,24 +462,11 @@ def error_summary(path: str, message: str) -> ModuleSummary:
 # ----------------------------------------------------------------------
 
 
-def _dotted_parts(expr: ast.expr) -> tuple[str, list[str]] | None:
-    """(base name, attribute chain) for a plain dotted expression."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.reverse()
-    return node.id, parts
-
-
 def _classify_target(
     expr: ast.expr, bindings: dict[str, Binding], cls_name: str | None
 ) -> CallTarget | None:
     """Resolve a call/reference expression against the module bindings."""
-    dotted = _dotted_parts(expr)
+    dotted = dotted_parts(expr)
     if dotted is None:
         return None
     base, parts = dotted
@@ -527,14 +514,6 @@ def _is_self_attr(expr: ast.expr) -> bool:
     )
 
 
-def _method_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def _receiver_text(func: ast.expr) -> str:
     if isinstance(func, ast.Attribute):
         return ast.unparse(func.value).lower()
@@ -547,13 +526,6 @@ def _has_timeout(call: ast.Call, method: str) -> bool:
             return True
     arity = _TIMEOUT_ARITY.get(method)
     return arity is not None and len(call.args) >= arity
-
-
-def _first_call_in(expr: ast.expr) -> ast.Call | None:
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Call):
-            return sub
-    return None
 
 
 def _name_targets(target: ast.expr) -> list[str]:
@@ -623,7 +595,7 @@ class _FactPass:
         return _classify_target(expr, self.bindings, self.cls_name)
 
     def run(self, func_node: ast.FunctionDef | ast.AsyncFunctionDef, qual: str) -> FunctionSummary:
-        nodes = list(ast.walk(func_node))
+        nodes = self.ctx.function_nodes[func_node]
         # Prepass: local name -> value expression (last assignment wins)
         # and the declared globals.
         for node in nodes:
@@ -754,7 +726,7 @@ class _FactPass:
             arg_exprs.extend(keyword.value for keyword in node.keywords)
             use = CallUse(
                 target=self.classify(func),
-                method=_method_name(func),
+                method=callee_name(func),
                 receiver=_receiver_text(func),
                 line=node.lineno,
                 recv=recv,
@@ -767,8 +739,8 @@ class _FactPass:
 
     def _visit_call(self, node: ast.Call, qual: str) -> None:
         use = self.call_use(node)
-        resolved = self.ctx.resolve_dotted(node.func)
-        if not self._record_effect(node, resolved):
+        resolved, effect = self.ctx.resolve_call(node)
+        if not self._record_effect(node, effect):
             if use.target is not None:
                 self.calls.append(use.target)
             self._record_map_site(node, qual)
@@ -783,22 +755,15 @@ class _FactPass:
         self._record_blocking(node, use.target, resolved)
         self._record_flow_call(node, use)
 
-    def _record_effect(self, node: ast.Call, resolved: list[str] | None) -> bool:
+    def _record_effect(self, node: ast.Call, effect: tuple[str, str] | None) -> bool:
         """True when the call is a tracked external effect (recorded or
         blessed by a per-file suppression) — either way, not an edge."""
-        if resolved is None:
+        if effect is None:
             return False
-        path = tuple(resolved)
-        for kind, detail, per_file_rule in (
-            ("rng", rng_effect(path), "R001"),
-            ("clock", clock_effect(path), "R002"),
-        ):
-            if detail is None:
-                continue
-            if not self.ctx.is_suppressed(node, per_file_rule):
-                self.effects.append(Effect(kind, detail, node.lineno))
-            return True
-        return False
+        kind, detail = effect
+        if not self.ctx.is_suppressed(node, _EFFECT_RULES[kind]):
+            self.effects.append(Effect(kind, detail, node.lineno))
+        return True
 
     def _record_callable_refs(self, node: ast.Call) -> None:
         """Bare function names passed as arguments become may-call edges."""
@@ -871,12 +836,12 @@ class _FactPass:
         return self.classify(call.args[0].func)
 
     def _record_blocking(
-        self, node: ast.Call, target: CallTarget | None, resolved: list[str] | None
+        self, node: ast.Call, target: CallTarget | None, resolved: tuple[str, ...] | None
     ) -> None:
         if _is_open_call(node, self.bindings, target):
             self.blocking.append(BlockingSite("open", node.lineno))
             return
-        if resolved is not None and tuple(resolved) == ("time", "sleep"):
+        if resolved == ("time", "sleep"):
             self.blocking.append(BlockingSite("time.sleep", node.lineno))
             return
         if target is None or target.kind != "dotted":
@@ -943,14 +908,14 @@ class _FactPass:
             getter = self.classify(expr.func)
             if getter is None:
                 return None
-            return LockSite("call", _method_name(expr.func), line, end_line, getter=getter)
+            return LockSite("call", callee_name(expr.func), line, end_line, getter=getter)
         return None
 
     def _name_lock(self, name: str, line: int, end_line: int) -> LockSite:
         assigned = self.assigns.get(name)
         call = assigned if isinstance(assigned, ast.Call) else None
         if assigned is not None and call is None:
-            call = _first_call_in(assigned)
+            call = first_call_in(assigned)
         ctor = self.classify(call.func) if call is not None else None
         return LockSite("name", name, line, end_line, ctor=ctor)
 
@@ -1049,9 +1014,9 @@ class _FactPass:
 
 
 def _class_facts(
-    node: ast.ClassDef, bindings: dict[str, Binding]
+    assigns: list[ast.Assign], bindings: dict[str, Binding]
 ) -> tuple[tuple[Hazard, ...], tuple[tuple[str, CallTarget, bool], ...]]:
-    """One walk of the class body for its ``self.<attr> = ...`` facts.
+    """The ``self.<attr> = ...`` facts among a class's indexed assignments.
 
     Hazards: ``self.x = open(...)`` / lambda / ``Instrumentation.
     enabled()``.  Constructors: ``self.x = Ctor(...)`` (or a list/dict
@@ -1060,9 +1025,7 @@ def _class_facts(
     """
     hazards: list[Hazard] = []
     ctors: dict[str, tuple[CallTarget, bool]] = {}
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Assign):
-            continue
+    for sub in assigns:
         value = sub.value
         for target in sub.targets:
             if not _is_self_attr(target):
@@ -1077,7 +1040,7 @@ def _class_facts(
                     hazards.append(Hazard("instrumentation", target.attr, sub.lineno))
             if target.attr in ctors:
                 continue
-            call = value if isinstance(value, ast.Call) else _first_call_in(value)
+            call = value if isinstance(value, ast.Call) else first_call_in(value)
             if call is None:
                 continue
             ctor = _classify_target(call.func, bindings, None)
@@ -1088,18 +1051,11 @@ def _class_facts(
     )
 
 
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    expr = node.func if isinstance(node, ast.Call) else node
-    if isinstance(expr, ast.Attribute):
-        return expr.attr == "dataclass"
-    return isinstance(expr, ast.Name) and expr.id == "dataclass"
-
-
 def _field_hides_repr(value: ast.expr | None) -> bool:
     """True for ``field(..., repr=False)`` (any ``*field`` callable)."""
     if not isinstance(value, ast.Call):
         return False
-    if _method_name(value.func) != "field":
+    if callee_name(value.func) != "field":
         return False
     for keyword in value.keywords:
         if keyword.arg == "repr" and isinstance(keyword.value, ast.Constant):
@@ -1110,7 +1066,7 @@ def _field_hides_repr(value: ast.expr | None) -> bool:
 def _dataclass_fields(node: ast.ClassDef) -> tuple[DataclassField, ...]:
     """Annotated fields of a ``@dataclass`` class body (empty for
     ordinary classes)."""
-    if not any(_is_dataclass_decorator(d) for d in node.decorator_list):
+    if not is_dataclass(node):
         return ()
     return tuple(
         DataclassField(sub.target.id, sub.lineno, _field_hides_repr(sub.value))
@@ -1134,18 +1090,6 @@ def _collect_var_ctors(
             if isinstance(target, ast.Name):
                 out.setdefault(target.id, ctor)
     return out
-
-
-def _collect_refs(tree: ast.Module) -> tuple[str, ...]:
-    """Every identifier the module references: loaded names plus
-    attribute names (the coarse usage relation R009 runs on)."""
-    refs: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-    return tuple(sorted(refs))
 
 
 def summarize_module(ctx: ModuleContext, path: str | None = None) -> ModuleSummary:
@@ -1172,7 +1116,7 @@ def summarize_module(ctx: ModuleContext, path: str | None = None) -> ModuleSumma
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     summarize(sub, f"{node.name}.{sub.name}", node.name)
                     methods.append(sub.name)
-            hazards, attr_ctors = _class_facts(node, bindings)
+            hazards, attr_ctors = _class_facts(ctx.class_assigns[node], bindings)
             classes[node.name] = ClassSummary(
                 name=node.name,
                 line=node.lineno,
@@ -1191,7 +1135,7 @@ def summarize_module(ctx: ModuleContext, path: str | None = None) -> ModuleSumma
         exports=tuple(exports) if exports is not None else None,
         functions=functions,
         classes=classes,
-        refs=_collect_refs(ctx.tree),
+        refs=tuple(sorted(ctx.refs)),
         suppressions=ctx.suppression_table(),
         map_sites=tuple(map_sites),
         var_ctors=_collect_var_ctors(ctx.tree, bindings),

@@ -27,7 +27,6 @@ under ``[tool.reprolint.rules]``).
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path, PurePath
 
 from .async_ import rules as _async_rules  # noqa: F401 - import registers R012-R016
@@ -170,6 +169,7 @@ def lint_paths(
     and contribute no findings.
     """
     config = config if config is not None else DEFAULT_LINT_CONFIG
+    rules = rules if rules is not None else registered_rules()
     files = collect_files(paths)
     findings: list[Finding] = []
     summaries = []
@@ -191,48 +191,33 @@ def lint_paths(
                     summaries.append(summary)
                     continue  # fast path: no parse needed at all
 
+        ctx = None
         try:
-            source = raw.decode("utf-8")
+            ctx = ModuleContext(report_path, raw.decode("utf-8"), config=config)
         except UnicodeDecodeError as exc:
-            if selected:
-                findings.append(_encoding_finding(report_path, exc))
-            if graph and summary is None:
-                summary = error_summary(report_path, "not valid UTF-8")
-                _count_summary(metrics, "miss")
-                if cache is not None:
-                    cache.put(report_path, digest, summary, str(file_path))
-            if graph:
-                summaries.append(summary)
-            continue
-        try:
-            ctx = ModuleContext(report_path, source, config=config)
+            failure, reason = _encoding_finding(report_path, exc), "not valid UTF-8"
         except SyntaxError as exc:
-            if selected:
-                findings.append(_syntax_finding(report_path, exc))
-            if graph and summary is None:
-                summary = error_summary(report_path, f"syntax error: {exc.msg}")
-                _count_summary(metrics, "miss")
-                if cache is not None:
-                    cache.put(report_path, digest, summary, str(file_path))
-            if graph:
-                summaries.append(summary)
-            continue
+            failure, reason = _syntax_finding(report_path, exc), f"syntax error: {exc.msg}"
 
-        if selected:
+        if ctx is None:
+            if selected:
+                findings.append(failure)
+        elif selected:
             tracked.append((report_path, ctx))
-            for rule_cls in rules if rules is not None else registered_rules():
+            for rule_cls in rules:
                 findings.extend(rule_cls(ctx).run())
         if graph:
             if summary is None:
-                summary = summarize_module(ctx, report_path)
+                summary = (
+                    summarize_module(ctx, report_path)
+                    if ctx is not None
+                    else error_summary(report_path, reason)
+                )
                 _count_summary(metrics, "miss")
                 if cache is not None:
                     cache.put(report_path, digest, summary, str(file_path))
             summaries.append(summary)
 
-    per_file_ids = {
-        rule_cls.id for rule_cls in (rules if rules is not None else registered_rules())
-    }
     graph_rule_classes = registered_graph_rules()
 
     program_graph: ProgramGraph | None = None
@@ -245,7 +230,7 @@ def lint_paths(
                 if only is None or finding.path in only:
                     findings.append(finding)
 
-    assessable = set(per_file_ids)
+    assessable = {rule_cls.id for rule_cls in rules}
     if graph:
         assessable.update(rule_cls.id for rule_cls in graph_rule_classes)
     findings.extend(

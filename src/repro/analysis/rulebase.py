@@ -1,17 +1,23 @@
-"""Rule framework: base visitor class, metadata, and the registry.
+"""Rule framework: base classes, metadata, and the registry.
 
-A rule is an :class:`ast.NodeVisitor` with identity metadata (id, title,
-rationale).  Rules are registered with :func:`register` at import time;
-the linter instantiates every registered rule once per module and runs
-it over the module's AST.  ``report`` funnels every diagnostic through
-the context's suppression check, so inline ``# reprolint: disable=``
-comments work uniformly across rules.
+A per-file rule is a :class:`Rule` with identity metadata (id, title,
+rationale) and one :meth:`Rule.check` that *queries* the module's
+:class:`~.context.ModuleContext`: the context has already walked the
+tree once and indexed it (calls, compares, asserts, defs and lambdas,
+class defs, scopes, resolved callees), so a rule loops over the lists
+it needs and never traverses the tree itself.  Rules are registered
+with :func:`register` at import time; the linter instantiates every
+registered rule once per module and runs it.  ``report`` funnels every
+diagnostic through the context's suppression check, so inline
+``# reprolint: disable=`` comments work uniformly across rules.
 
 Adding a rule:
 
 1. subclass :class:`Rule`, set ``id`` (``Rxxx``), ``title`` and
    ``rationale``;
-2. implement ``visit_*`` methods calling ``self.report(node, message)``;
+2. implement ``check`` over the context's index (add a table to the
+   index pass in :mod:`.context` if none fits), calling
+   ``self.report(node, message)``;
 3. decorate with ``@register``;
 4. add a fixture snippet to ``tests/analysis/test_rules.py`` that
    triggers it exactly once.
@@ -38,7 +44,7 @@ __all__ = [
 ]
 
 
-class Rule(ast.NodeVisitor):
+class Rule:
     """Base class for one reprolint rule over one module."""
 
     id: str = ""
@@ -53,8 +59,12 @@ class Rule(ast.NodeVisitor):
         self.findings: list[Finding] = []
 
     def run(self) -> list[Finding]:
-        self.visit(self.ctx.tree)
+        self.check()
         return self.findings
+
+    def check(self) -> None:
+        """Query ``self.ctx`` and report every offending node."""
+        raise NotImplementedError
 
     def report(self, node: ast.AST, message: str) -> None:
         if self.ctx.is_suppressed(node, self.id):
@@ -162,29 +172,29 @@ def registered_rule_ids() -> frozenset[str]:
 def rule_category(rule_id: str) -> str:
     """The category of a registered rule; meta/error ids (``W...``,
     ``E000``) are synthesized by the linter, not registered here."""
-    if rule_id in _REGISTRY:
-        return _REGISTRY[rule_id].category
-    if rule_id in _GRAPH_REGISTRY:
-        return _GRAPH_REGISTRY[rule_id].category
+    cls = _REGISTRY.get(rule_id) or _GRAPH_REGISTRY.get(rule_id)
+    if cls is not None:
+        return cls.category
     if rule_id.startswith("W"):
         return "meta"
     return "error"
+
+
+def _metadata(cls) -> dict[str, str]:
+    return {
+        "id": cls.id,
+        "title": cls.title,
+        "category": cls.category,
+        "rationale": " ".join(cls.rationale.split()),
+        "example": cls.example,
+    }
 
 
 def rule_metadata() -> list[dict[str, str]]:
     """JSON-friendly rule table (id, title, category, rationale,
     example), per-file and graph rules interleaved in id order."""
     merged = {**_REGISTRY, **_GRAPH_REGISTRY}
-    return [
-        {
-            "id": rule_id,
-            "title": merged[rule_id].title,
-            "category": merged[rule_id].category,
-            "rationale": " ".join(merged[rule_id].rationale.split()),
-            "example": merged[rule_id].example,
-        }
-        for rule_id in sorted(merged)
-    ]
+    return [_metadata(merged[rule_id]) for rule_id in sorted(merged)]
 
 
 #: Diagnostics the linter synthesizes outside the registry (suppression
@@ -218,14 +228,7 @@ _META_METADATA: dict[str, dict[str, str]] = {
 
 def explain_rule(rule_id: str) -> dict[str, str] | None:
     """Full metadata for one rule id (registered or meta), or None."""
-    merged = {**_REGISTRY, **_GRAPH_REGISTRY}
-    if rule_id in merged:
-        cls = merged[rule_id]
-        return {
-            "id": rule_id,
-            "title": cls.title,
-            "category": cls.category,
-            "rationale": " ".join(cls.rationale.split()),
-            "example": cls.example,
-        }
+    cls = _REGISTRY.get(rule_id) or _GRAPH_REGISTRY.get(rule_id)
+    if cls is not None:
+        return _metadata(cls)
     return _META_METADATA.get(rule_id)

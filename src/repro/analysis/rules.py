@@ -14,7 +14,7 @@ import ast
 import dataclasses
 
 from ..core.config import DetectorConfig
-from .effects import clock_effect, map_batches_args, rng_effect
+from .effects import callee_name, first_call_in, is_dataclass, map_batches_args
 from .rulebase import Rule, register
 
 __all__ = ["CONFIG_FIELDS"]
@@ -30,15 +30,39 @@ def _is_float_literal(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-def _contains_call(node: ast.expr) -> bool:
-    return any(isinstance(sub, ast.Call) for sub in ast.walk(node))
+def _is_computed(expr: ast.expr, computed: set[str]) -> bool:
+    """True when ``expr`` holds a call, or reads (through attribute and
+    subscript layers) a name already known to be computed."""
+    if first_call_in(expr) is not None:
+        return True
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+    return isinstance(expr, ast.Name) and expr.id in computed
 
 
-def _root_name(node: ast.expr) -> str | None:
-    """Peel attribute/subscript layers down to the base ``Name``."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
+def _equality_pairs(node: ast.Compare):
+    operands = [node.left, *node.comparators]
+    for i, op in enumerate(node.ops):
+        if isinstance(op, (ast.Eq, ast.NotEq)):
+            yield operands[i], operands[i + 1]
+
+
+def _computed_names(nodes: list[ast.AST]) -> set[str]:
+    """Names assigned (directly or transitively, in ``nodes`` order)
+    from a call result."""
+    computed: set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_computed(value, computed):
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                computed.update(el.id for el in elts if isinstance(el, ast.Name))
+    return computed
 
 
 @register
@@ -52,24 +76,27 @@ class UnseededRandomnessRule(Rule):
     via numpy.random.default_rng / SeedSequence (see core.seeding.spawn_seeds)
     and pass it down."""
 
-    def visit_Call(self, node: ast.Call) -> None:
-        # Classified by analysis.effects, like the whole-program layer,
-        # so the two passes cannot disagree about what counts as seeded.
-        target = self.ctx.resolve_dotted(node.func)
-        detail = rng_effect(tuple(target)) if target is not None else None
-        if detail is not None and detail.startswith("numpy."):
-            self.report(
-                node,
-                f"call to {detail} uses the global RNG; "
-                "seed an explicit numpy.random.default_rng instead",
-            )
-        elif detail is not None:
-            self.report(
-                node,
-                f"call to stdlib {detail} uses the global RNG; "
-                "use a seeded numpy.random.default_rng instead",
-            )
-        self.generic_visit(node)
+    def check(self) -> None:
+        # Classified once per call by the context, for this rule and the
+        # whole-program layer alike, so the two passes cannot disagree
+        # about what counts as seeded.
+        for node in self.ctx.calls:
+            effect = self.ctx.resolve_call(node)[1]
+            if effect is None or effect[0] != "rng":
+                continue
+            detail = effect[1]
+            if detail.startswith("numpy."):
+                self.report(
+                    node,
+                    f"call to {detail} uses the global RNG; "
+                    "seed an explicit numpy.random.default_rng instead",
+                )
+            else:
+                self.report(
+                    node,
+                    f"call to stdlib {detail} uses the global RNG; "
+                    "use a seeded numpy.random.default_rng instead",
+                )
 
 
 @register
@@ -83,25 +110,21 @@ class WallClockRule(Rule):
     (which everything else, including the rest of obs/, must go through)
     and the historical perf instrumentation in engine/perf.py."""
 
-    def run(self) -> list:
+    def check(self) -> None:
         # The modules allowed to touch the real clock come from the
         # [tool.reprolint] wall-clock-allowlist (default: obs/clock.py
         # alone — not obs/ wholesale — plus the historical engine/perf.py).
         if self.ctx.path.endswith(tuple(self.ctx.config.wall_clock_allowlist)):
-            return self.findings
-        return super().run()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        target = self.ctx.resolve_dotted(node.func)
-        detail = clock_effect(tuple(target)) if target is not None else None
-        if detail is not None:
-            self.report(
-                node,
-                f"wall-clock read {detail}() outside obs/clock.py; "
-                "derive time from the session clock or route timing through "
-                "the obs.clock abstraction",
-            )
-        self.generic_visit(node)
+            return
+        for node in self.ctx.calls:
+            effect = self.ctx.resolve_call(node)[1]
+            if effect is not None and effect[0] == "clock":
+                self.report(
+                    node,
+                    f"wall-clock read {effect[1]}() outside obs/clock.py; "
+                    "derive time from the session clock or route timing through "
+                    "the obs.clock abstraction",
+                )
 
 
 @register
@@ -114,26 +137,27 @@ class UnpicklableTaskRule(Rule):
     there — but only once jobs > 1, so the defect hides in serial test
     runs.  Task functions must be module-level."""
 
-    def visit_Call(self, node: ast.Call) -> None:
-        args = map_batches_args(node)
-        fn_arg = args[0] if args is not None else None
-        if isinstance(fn_arg, ast.Lambda):
-            self.report(
-                node,
-                "lambda passed to ExecutionEngine.map_batches cannot be "
-                "pickled to worker processes; use a module-level function",
-            )
-        elif isinstance(fn_arg, ast.Name) and (
-            fn_arg.id in self.ctx.nested_function_names
-            or fn_arg.id in self.ctx.lambda_names
-        ):
-            self.report(
-                node,
-                f"'{fn_arg.id}' is a nested def/lambda; "
-                "ExecutionEngine.map_batches payloads must be "
-                "module-level functions (picklable)",
-            )
-        self.generic_visit(node)
+    def check(self) -> None:
+        for node in self.ctx.calls:
+            args = map_batches_args(node)
+            fn_arg = args[0] if args is not None else None
+            if isinstance(fn_arg, ast.Lambda):
+                self.report(
+                    node,
+                    "lambda passed to ExecutionEngine.map_batches cannot be "
+                    "pickled to worker processes; use a module-level function",
+                )
+            elif isinstance(fn_arg, ast.Name) and self.ctx.binds_local_callable(
+                node, fn_arg.id
+            ):
+                # Scoped: a module-level function that merely shares its
+                # name with some other function's local def is fine.
+                self.report(
+                    node,
+                    f"'{fn_arg.id}' is a nested def/lambda; "
+                    "ExecutionEngine.map_batches payloads must be "
+                    "module-level functions (picklable)",
+                )
 
 
 @register
@@ -147,94 +171,44 @@ class FloatEqualityRule(Rule):
     legally change.  Use pytest.approx / math.isclose for computed values; a
     verbatim check keeps == with an inline suppression."""
 
-    def run(self) -> list:
-        self._checked: set[int] = set()
+    def check(self) -> None:
         if self.ctx.is_test:
-            self._run_over_test_asserts()
-        else:
-            self.visit(self.ctx.tree)
-        return self.findings
-
-    # --- library code: every float-literal equality is suspect ---------
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        for left, op, right in self._equality_pairs(node):
-            if _is_float_literal(left) or _is_float_literal(right):
+            self._check_test_asserts()
+            return
+        # Library code: every float-literal equality is suspect.
+        for node in self.ctx.compares:
+            if any(
+                _is_float_literal(left) or _is_float_literal(right)
+                for left, right in _equality_pairs(node)
+            ):
                 self.report(
                     node,
                     "exact float equality; computed floats need a tolerance "
                     "(math.isclose) — suppress inline if the value is set verbatim",
                 )
-                break
-        self.generic_visit(node)
 
-    # --- test code: only asserts, and only on computed values ----------
-
-    def _run_over_test_asserts(self) -> None:
-        module_scope: list[ast.Assert] = [
-            stmt for stmt in self.ctx.tree.body if isinstance(stmt, ast.Assert)
-        ]
-        self._check_asserts(module_scope, computed=set())
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                asserts = [
-                    sub for sub in ast.walk(node) if isinstance(sub, ast.Assert)
-                ]
-                self._check_asserts(asserts, computed=self._computed_names(node))
-
-    @staticmethod
-    def _computed_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        """Names assigned (directly or transitively) from a call result."""
-        computed: set[str] = set()
-        for node in ast.walk(func):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            if value is None:
-                continue
-            root = _root_name(value)
-            if _contains_call(value) or (root is not None and root in computed):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        computed.add(target.id)
-                    elif isinstance(target, ast.Tuple):
-                        computed.update(
-                            el.id for el in target.elts if isinstance(el, ast.Name)
-                        )
-        return computed
-
-    def _check_asserts(self, asserts: list[ast.Assert], computed: set[str]) -> None:
-        for stmt in asserts:
-            for node in ast.walk(stmt.test):
-                if not isinstance(node, ast.Compare) or id(node) in self._checked:
+    def _check_test_asserts(self) -> None:
+        """Test code: only asserts, and only on computed values.  An
+        assert's names count as computed from its outermost function
+        (None for the module body, where nothing is)."""
+        computed: dict = {None: set()}
+        for node, outer in self.ctx.assert_compares:
+            for left, right in _equality_pairs(node):
+                if _is_float_literal(left):
+                    other = right
+                elif _is_float_literal(right):
+                    other = left
+                else:
                     continue
-                self._checked.add(id(node))
-                for left, op, right in self._equality_pairs(node):
-                    literal, other = None, None
-                    if _is_float_literal(left):
-                        literal, other = left, right
-                    elif _is_float_literal(right):
-                        literal, other = right, left
-                    if literal is None:
-                        continue
-                    root = _root_name(other)
-                    if _contains_call(other) or (root is not None and root in computed):
-                        self.report(
-                            node,
-                            "assert compares a computed float with exact ==; use "
-                            "pytest.approx — suppress inline if set verbatim",
-                        )
-                        break
-
-    @staticmethod
-    def _equality_pairs(node: ast.Compare):
-        operands = [node.left, *node.comparators]
-        for i, op in enumerate(node.ops):
-            if isinstance(op, (ast.Eq, ast.NotEq)):
-                yield operands[i], op, operands[i + 1]
+                if outer not in computed:
+                    computed[outer] = _computed_names(self.ctx.function_nodes[outer])
+                if _is_computed(other, computed[outer]):
+                    self.report(
+                        node,
+                        "assert compares a computed float with exact ==; use "
+                        "pytest.approx — suppress inline if set verbatim",
+                    )
+                    break
 
 
 @register
@@ -262,7 +236,7 @@ class MutableDefaultRule(Rule):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id in self._MUTABLE_CTORS:
                 return True
-            target = self.ctx.resolve_dotted(node.func)
+            target = self.ctx.resolve_call(node)[0]
             if (
                 target is not None
                 and len(target) == 2
@@ -272,72 +246,34 @@ class MutableDefaultRule(Rule):
                 return True
         return False
 
-    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if self._is_mutable(default):
-                self.report(
-                    default,
-                    "mutable default argument is shared across calls; "
-                    "default to None and construct inside the function",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._is_dataclass(node):
+    def check(self) -> None:
+        for node in self.ctx.callables:
+            # kw_defaults holds None for keyword-only args without one.
+            for default in (*node.args.defaults, *node.args.kw_defaults):
+                if self._is_mutable(default):
+                    self.report(
+                        default,
+                        "mutable default argument is shared across calls; "
+                        "default to None and construct inside the function",
+                    )
+        for node in self.ctx.classes:
+            if not is_dataclass(node):
+                continue
             for stmt in node.body:
                 if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
                     continue
                 value = stmt.value
-                if self._is_field_call(value):
-                    for keyword in value.keywords:  # type: ignore[union-attr]
-                        if keyword.arg == "default" and self._is_mutable(keyword.value):
-                            self.report(
-                                keyword.value,
-                                "mutable dataclass field default is shared across "
-                                "instances; use field(default_factory=...)",
-                            )
-                elif self._is_mutable(value):
-                    self.report(
-                        value,
-                        "mutable dataclass field default is shared across "
-                        "instances; use field(default_factory=...)",
-                    )
-        self.generic_visit(node)
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            expr = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = expr.attr if isinstance(expr, ast.Attribute) else (
-                expr.id if isinstance(expr, ast.Name) else ""
-            )
-            if name == "dataclass":
-                return True
-        return False
-
-    @staticmethod
-    def _is_field_call(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        return name == "field"
+                if isinstance(value, ast.Call) and callee_name(value.func) == "field":
+                    defaults = [kw.value for kw in value.keywords if kw.arg == "default"]
+                else:
+                    defaults = [value]
+                for default in defaults:
+                    if self._is_mutable(default):
+                        self.report(
+                            default,
+                            "mutable dataclass field default is shared across "
+                            "instances; use field(default_factory=...)",
+                        )
 
 
 @register
@@ -349,13 +285,13 @@ class ConfigContractRule(Rule):
     exist on the dataclass — the static twin of with_overrides' runtime
     unknown-field check, catching typos before a sweep runs."""
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "with_overrides":
-            self._check_override_keywords(node)
-        elif isinstance(func, ast.Name) and func.id in {"getattr", "setattr", "hasattr"}:
-            self._check_getattr(node)
-        self.generic_visit(node)
+    def check(self) -> None:
+        for node in self.ctx.calls:
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "with_overrides":
+                self._check_override_keywords(node)
+            elif isinstance(func, ast.Name) and func.id in {"getattr", "setattr", "hasattr"}:
+                self._check_getattr(node)
 
     def _check_override_keywords(self, node: ast.Call) -> None:
         for keyword in node.keywords:

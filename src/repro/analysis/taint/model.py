@@ -40,9 +40,9 @@ secrets they construct.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import PurePath
 
 from ..config import TaintConfig
+from ..context import is_test_path
 from ..graph.summarize import CallUse, ValueExpr
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "TaintValue",
     "TaintModel",
     "taint_model",
-    "is_test_path",
 ]
 
 CLEAN_LEVEL = 0
@@ -68,13 +67,6 @@ _MAX_CHAIN = 8
 _MAX_LOCAL_PASSES = 10
 #: Interprocedural return fixed-point bound (call-graph diameter).
 _MAX_GLOBAL_ROUNDS = 30
-
-
-def is_test_path(path: str) -> bool:
-    """True for modules whose findings the taint rules skip: test code
-    does not ship and legitimately handles synthetic secrets."""
-    parts = PurePath(path).parts
-    return "tests" in parts or PurePath(path).name.startswith("test_")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,9 +18,10 @@ it constructs.
 
 from __future__ import annotations
 
+from ..context import is_test_path
 from ..findings import Finding
 from ..rulebase import GraphRule, register_graph
-from .model import SECRET_LEVEL, TAG_LEVEL, is_test_path, taint_model
+from .model import SECRET_LEVEL, TAG_LEVEL, taint_model
 
 __all__: list[str] = []
 

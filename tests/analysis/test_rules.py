@@ -182,6 +182,66 @@ class TestR003UnpicklablePayload:
             """
         )
 
+    def test_module_level_function_shadowed_by_another_functions_def_ok(self):
+        """A nested def binds its name in its own function only: an
+        unrelated helper reusing the name does not make the picklable
+        module-level task a nested def."""
+        assert not findings_for(
+            """
+            def task(x):
+                return x
+
+            def helper():
+                def task(y):
+                    return y
+                return task
+
+            def main(engine):
+                return engine.map_batches(task, [1, 2])
+            """
+        )
+
+    def test_module_level_function_shadowed_by_another_functions_lambda_ok(self):
+        assert not findings_for(
+            """
+            def task(x):
+                return x
+
+            def helper():
+                task = lambda z: z
+                return task
+
+            def main(engine):
+                return engine.map_batches(task, [1, 2])
+            """
+        )
+
+    def test_module_level_lambda_flagged(self):
+        findings = findings_for(
+            """
+            task = lambda z: z
+
+            def main(engine):
+                return engine.map_batches(task, [1, 2])
+            """
+        )
+        assert [f.rule for f in findings] == ["R003"]
+
+    def test_enclosing_functions_def_flagged_in_inner_function(self):
+        findings = findings_for(
+            """
+            def run(engine, tasks):
+                def work(task):
+                    return task
+
+                def submit():
+                    return engine.map_batches(work, tasks)
+
+                return submit()
+            """
+        )
+        assert [f.rule for f in findings] == ["R003"]
+
     def test_map_batches_lambda_flagged(self):
         """map_batches is the engine's one submission API, so the rule
         must watch it (a lambda there fails to pickle at jobs > 1)."""
