@@ -80,6 +80,10 @@ class ProgramGraph:
         self.direct_effects: dict[str, tuple[DirectEffect, ...]] = {}
         self.transitive: dict[str, dict[str, Origin]] = {}
         self.global_refs: frozenset[str] = frozenset()
+        #: First component of every module name; a dotted path whose head
+        #: is not among them leaves the project.  Set by :func:`build_graph`
+        #: once the module table is loaded.
+        self.top_packages: frozenset[str] = frozenset()
         #: ``(path, line, token)`` suppression declarations that silenced
         #: a graph-rule diagnostic; merged with the per-file contexts'
         #: usage sets when the linter computes W001.
@@ -88,9 +92,6 @@ class ProgramGraph:
     # ------------------------------------------------------------------
     # Symbol resolution
     # ------------------------------------------------------------------
-
-    def _project_top_packages(self) -> frozenset[str]:
-        return frozenset(m.split(".")[0] for m in self.modules)
 
     def resolve_dotted(self, dotted: str, _depth: int = 0) -> tuple | None:
         """Resolve an absolute dotted path to its terminal.
@@ -106,7 +107,7 @@ class ProgramGraph:
             prefix = ".".join(parts[:i])
             if prefix in self.modules:
                 return self._resolve_in_module(prefix, parts[i:], _depth)
-        if parts[0] not in self._project_top_packages():
+        if parts[0] not in self.top_packages:
             return ("external", tuple(parts))
         return None
 
@@ -245,6 +246,7 @@ def build_graph(
     for summary in sorted(summaries, key=lambda s: s.path):
         graph.modules[summary.module] = summary
         graph.by_path[summary.path] = summary
+    graph.top_packages = frozenset(m.split(".")[0] for m in graph.modules)
 
     refs: set[str] = set()
     for summary in graph.modules.values():

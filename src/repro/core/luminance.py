@@ -26,6 +26,7 @@ from ..vision.landmarks import LandmarkDetector
 from .roi import nasal_bridge_roi
 
 __all__ = [
+    "clip_signals",
     "roi_mean_luminance",
     "transmitted_luminance_signal",
     "ReceivedSignal",
@@ -96,7 +97,10 @@ def received_luminance_signal(
     # Hold-last fill for the gaps; leading misses are backfilled with the
     # first valid value (never a hard 0.0, which would inject a phantom
     # luminance step at clip start).  StreamingVerifier._push_received
-    # mirrors this exact concealment policy sample by sample.
+    # holds and backfills the same way within a call, but it carries its
+    # last value across clip boundaries: a clip that opens with misses
+    # holds the previous clip's last value there, not this clip's first
+    # hit (tests/core/test_front_end_agreement.py pins both).
     first_valid = int(np.argmax(valid))
     luminance[:first_valid] = luminance[first_valid]
     last = luminance[first_valid]
@@ -106,3 +110,25 @@ def received_luminance_signal(
         else:
             luminance[i] = last
     return ReceivedSignal(luminance=luminance, valid=valid)
+
+
+def clip_signals(
+    transmitted: VideoStream,
+    received: VideoStream,
+    rate_hz: float,
+    detector: LandmarkDetector,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two raw luminance signals of one clip pair.
+
+    Both streams are resampled to ``rate_hz``; the transmitted mean and
+    the received ROI probe (through ``detector``) are taken and trimmed
+    to a common length.
+    """
+    if transmitted.fps != rate_hz:
+        transmitted = transmitted.resampled(rate_hz)
+    if received.fps != rate_hz:
+        received = received.resampled(rate_hz)
+    t_lum = transmitted_luminance_signal(transmitted)
+    r_lum = received_luminance_signal(received, detector).luminance
+    n = min(t_lum.size, r_lum.size)
+    return t_lum[:n], r_lum[:n]

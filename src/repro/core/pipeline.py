@@ -26,7 +26,7 @@ from ..vision.landmarks import LandmarkDetector
 from .config import DetectorConfig
 from .detector import DetectionResult, LivenessDetector, verify_clips
 from .features import FeatureVector, extract_features_batch
-from .luminance import received_luminance_signal, transmitted_luminance_signal
+from .luminance import clip_signals
 from .voting import Verdict, VotingCombiner
 
 __all__ = ["VerificationReport", "ChatVerifier"]
@@ -83,16 +83,10 @@ class ChatVerifier:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Resample both streams to the working rate and extract the two
         raw luminance signals, trimmed to a common length."""
-        rate = self.config.sample_rate_hz
         with self.instrumentation.span("verifier.extract_signals", stage="luminance"):
-            t_stream = (
-                transmitted if transmitted.fps == rate else transmitted.resampled(rate)
+            return clip_signals(
+                transmitted, received, self.config.sample_rate_hz, self.landmark_detector
             )
-            r_stream = received if received.fps == rate else received.resampled(rate)
-            t_lum = transmitted_luminance_signal(t_stream)
-            r_lum = received_luminance_signal(r_stream, self.landmark_detector).luminance
-        n = min(t_lum.size, r_lum.size)
-        return t_lum[:n], r_lum[:n]
 
     def clip_features(
         self,

@@ -386,7 +386,10 @@ class StreamingVerifier:
             self._r_samples.append(0.0)
             self._lead_misses += 1
         else:
-            # Hold-last concealment, mirroring the batch extractor.
+            # Hold-last concealment, as the batch extractor does within a
+            # clip.  The held value carries across clip boundaries, so a
+            # clip opening with misses holds the previous clip's last
+            # value where the batch extractor backfills its first hit.
             self._r_samples.append(self._last_roi_value)
 
     def _complete_attempt(self) -> GatedAttempt:

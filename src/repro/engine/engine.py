@@ -7,15 +7,15 @@ to.  It provides three guarantees:
 tasks, each carrying its own seed material (see :func:`task_rng`), and
 results come back in submission order.  Nothing about the outcome
 depends on how many workers ran or how the OS scheduled them, so
-``jobs=4`` is bit-identical to ``jobs=1`` — and to running the same
-tasks without any engine at all.
+``jobs=4`` is bit-identical to ``jobs=1``, the serial engine every
+experiment entry point falls back to when given none.
 
 **Memoization.**  Feature extraction — the per-clip hot path — is
 routed through a content-addressed :class:`~repro.engine.cache.FeatureCache`
 keyed by the raw signal bytes plus the full
-:class:`~repro.core.config.DetectorConfig` fingerprint.  Sweeps that
-revisit clips (threshold, attempts, training size, forgery delay at
-zero shift) stop re-running the preprocessing chain.
+:class:`~repro.core.config.DetectorConfig` fingerprint.  Work that
+revisits pairs (a forgery-delay sweep rerun on one engine, one
+enrollment bank built twice) stops re-running the preprocessing chain.
 
 **Measurement.**  Every stage executed under the engine is timed, cache
 traffic is counted, and :meth:`perf_report` returns a printable
@@ -43,7 +43,6 @@ from ..core.config import DetectorConfig
 from ..core.features import FeatureVector, extract_features_batch
 from ..core.preprocessing import NonFiniteSampleError
 from ..obs.instrument import Instrumentation
-from ..obs.metrics import MetricsSnapshot
 from .cache import FeatureCache
 from .perf import PerfRecorder, PerfReport
 
@@ -171,22 +170,6 @@ class ExecutionEngine(AbstractContextManager):
             for future in futures:
                 results.extend(future.result())
             return results
-
-    def stage(self, name: str, tasks: int = 0):
-        """Context manager timing an in-process stage (e.g. aggregation)."""
-        return self._recorder.stage(name, tasks=tasks)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a named event counter in the perf report (e.g. the
-        streaming quality gate's ``clips_inconclusive``)."""
-        self._recorder.count(name, n)
-
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a worker's :class:`MetricsSnapshot` into this engine's
-        registry.  Merging worker snapshots in submission order is the
-        associative path that keeps ``jobs=N`` metrics bit-identical to
-        ``jobs=1`` (enabled handles themselves never cross processes)."""
-        self._recorder.registry.merge_snapshot(snapshot)
 
     # ------------------------------------------------------------------
     # Cached feature extraction

@@ -21,16 +21,13 @@ import hashlib
 import json
 import pathlib
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from ..engine import ExecutionEngine
-
 from ..core.config import DetectorConfig
 from ..core.features import FeatureVector, extract_features_batch
-from ..core.luminance import received_luminance_signal, transmitted_luminance_signal
+from ..core.luminance import clip_signals
+from ..engine import ExecutionEngine
 from ..vision.landmarks import LandmarkDetector
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile, make_population
 from .simulate import SessionSpec
@@ -105,17 +102,13 @@ def clip_from_session(
     landmark_detector: LandmarkDetector | None = None,
 ) -> ClipInstance:
     """Extract one :class:`ClipInstance` from a session record."""
-    detector = landmark_detector or LandmarkDetector()
-    rate = config.sample_rate_hz
-    transmitted = record.transmitted
-    received = record.received
-    if transmitted.fps != rate:
-        transmitted = transmitted.resampled(rate)
-    if received.fps != rate:
-        received = received.resampled(rate)
-    t_lum = transmitted_luminance_signal(transmitted)
-    r_lum = received_luminance_signal(received, detector).luminance
-    n = min(t_lum.size, r_lum.size, config.samples_per_clip)
+    t_lum, r_lum = clip_signals(
+        record.transmitted,
+        record.received,
+        config.sample_rate_hz,
+        landmark_detector or LandmarkDetector(),
+    )
+    n = min(t_lum.size, config.samples_per_clip)
     t_lum, r_lum = t_lum[:n], r_lum[:n]
     features = extract_features_batch([(t_lum, r_lum)], config)[0].features
     return ClipInstance(
@@ -243,17 +236,17 @@ def build_dataset(
     base_seed: int = 1234,
     cache_dir: pathlib.Path | str | None = None,
     use_cache: bool = True,
-    progress: bool = False,
-    engine: "ExecutionEngine | None" = None,
+    engine: ExecutionEngine | None = None,
 ) -> FeatureDataset:
     """Simulate (or load from cache) a full evaluation dataset.
 
     Defaults mirror the paper: ten users, two roles, 40 clips each.
 
-    ``engine`` (an :class:`~repro.engine.ExecutionEngine`) parallelizes
-    the simulation across its process pool.  Every clip's seed is a pure
-    function of ``(base_seed, user, role, clip index)``, so the parallel
-    dataset is bit-identical to the serial one.
+    Clips are simulated through ``engine.map_batches`` (a serial
+    :class:`~repro.engine.ExecutionEngine` when ``engine`` is None), so
+    ``ExecutionEngine(jobs=N)`` spreads them over its process pool.
+    Every clip's seed is a pure function of ``(base_seed, user, role,
+    clip index)``, so the dataset is bit-identical at any ``jobs``.
     """
     population = list(population) if population is not None else make_population()
     env = env or DEFAULT_ENVIRONMENT
@@ -275,15 +268,8 @@ def build_dataset(
         for role in roles
         for clip_index in range(clips_per_role)
     ]
-    if engine is not None:
-        instances = engine.map_batches(_generate_clip_task, tasks, stage="simulate")
-    else:
-        instances = []
-        for done, task in enumerate(tasks, start=1):
-            instances.append(_generate_clip_task(task))
-            if progress and done % 50 == 0:
-                print(f"  dataset: {done}/{len(tasks)} clips", flush=True)
-    dataset = FeatureDataset(instances)
+    engine = engine or ExecutionEngine()
+    dataset = FeatureDataset(engine.map_batches(_generate_clip_task, tasks, stage="simulate"))
     if cache_path is not None:
         _save(cache_path, dataset)
     return dataset

@@ -35,8 +35,9 @@ attack    ATTACKER            ATTACKER
 ========  ==================  ============================
 
 Every cell is a self-contained task seeded through
-:func:`~repro.engine.task_rng`, so ``engine(jobs=N)`` is bit-identical
-to serial execution.
+:func:`~repro.engine.task_rng` and mapped by ``engine.map_batches``
+(a serial engine when none is given), so ``engine(jobs=N)`` is
+bit-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..chat.endpoints import DerivedMeteringBehavior, ProverEndpoint
 from ..chat.session import WARMUP_S, SessionRecord
 from ..core.config import DetectorConfig
 from ..core.detector import LivenessDetector
-from ..core.pipeline import ChatVerifier
+from ..core.luminance import clip_signals
 from ..core.seeding import spawn_seeds
 from ..core.streaming import (
     CONDEMNED_STATUSES,
@@ -68,9 +69,9 @@ from ..obs.instrument import Instrumentation
 from ..protocol import ProtocolConfig, ProtocolProvisioner
 from ..protocol.gate import ProtocolGate
 from ..protocol.nonce import ack_tag, handshake_payload
+from ..vision.landmarks import LandmarkDetector
 from .dataset import ATTACK, GENUINE
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile
-from .runner import _feature_vectors, _map
 from .simulate import (
     SessionSpec,
     build_genuine_prover,
@@ -259,8 +260,12 @@ def enrollment_bank(
     seed: int,
     engine: ExecutionEngine | None = None,
 ) -> np.ndarray:
-    """Legitimate feature bank from clean genuine sessions (one clip each)."""
-    verifier = ChatVerifier(config)
+    """Legitimate feature bank from clean genuine sessions (one clip each).
+
+    One landmark detector serves every record in order, so its jitter
+    stream is the one a single verifier would draw.
+    """
+    engine = engine or ExecutionEngine()
     specs = [
         SessionSpec(
             kind="genuine",
@@ -270,11 +275,12 @@ def enrollment_bank(
         for i in range(sessions)
     ]
     records = simulate_session_batch(specs, env=env, user=user, engine=engine)
+    landmarks = LandmarkDetector()
     pairs = [
-        verifier.extract_signals(record.transmitted, record.received)
+        clip_signals(record.transmitted, record.received, config.sample_rate_hz, landmarks)
         for record in records
     ]
-    features = _feature_vectors(pairs, config, engine, stage="enroll")
+    features = engine.extract_features_batch(pairs, config, stage="enroll")
     return np.stack([fv.as_array() for fv in features])
 
 
@@ -442,6 +448,7 @@ def run_fault_matrix(
     if sessions_per_cell < 1:
         raise ValueError("sessions_per_cell must be >= 1")
 
+    engine = engine or ExecutionEngine()
     bank = enrollment_bank(config, env, user, enroll_sessions, seed, engine)
     grid = [
         (severity, role, (s_idx, r_idx))
@@ -455,7 +462,7 @@ def run_fault_matrix(
         )
         for severity, role, key in grid
     ]
-    rows = _map(engine, _cell_task, payloads, stage="faultcells")
+    rows = engine.map_batches(_cell_task, payloads, stage="faultcells")
 
     cells = []
     for (severity, role, _), (statuses, attempts, _) in zip(grid, rows):
@@ -477,15 +484,13 @@ def run_fault_matrix(
                 mean_frozen_fraction=_mean_or_zero([q.frozen_fraction for q in qualities]),
             )
         )
-    if engine is not None:
-        # One counter API: the registry behind engine.instrumentation is
-        # the same one PerfReport renders from, so these still show up in
-        # `repro faults --perf` exactly as before.
-        instr = engine.instrumentation
-        instr.count("clips_total", sum(c.attempts_total for c in cells))
-        instr.count("clips_inconclusive", sum(c.attempts_inconclusive for c in cells))
-        instr.count("clips_rejected", sum(c.attempts_rejected for c in cells))
-        instr.count("fault_sessions", sum(c.sessions for c in cells))
+    # The registry behind engine.instrumentation is the one PerfReport
+    # renders from, so these show up in `repro faults --perf`.
+    instr = engine.instrumentation
+    instr.count("clips_total", sum(c.attempts_total for c in cells))
+    instr.count("clips_inconclusive", sum(c.attempts_inconclusive for c in cells))
+    instr.count("clips_rejected", sum(c.attempts_rejected for c in cells))
+    instr.count("fault_sessions", sum(c.sessions for c in cells))
     return FaultMatrixResult(
         spec=spec,
         severities=severities,
@@ -582,6 +587,7 @@ def run_protocol_matrix(
     if unknown:
         raise ValueError(f"unknown roles {unknown!r} (expected {PROTOCOL_ROLES})")
 
+    engine = engine or ExecutionEngine()
     bank = enrollment_bank(config, env, user, enroll_sessions, seed, engine)
     grid = [
         (role, use_protocol, r_idx)
@@ -596,7 +602,7 @@ def run_protocol_matrix(
         )
         for role, use_protocol, r_idx in grid
     ]
-    rows = _map(engine, _cell_task, payloads, stage="protocolcells")
+    rows = engine.map_batches(_cell_task, payloads, stage="protocolcells")
     cells = [
         ProtocolCell(
             role, use_protocol, sessions_per_cell, statuses,
@@ -607,11 +613,10 @@ def run_protocol_matrix(
         )
         for (role, use_protocol, _), (statuses, attempts, acks_ok) in zip(grid, rows)
     ]
-    if engine is not None:
-        instr = engine.instrumentation
-        instr.count("protocol_matrix_sessions", sum(c.sessions for c in cells))
-        instr.count(
-            "protocol_matrix_condemned",
-            sum(s in _CONDEMNED_VALUES for c in cells for s in c.statuses),
-        )
+    instr = engine.instrumentation
+    instr.count("protocol_matrix_sessions", sum(c.sessions for c in cells))
+    instr.count(
+        "protocol_matrix_condemned",
+        sum(s in _CONDEMNED_VALUES for c in cells for s in c.statuses),
+    )
     return ProtocolMatrixResult(roles=roles, cells=tuple(cells))

@@ -13,37 +13,38 @@ different volunteer's clips — the paper's no-new-user-training property.
 
 Execution model
 ---------------
-Every ``run_*`` function accepts an optional
-:class:`~repro.engine.ExecutionEngine`.  The Monte-Carlo rounds are
-partitioned into self-contained tasks (one task per user, sweep point,
-or training size), all run by one round task that returns each round's
-raw scores; the runners differ only in how they reduce them.  Every
-round derives its random generator from the experiment seed plus the
-task's coordinates (:func:`~repro.engine.task_rng`), never from a
-shared stream.  The result is therefore a pure function of the inputs:
-serial execution, ``engine(jobs=1)``, and ``engine(jobs=N)`` are all
+Every ``run_*`` function runs on an
+:class:`~repro.engine.ExecutionEngine`; ``engine=None`` (the default)
+stands for a serial ``ExecutionEngine()``, which runs every task in
+process and in order.  The Monte-Carlo rounds are partitioned into
+self-contained tasks (one task per user, sweep point, or training
+size), all run by one round task that returns each round's raw scores;
+the runners differ only in how they reduce them.  Every round derives
+its random generator from the experiment seed plus the task's
+coordinates (:func:`~repro.engine.task_rng`), never from a shared
+stream.  The result is therefore a pure function of the inputs:
+``engine=None``, ``engine(jobs=1)``, and ``engine(jobs=N)`` are all
 bit-identical.
 
-With an engine, feature matrices are derived from the clips' raw
-luminance signals through the engine's content-addressed cache instead
-of read from the dataset's precomputed columns — byte-identical values
-(the dataset stored exactly what extraction returns), but sweeps that
-revisit the same clips (threshold, attempts, training size, zero-delay
-forgery) stop re-running the preprocessing chain, and ablations that
-change the config reuse the raw clips without resimulation.
+Every selection's features are the dataset's own
+(:meth:`~repro.experiments.dataset.FeatureDataset.features_of`): what
+extraction returned when the dataset was built, under the config it was
+built with.  A runner's ``config`` sets the protocol (LOF neighbours,
+threshold, voting) but does not re-derive those features.  Only signal
+pairs the dataset does not hold — the forgery-delay sweep's shifted
+received signals — are extracted, through the engine's
+content-addressed cache, so a rerun on the same engine extracts nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
-from typing import Any
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..core.config import DetectorConfig
 from ..core.detector import LivenessDetector
-from ..core.features import FeatureVector, extract_features_batch
 from ..core.voting import VotingCombiner
 from ..engine import ExecutionEngine, task_rng
 from .dataset import ATTACK, GENUINE, FeatureDataset, build_dataset
@@ -115,61 +116,6 @@ def score_round(
     return genuine_scores, attack_scores
 
 
-def _map(
-    engine: ExecutionEngine | None,
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    stage: str,
-) -> list[Any]:
-    """Run protocol tasks through the engine, or serially without one.
-
-    The engine path goes through :meth:`ExecutionEngine.map_batches` —
-    the single place chunk sizing and worker submission live — so every
-    runner (sweeps here, session simulation, the matrices) shares one
-    submission policy.
-    """
-    if engine is None:
-        return [fn(task) for task in tasks]
-    return engine.map_batches(fn, tasks, stage=stage)
-
-
-def _feature_vectors(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    config: DetectorConfig,
-    engine: ExecutionEngine | None,
-    stage: str = "features",
-) -> list[FeatureVector]:
-    """Features of raw signal pairs: the batch core, or the engine's
-    content-addressed cache over it (identical values)."""
-    if engine is None:
-        return [extraction.features for extraction in extract_features_batch(pairs, config)]
-    return engine.extract_features_batch(pairs, config, stage=stage)
-
-
-def _features_of(
-    dataset: FeatureDataset,
-    user: str,
-    role: str,
-    config: DetectorConfig,
-    engine: ExecutionEngine | None,
-) -> np.ndarray:
-    """Feature matrix of one (user, role) selection.
-
-    Without an engine this reads the dataset's precomputed features;
-    with one, features are derived from the raw signals through the
-    content-addressed cache (identical values, shareable across sweeps).
-    """
-    if engine is None:
-        return dataset.features_of(user, role)
-    clips = dataset.select(user, role)
-    if not clips:
-        return np.empty((0, 4), dtype=np.float64)
-    features = _feature_vectors(
-        [(c.transmitted_luminance, c.received_luminance) for c in clips], config, engine
-    )
-    return np.stack([fv.as_array() for fv in features])
-
-
 # ----------------------------------------------------------------------
 # The round task behind every figure
 # ----------------------------------------------------------------------
@@ -214,16 +160,13 @@ def _user_rounds(
     rounds: int,
     train_size: int,
     seed: int,
-    engine: ExecutionEngine | None,
+    engine: ExecutionEngine,
     with_other: bool,
 ) -> list[list[_Round]]:
     """Own-training rounds per user (plus the next user's bank as the
     "other" training pool when ``with_other``), in user order."""
     banks = [
-        (
-            _features_of(dataset, user, GENUINE, config, engine),
-            _features_of(dataset, user, ATTACK, config, engine),
-        )
+        (dataset.features_of(user, GENUINE), dataset.features_of(user, ATTACK))
         for user in dataset.users
     ]
     payloads = [
@@ -231,7 +174,7 @@ def _user_rounds(
          train_size, config, rounds, (seed, i))
         for i, (genuine, attacks) in enumerate(banks)
     ]
-    return _map(engine, _rounds_task, payloads, stage="rounds")
+    return engine.map_batches(_rounds_task, payloads, stage="rounds")
 
 
 def _tar(scores: np.ndarray, threshold: float) -> float:
@@ -289,6 +232,7 @@ def run_overall(
 ) -> OverallResult:
     """Reproduce Fig. 11 (Sec. VIII-C)."""
     config = config or DetectorConfig()
+    engine = engine or ExecutionEngine()
     if len(dataset.users) < 2:
         raise ValueError("overall evaluation needs at least 2 users")
     threshold = config.lof_threshold
@@ -343,6 +287,7 @@ def run_threshold_sweep(
     once and every threshold reads from the pooled score arrays.
     """
     config = config or DetectorConfig()
+    engine = engine or ExecutionEngine()
     if thresholds is None:
         thresholds = np.arange(1.5, 4.01, 0.25)
     thresholds = np.asarray(list(thresholds), dtype=np.float64)
@@ -391,6 +336,7 @@ def run_attempts(
     scoring, so they stay a pure function of the round's coordinates.
     """
     config = config or DetectorConfig()
+    engine = engine or ExecutionEngine()
     attempts = tuple(attempts)
     combiner = VotingCombiner(config.vote_fraction)
     threshold = config.lof_threshold
@@ -453,14 +399,15 @@ def run_training_size(
 ) -> TrainingSizeResult:
     """Reproduce Fig. 15 (Sec. VIII-G)."""
     config = config or DetectorConfig()
+    engine = engine or ExecutionEngine()
     user = user or dataset.users[0]
-    genuine = _features_of(dataset, user, GENUINE, config, engine)
-    attacks = _features_of(dataset, user, ATTACK, config, engine)
+    genuine = dataset.features_of(user, GENUINE)
+    attacks = dataset.features_of(user, ATTACK)
     payloads = [
         (genuine, attacks, None, None, size, config, rounds, (seed, size_index))
         for size_index, size in enumerate(sizes)
     ]
-    rows = _map(engine, _rounds_task, payloads, stage="rounds")
+    rows = engine.map_batches(_rounds_task, payloads, stage="rounds")
     # One (TAR mean, TAR std, TRR mean, TRR std) row per size, then one
     # series per column.
     stats = [
@@ -502,8 +449,8 @@ def _evaluate_dataset(
     rounds: int,
     train_size: int,
     seed: int | Sequence[int],
+    engine: ExecutionEngine,
     train_dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
 ) -> tuple[float, float, float, float]:
     """Pooled TAR/TRR (mean, std over rounds) across the dataset's users.
 
@@ -518,20 +465,20 @@ def _evaluate_dataset(
     seed_key = (seed,) if isinstance(seed, int) else tuple(seed)
     payloads = []
     for i, user in enumerate(dataset.users):
-        genuine = _features_of(dataset, user, GENUINE, config, engine)
-        attacks = _features_of(dataset, user, ATTACK, config, engine)
+        genuine = dataset.features_of(user, GENUINE)
+        attacks = dataset.features_of(user, ATTACK)
         if train_dataset is None:
             effective_train = min(train_size, genuine.shape[0] - 1)
             pool = None
         else:
-            pool = _features_of(train_dataset, user, GENUINE, config, engine)
+            pool = train_dataset.features_of(user, GENUINE)
             if pool.shape[0] < 2:
                 raise ValueError(f"train dataset lacks genuine clips for {user!r}")
             effective_train = min(train_size, pool.shape[0])
         payloads.append(
             (genuine, attacks, pool, None, effective_train, config, rounds, (*seed_key, i))
         )
-    rows = _map(engine, _rounds_task, payloads, stage="rounds")
+    rows = engine.map_batches(_rounds_task, payloads, stage="rounds")
     tars, trrs = _rates([r for user_rounds in rows for r in user_rounds], config.lof_threshold)
     return (*_mean_std(tars), *_mean_std(trrs))
 
@@ -545,8 +492,7 @@ def _sweep(
     rounds: int,
     train_size: int,
     seed: int,
-    progress: bool,
-    engine: ExecutionEngine | None,
+    engine: ExecutionEngine,
 ) -> RateSweepResult:
     """The environment-sweep loop: one dataset and one pooled evaluation
     per ``(label, env, config)`` point, seeded by the point's index.
@@ -561,7 +507,6 @@ def _sweep(
             clips_per_role=clips_per_role,
             env=env,
             config=config,
-            progress=progress,
             engine=engine,
         )
 
@@ -587,7 +532,6 @@ def run_screen_size(
     rounds: int = 10,
     train_size: int = 10,
     seed: int = 19,
-    progress: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> RateSweepResult:
     """Reproduce Fig. 13 (Sec. VIII-E): performance vs screen size.
@@ -604,7 +548,7 @@ def run_screen_size(
         [(label, env, config) for label, env in screens],
         (train_env or DEFAULT_ENVIRONMENT, config),
         list(population) if population is not None else make_population(4),
-        clips_per_role, rounds, train_size, seed, progress, engine,
+        clips_per_role, rounds, train_size, seed, engine or ExecutionEngine(),
     )
 
 
@@ -617,7 +561,6 @@ def run_sampling_rate(
     rounds: int = 20,
     train_size: int = 20,
     seed: int = 23,
-    progress: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> RateSweepResult:
     """Reproduce Fig. 16 (Sec. VIII-H): performance vs sampling rate.
@@ -642,7 +585,7 @@ def run_sampling_rate(
         ],
         None,
         list(population) if population is not None else make_population(1),
-        clips_per_role, rounds, train_size, seed, progress, engine,
+        clips_per_role, rounds, train_size, seed, engine or ExecutionEngine(),
     )
 
 
@@ -655,7 +598,6 @@ def run_ambient_light(
     rounds: int = 10,
     train_size: int = 10,
     seed: int = 29,
-    progress: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> RateSweepResult:
     """Reproduce Sec. VIII-I: performance vs ambient illuminance.
@@ -672,7 +614,7 @@ def run_ambient_light(
         ],
         (base_env, config),
         list(population) if population is not None else make_population(2),
-        clips_per_role, rounds, train_size, seed, progress, engine,
+        clips_per_role, rounds, train_size, seed, engine or ExecutionEngine(),
     )
 
 
@@ -712,11 +654,13 @@ def run_forgery_delay(
     The paper's method, exactly: take *legitimate* signal pairs (i.e. an
     attacker who forges the reflected luminance perfectly), shift the
     received signal by the forgery processing delay, and measure how the
-    rejection rate grows with the delay.  With an engine, the zero-delay
-    point is a pure cache hit (the shifted pair *is* the original clip),
-    and each delay's re-extraction fans out over the pool.
+    rejection rate grows with the delay.  The detectors train on the
+    dataset's own features; each delay's shifted pairs are extracted
+    in process through the engine's content-addressed cache, so a rerun
+    on the same engine (or a shared cache) extracts nothing.
     """
     config = config or DetectorConfig()
+    engine = engine or ExecutionEngine()
     delays = np.asarray(list(delays_s), dtype=np.float64)
     rejection = np.zeros_like(delays)
 
@@ -728,7 +672,7 @@ def run_forgery_delay(
     # Pre-fit `rounds` detectors per user on independent training samples.
     detectors: dict[str, list[LivenessDetector]] = {}
     for user_index, user in enumerate(dataset.users):
-        genuine = _features_of(dataset, user, GENUINE, config, engine)
+        genuine = dataset.features_of(user, GENUINE)
         size = min(train_size, genuine.shape[0] - 1)
         user_detectors = []
         for round_index in range(rounds):
@@ -745,7 +689,7 @@ def run_forgery_delay(
             for user in ordered_users
             for clip in per_user_clips[user]
         ]
-        feature_vectors = _feature_vectors(pairs, config, engine)
+        feature_vectors = engine.extract_features_batch(pairs, config)
         rejected = 0
         total = 0
         cursor = 0

@@ -13,12 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from ..engine import ExecutionEngine
 
 from ..attack.adaptive import AdaptiveLuminanceForger
 from ..attack.reenactment import ReenactmentAttacker
@@ -27,6 +23,7 @@ from ..attack.target import TargetRecording
 from ..chat.endpoints import GenuineProverEndpoint, ProverEndpoint, VerifierEndpoint
 from ..chat.session import SessionRecord, VideoChatSession
 from ..core.seeding import spawn_seeds
+from ..engine import ExecutionEngine
 from ..net.channel import NetworkChannel
 from ..net.jitterbuffer import JitterBuffer
 from ..net.link import MediaLink
@@ -325,19 +322,18 @@ def simulate_session_batch(
     specs: Sequence[SessionSpec],
     env: Environment | None = None,
     user: UserProfile | None = None,
-    engine: "ExecutionEngine | None" = None,
+    engine: ExecutionEngine | None = None,
 ) -> list[SessionRecord]:
-    """Simulate many sessions, optionally fanned out over an engine.
+    """Simulate many sessions through ``engine.map_batches``.
 
-    The engine path routes through :meth:`ExecutionEngine.map_batches`
-    — the shared chunked-submission helper — so session simulation,
-    the experiment sweeps, and the fault matrix all use one submission
-    policy.  Results come back in spec order regardless of worker count.
+    ``engine`` defaults to a serial :class:`ExecutionEngine`; pass one
+    with ``jobs=N`` to fan the sessions out over its process pool.  The
+    map is the shared chunked-submission helper, so session simulation,
+    the experiment sweeps and the matrices use one submission policy.
+    Results come back in spec order regardless of worker count.
     """
     payloads = [(spec, env, user) for spec in specs]
-    if engine is None:
-        return [_session_task(payload) for payload in payloads]
-    return engine.map_batches(_session_task, payloads, stage="simulate")
+    return (engine or ExecutionEngine()).map_batches(_session_task, payloads, stage="simulate")
 
 
 def simulate_replay_attack_session(

@@ -4,8 +4,8 @@ The engine's core promise is that results are a pure function of the
 task list — not of the job count, the scheduler, or whether an engine
 is used at all.  These tests pin that promise on synthetic datasets
 whose stored features are genuinely extracted from their stored signals
-(so the engine's recompute-through-the-cache path must agree bit for
-bit with the dataset's stored features).
+(so the engine's cached extraction must agree bit for bit with the
+dataset's stored features).
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.experiments.dataset import (
     build_dataset,
 )
 from repro.experiments.profiles import Environment, make_population
-from repro.experiments.runner import run_overall, run_threshold_sweep
+from repro.experiments.runner import run_forgery_delay, run_overall, run_threshold_sweep
 from repro.obs import Instrumentation, render_json
 
 
@@ -248,11 +248,13 @@ class TestRunnerEquivalence:
         assert plain.eer_threshold == many.eer_threshold
 
     def test_rerun_is_reproducible_and_hits_cache(self, small_dataset):
+        kwargs = dict(delays_s=(0.0, 1.0), rounds=3, train_size=10, max_clips_per_user=8)
         with ExecutionEngine(jobs=2) as engine:
-            first = run_overall(small_dataset, rounds=3, train_size=10, engine=engine)
+            first = run_forgery_delay(small_dataset, engine=engine, **kwargs)
             misses_after_first = engine.cache.misses
-            second = run_overall(small_dataset, rounds=3, train_size=10, engine=engine)
-            assert first == second
+            second = run_forgery_delay(small_dataset, engine=engine, **kwargs)
+            assert np.array_equal(first.delays_s, second.delays_s)
+            assert np.array_equal(first.rejection_rate, second.rejection_rate)
             assert engine.cache.misses == misses_after_first  # no new extractions
             assert engine.cache.hits > 0
 

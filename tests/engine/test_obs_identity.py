@@ -59,7 +59,7 @@ class TestEngineHandle:
         engine = ExecutionEngine(jobs=1)
         worker = MetricsRegistry()
         worker.counter("clips_total").inc(7)
-        engine.merge_snapshot(worker.snapshot())
+        engine.instrumentation.registry.merge_snapshot(worker.snapshot())
         assert engine.perf_report().counters["clips_total"] == 7
 
     def test_external_tracer_receives_engine_spans(self):

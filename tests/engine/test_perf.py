@@ -142,6 +142,6 @@ class TestCounters:
         from repro.engine import ExecutionEngine
 
         with ExecutionEngine(jobs=1) as engine:
-            engine.count("clips_total", 2)
+            engine.instrumentation.count("clips_total", 2)
             report = engine.perf_report()
         assert report.counters["clips_total"] == 2

@@ -181,7 +181,8 @@ def _figure_cases():
 
 
 def _engine_cases():
-    """The engine path derives features from the raw signals."""
+    """Runners on an explicit engine: the same dataset features, with
+    the delay sweep's shifted pairs extracted through the engine cache."""
     signals = _signal_dataset()
 
     def overall():

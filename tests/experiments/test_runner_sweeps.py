@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.features import FeatureVector
+from repro.engine import ExecutionEngine
 from repro.experiments.dataset import ATTACK, GENUINE, ClipInstance, FeatureDataset
 from repro.experiments.runner import _evaluate_dataset
 
@@ -45,7 +46,7 @@ class TestNominalTrainingRule:
 
         # Per-condition training: flattering TAR, no security.
         tar_pc, _, trr_pc, _ = _evaluate_dataset(
-            degenerate, config, rounds=5, train_size=15, seed=1
+            degenerate, config, rounds=5, train_size=15, seed=1, engine=ExecutionEngine()
         )
         assert tar_pc > 0.8
         assert trr_pc < 0.5
@@ -53,7 +54,8 @@ class TestNominalTrainingRule:
         # Nominal training: the degenerate clips are outliers for
         # everyone -> low TAR, high TRR (the honest picture).
         tar_nom, _, trr_nom, _ = _evaluate_dataset(
-            degenerate, config, rounds=5, train_size=15, seed=1, train_dataset=nominal
+            degenerate, config, rounds=5, train_size=15, seed=1, engine=ExecutionEngine(),
+            train_dataset=nominal,
         )
         assert tar_nom < 0.3
         assert trr_nom > 0.9
@@ -65,10 +67,11 @@ class TestNominalTrainingRule:
         nominal = _dataset(NOMINAL_GENUINE, ATTACK_CENTER, seed=5)
         same = _dataset(NOMINAL_GENUINE, ATTACK_CENTER, seed=6)
         tar_pc, _, trr_pc, _ = _evaluate_dataset(
-            same, config, rounds=5, train_size=15, seed=4
+            same, config, rounds=5, train_size=15, seed=4, engine=ExecutionEngine()
         )
         tar_nom, _, trr_nom, _ = _evaluate_dataset(
-            same, config, rounds=5, train_size=15, seed=40, train_dataset=nominal
+            same, config, rounds=5, train_size=15, seed=40, engine=ExecutionEngine(),
+            train_dataset=nominal,
         )
         assert tar_nom == pytest.approx(tar_pc, abs=0.15)
         assert trr_nom == pytest.approx(trr_pc, abs=0.1)
@@ -79,5 +82,6 @@ class TestNominalTrainingRule:
         train_ds = _dataset(NOMINAL_GENUINE, ATTACK_CENTER, seed=9, user="u_other")
         with pytest.raises(ValueError):
             _evaluate_dataset(
-                test_ds, config, rounds=2, train_size=10, seed=7, train_dataset=train_ds
+                test_ds, config, rounds=2, train_size=10, seed=7, engine=ExecutionEngine(),
+                train_dataset=train_ds,
             )
