@@ -11,6 +11,7 @@ from repro.camera.metering import LightMeter, MeteringMode
 from repro.camera.sensor import ImageSensor
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
+from repro.core.detector import LivenessDetector
 from repro.core.features import normalize_unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
 from repro.core.peaks import find_peaks
@@ -66,6 +67,26 @@ def test_bench_dtw_75_samples(benchmark):
     ys = [rng.normal(size=75) for _ in range(2)]
     distances = benchmark(lambda: dtw_distance_batch(xs, ys))
     assert distances.shape == (2,) and (distances > 0).all()
+
+
+def _step_pair(rng, n=150):
+    """A 15 s genuine pair: two screen steps, echoed 0.3 s later."""
+    t = np.full(n, 180.0)
+    t[int(rng.integers(25, 55)) :] -= 50.0
+    t[int(rng.integers(85, 120)) :] += 50.0
+    delayed = np.concatenate([np.full(3, t[0]), t[:-3]])
+    return t, 120.0 + 0.3 * delayed + rng.normal(0.0, 0.5, n)
+
+
+def test_bench_verify_clip_15s(benchmark):
+    """The service's per-clip close: one 150-sample pair, filtered,
+    featurised and scored against a 30-clip bank."""
+    rng = np.random.default_rng(6)
+    detector = LivenessDetector(DetectorConfig())
+    detector.fit_from_clips(_step_pair(rng) for _ in range(30))
+    t, r = _step_pair(rng)
+    result = benchmark(lambda: detector.verify_clip(t, r))
+    assert np.isfinite(result.lof_score) and result.features.z1 > 0
 
 
 def test_bench_dtw_64_ragged_pairs(benchmark):

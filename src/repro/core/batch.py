@@ -121,13 +121,44 @@ def group_by_length(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(val), np.nonzero(arr == val)[0]) for val in np.unique(arr)]
 
 
+#: Distinct ``(length, half)`` shapes whose gathers :func:`_reflect_index` keeps.
+_GATHER_MEMO_SIZE = 32
+_GATHERS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _reflect_index(length: int, half: int) -> np.ndarray:
+    """Column index that pads a row of ``length`` by ``half`` on each side.
+
+    It is the historical padding (reflect capped at ``length - 1``, edge
+    values beyond that) applied once to ``arange(length)``, so
+    ``rows[:, index]`` equals padding the rows themselves by construction.
+    Kept per shape as a read-only array, oldest entry evicted first.
+    """
+    key = (length, half)
+    index = _GATHERS.get(key)
+    if index is None:
+        index = np.arange(length)
+        reflect_pad = min(half, length - 1)
+        if reflect_pad > 0:
+            index = np.pad(index, reflect_pad, mode="reflect")
+        extra = half - reflect_pad
+        if extra > 0:
+            index = np.pad(index, extra, mode="edge")
+        index.flags.writeable = False
+        if len(_GATHERS) >= _GATHER_MEMO_SIZE:
+            del _GATHERS[next(iter(_GATHERS))]  # the oldest entry
+        _GATHERS[key] = index
+    return index
+
+
 def reflect_convolve_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-length convolution with reflected edges, one row per clip.
 
     Matches the padding semantics of the historical per-clip
     ``_reflect_convolve`` (reflect capped at ``len - 1``, edge values
     beyond that), evaluated as a tap-accumulation sum so each output row
-    depends only on its own input row.
+    depends only on its own input row.  The padding is one gather
+    through the cached :func:`_reflect_index` of the row shape.
     """
     rows = _as_rows(rows)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -139,14 +170,7 @@ def reflect_convolve_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         if half == 0 and length > 0 and count > 0:
             return kernel[0] * rows
         return rows.copy()
-    reflect_pad = min(half, length - 1)
-    if reflect_pad > 0:
-        padded = np.pad(rows, ((0, 0), (reflect_pad, reflect_pad)), mode="reflect")
-    else:
-        padded = rows
-    extra = half - reflect_pad
-    if extra > 0:
-        padded = np.pad(padded, ((0, 0), (extra, extra)), mode="edge")
+    padded = rows[:, _reflect_index(length, half)]
     # out[:, m] = sum_k kernel[k] * padded[:, m + shift - k]; with the
     # symmetric padding above the kernel always has full support, so no
     # boundary cases remain (shift reproduces np.convolve's "same"

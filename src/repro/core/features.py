@@ -24,7 +24,10 @@ The documented entry points are the batch functions
 they run the Sec. V chain through the structure-of-arrays kernels of
 :mod:`~repro.core.batch` and hand every clip's segment pairs to one
 :func:`~repro.core.batch.dtw_distance_batch` call, a single
-anti-diagonal sweep over all of them.  A single clip is a batch of one;
+anti-diagonal sweep over all of them.  Both sides of every pair share
+one :func:`~repro.core.preprocessing.preprocess_batch` call: the chain
+is the same for both, only the peak-prominence gate differs (screen vs
+face), and it is passed per signal.  A single clip is a batch of one;
 each clip's result does not depend on the batch it rides in.
 """
 
@@ -40,7 +43,7 @@ from .batch import dtw_distance_batch
 from .config import DetectorConfig
 from .delay import align_signals, estimate_delay
 from .matching import ChangeMatch, match_changes
-from .preprocessing import PreprocessedSignal, preprocess_batch
+from .preprocessing import NonFiniteSampleError, PreprocessedSignal, preprocess_batch
 
 __all__ = [
     "FeatureVector",
@@ -138,24 +141,30 @@ def extract_features_batch(
 ) -> list[FeatureExtraction]:
     """Full Sec. V + Sec. VI pipeline over many raw signal pairs.
 
-    One call preprocesses every transmitted and received signal through
-    the batched filter chain and extracts all four features per clip;
-    results come back in submission order, each bit-identical to the
-    per-clip pipeline on that pair alone.
+    One :func:`~repro.core.preprocessing.preprocess_batch` call filters
+    all ``2n`` signals, ``[t_1..t_n, r_1..r_n]``, each side with its own
+    peak gate, and all four features are extracted per clip; results
+    come back in submission order, each bit-identical to the per-clip
+    pipeline on that pair alone.
+
+    A non-finite sample raises
+    :class:`~repro.core.preprocessing.NonFiniteSampleError` naming the
+    pair's index in ``pairs``; the transmitted sides are checked first.
     """
     config = config or DetectorConfig()
     instr = Instrumentation.ensure(instrumentation)
     pairs = list(pairs)
     if not pairs:
         return []
+    n = len(pairs)
+    signals = [t for t, _ in pairs] + [r for _, r in pairs]
+    prominences = [config.peak_prominence_screen] * n + [config.peak_prominence_face] * n
     with instr.span("features.preprocess", stage="preprocessing"):
-        pre_ts = preprocess_batch(
-            [t for t, _ in pairs], config, config.peak_prominence_screen
-        )
-        pre_rs = preprocess_batch(
-            [r for _, r in pairs], config, config.peak_prominence_face
-        )
-    return features_from_signals_batch(pre_ts, pre_rs, config, instrumentation=instr)
+        try:
+            pre = preprocess_batch(signals, config, prominences)
+        except NonFiniteSampleError as exc:
+            raise NonFiniteSampleError(exc.index % n) from None
+    return features_from_signals_batch(pre[:n], pre[n:], config, instrumentation=instr)
 
 
 def features_from_signals_batch(

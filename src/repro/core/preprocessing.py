@@ -234,7 +234,7 @@ class PreprocessedSignal:
 def preprocess_batch(
     signals: Sequence[np.ndarray] | ClipBatch,
     config: DetectorConfig,
-    min_prominence: float,
+    min_prominence: float | Sequence[float],
 ) -> list[PreprocessedSignal]:
     """Run the full Sec. V chain over N clips, batched per stage.
 
@@ -244,13 +244,27 @@ def preprocess_batch(
     kernels makes every clip's result bit-identical to
     :func:`preprocess` on that clip alone.
 
+    ``min_prominence`` is the peak gate: one float for every signal, or
+    one per signal, so that screen and face signals (which differ only
+    in that gate) share one call.  A sequence of the wrong length raises
+    ``ValueError``.
+
     Raises :class:`NonFiniteSampleError` (a ``ValueError``) naming the
-    first signal that holds a NaN or infinite sample: the variance
-    stage's running sums would carry it to the end of the clip, and the
-    threshold stage would turn the rest of the clip into zeros, silently
-    rejecting a live face.
+    first signal that holds a NaN or infinite sample, by its index in
+    this batch: the variance stage's running sums would carry it to the
+    end of the clip, and the threshold stage would turn the rest of the
+    clip into zeros, silently rejecting a live face.
     """
     batch = signals if isinstance(signals, ClipBatch) else ClipBatch.from_signals(signals)
+    if np.ndim(min_prominence) == 0:
+        prominences = [min_prominence] * len(batch)
+    else:
+        prominences = list(min_prominence)
+        if len(prominences) != len(batch):
+            raise ValueError(
+                f"need one prominence per signal: got {len(prominences)} "
+                f"for {len(batch)} signals"
+            )
     padding = np.arange(batch.max_length) >= batch.lengths[:, None]
     finite = (np.isfinite(batch.data) | padding).all(axis=1)
     if not finite.all():
@@ -280,7 +294,7 @@ def preprocess_batch(
                 rms=rms[g],
                 savgol=savgol[g],
                 smoothed=smoothed[g],
-                peaks=tuple(find_peaks(smoothed[g], min_prominence)),
+                peaks=tuple(find_peaks(smoothed[g], prominences[i])),
                 sample_rate_hz=config.sample_rate_hz,
             )
     return [r for r in results if r is not None]

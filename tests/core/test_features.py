@@ -10,10 +10,12 @@ from repro.core.config import DetectorConfig
 from repro.core.features import (
     FeatureVector,
     extract_features_batch,
+    features_from_signals_batch,
     normalize_unit,
     pearson_correlation,
     split_segments,
 )
+from repro.core.preprocessing import NonFiniteSampleError, preprocess_batch
 
 
 class TestPearson:
@@ -227,3 +229,117 @@ class TestBoundaryGuard:
         cfg = DetectorConfig(boundary_guard_s=0.0)
         fx = extract_features_batch([(step_signal, reflected_signal)], cfg)[0]
         assert fx.features.z1 == pytest.approx(1.0)  # both changes are interior here
+
+
+def _extract_features_two_pass(pairs, config):
+    """The body before both sides shared one filter pass, kept as the
+    oracle: one ``preprocess_batch`` call per side."""
+    pre_ts = preprocess_batch([t for t, _ in pairs], config, config.peak_prominence_screen)
+    pre_rs = preprocess_batch([r for _, r in pairs], config, config.peak_prominence_face)
+    return features_from_signals_batch(pre_ts, pre_rs, config)
+
+
+def _screen(rng, n):
+    """Two challenge steps (the ``batch-verify`` workload's generator)."""
+    t = np.full(n, 180.0)
+    t[int(rng.integers(25, 55)) :] -= 50.0
+    t[int(rng.integers(85, 120)) :] += 50.0
+    return t
+
+
+def _echo(rng, t, delay, noise):
+    delayed = np.concatenate([np.full(delay, t[0]), t[:-delay]])
+    return 120.0 + rng.uniform(0.12, 0.4) * delayed + rng.normal(0.0, noise, t.size)
+
+
+def _clip(rng, kind, n):
+    """A genuine, forger (late echo) or reenactment (own light) pair."""
+    t = _screen(rng, n)
+    round_trip = int(rng.integers(2, 6))
+    if kind == "genuine":
+        return t, _echo(rng, t, round_trip, rng.uniform(0.3, 2.0))
+    if kind == "forger":
+        processing = int(round(10 * rng.uniform(0.4, 1.4)))
+        return t, _echo(rng, t, round_trip + processing, rng.uniform(0.3, 1.0))
+    r = np.full(n, 174.0)
+    for _ in range(int(rng.integers(1, 3))):
+        r[int(rng.integers(10, n - 10)) :] += rng.choice((-1.0, 1.0)) * rng.uniform(5, 20)
+    return t, r + rng.normal(0.0, rng.uniform(0.3, 1.0), n)
+
+
+_STAGES = ("raw", "lowpassed", "variance", "thresholded", "rms", "savgol", "smoothed")
+
+
+def _assert_same_signal(got, want):
+    for stage in _STAGES:
+        a, b = getattr(got, stage), getattr(want, stage)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), stage
+    assert [(p.index, repr(p.height), repr(p.prominence)) for p in got.peaks] == [
+        (p.index, repr(p.height), repr(p.prominence)) for p in want.peaks
+    ]
+    assert got.sample_rate_hz == want.sample_rate_hz
+
+
+def _assert_same_extractions(pairs, config):
+    got = extract_features_batch(pairs, config)
+    want = _extract_features_two_pass(pairs, config)
+    assert len(got) == len(want) == len(pairs)
+    for g, w in zip(got, want):
+        assert g.features.as_array().tobytes() == w.features.as_array().tobytes()
+        _assert_same_signal(g.transmitted, w.transmitted)
+        _assert_same_signal(g.received, w.received)
+        assert g.matches == w.matches
+        assert repr(g.delay_s) == repr(w.delay_s)
+
+
+class TestOnePassMatchesTwoPass:
+    """Both sides in one ``preprocess_batch`` call equal one call per side."""
+
+    KINDS = ("genuine", "reenactment", "forger")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_lengths_and_kinds(self, seed, config):
+        rng = np.random.default_rng([seed, 24])
+        pairs = [
+            _clip(rng, kind, n) for n in (150, 175, 200) for kind in self.KINDS for _ in "ab"
+        ]
+        order = rng.permutation(len(pairs))
+        _assert_same_extractions([pairs[i] for i in order], config)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_of_one(self, kind, config):
+        rng = np.random.default_rng(7)
+        _assert_same_extractions([_clip(rng, kind, 150)], config)
+
+    def test_sides_of_different_length(self, config):
+        rng = np.random.default_rng(8)
+        pairs = []
+        lengths = [(150, 140), (175, 200), (200, 150), (150, 175)]
+        for (n_t, n_r), kind in zip(lengths, self.KINDS * 2):
+            t, r = _clip(rng, kind, max(n_t, n_r))
+            pairs.append((t[:n_t], r[:n_r]))
+        _assert_same_extractions(pairs, config)
+
+
+class TestOnePassErrorIndex:
+    """The merged pass names the caller's clip, not the merged row."""
+
+    def _pairs(self, count):
+        rng = np.random.default_rng(3)
+        return [tuple(side.copy() for side in _clip(rng, "genuine", 150)) for _ in range(count)]
+
+    def test_received_nan_names_its_clip(self, config):
+        pairs = self._pairs(4)
+        pairs[2][1][60] = np.nan
+        with pytest.raises(NonFiniteSampleError, match="signal 2 has a non-finite") as info:
+            extract_features_batch(pairs, config)
+        assert info.value.index == 2
+
+    def test_transmitted_side_is_checked_first(self, config):
+        pairs = self._pairs(4)
+        pairs[3][0][10] = np.inf
+        pairs[1][1][20] = np.nan
+        with pytest.raises(NonFiniteSampleError, match="signal 3 has a non-finite sample"):
+            extract_features_batch(pairs, config)
+        with pytest.raises(NonFiniteSampleError, match="signal 3 has a non-finite sample"):
+            _extract_features_two_pass(pairs, config)

@@ -279,6 +279,22 @@ class TestKernelMemo:
         assert other[0].tobytes() == first[0].tobytes()
 
 
+class TestPerSignalProminence:
+    def test_sequence_equals_one_call_per_gate(self, step_signal, config):
+        signals = [step_signal, step_signal[:120] * 0.2, step_signal[::-1].copy()]
+        gates = [10.0, 0.5, 10.0]
+        got = preprocess_batch(signals, config, gates)
+        for signal, gate, pre in zip(signals, gates, got, strict=True):
+            want = preprocess_batch([signal], config, gate)[0]
+            assert pre.smoothed.tobytes() == want.smoothed.tobytes()
+            assert pre.peaks == want.peaks
+
+    @pytest.mark.parametrize("gates", [[], [0.5], [0.5, 0.5, 0.5]])
+    def test_length_mismatch_is_refused(self, step_signal, config, gates):
+        with pytest.raises(ValueError, match="one prominence per signal"):
+            preprocess_batch([step_signal, step_signal], config, gates)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_preprocess_refuses(self, step_signal, config, bad):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch as batch_module
 from repro.core.batch import (
     ClipBatch,
     dtw_distance_batch,
@@ -170,6 +171,61 @@ class TestKernelsMatchPerClipLoop:
         batch = _pad(signals)
         for row, signal in zip(batch.rows(), signals):
             assert find_peaks(row, prominence) == find_peaks(signal, prominence)
+
+
+def _reflect_convolve_reference(rows, kernel):
+    """The convolution with its padding built by two ``np.pad`` calls
+    per call (reflect capped at ``len - 1``, then edge), kept as the
+    oracle for the cached index gather."""
+    rows = np.asarray(rows, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    half = kernel.size // 2
+    count, length = rows.shape
+    if length == 0 or count == 0 or half == 0:
+        if half == 0 and length > 0 and count > 0:
+            return kernel[0] * rows
+        return rows.copy()
+    reflect_pad = min(half, length - 1)
+    if reflect_pad > 0:
+        padded = np.pad(rows, ((0, 0), (reflect_pad, reflect_pad)), mode="reflect")
+    else:
+        padded = rows
+    extra = half - reflect_pad
+    if extra > 0:
+        padded = np.pad(padded, ((0, 0), (extra, extra)), mode="edge")
+    shift = half + (kernel.size - 1) // 2
+    out = np.zeros_like(rows)
+    for k in range(kernel.size):
+        start = shift - k
+        out += kernel[k] * padded[:, start : start + length]
+    return out
+
+
+class TestReflectGather:
+    @pytest.mark.parametrize("taps", [1, 2, 3, 10, 31, 41])
+    def test_bitwise_equal_to_pad_reference(self, taps):
+        rng = np.random.default_rng(taps)
+        kernel = rng.normal(size=taps)
+        for length in range(1, 61):
+            for count in range(1, 5):
+                rows = rng.uniform(-1e3, 1e3, size=(count, length))
+                got = reflect_convolve_batch(rows, kernel)
+                want = _reflect_convolve_reference(rows, kernel)
+                assert got.tobytes() == want.tobytes(), (length, count)
+
+    def test_index_cache_is_bounded_and_read_only(self):
+        kernel = np.full(41, 1.0 / 41)
+        bound = batch_module._GATHER_MEMO_SIZE
+        for length in range(1, 3 * bound):
+            reflect_convolve_batch(np.ones((1, length)), kernel)
+            assert len(batch_module._GATHERS) <= bound
+        # The newest shapes are the ones kept.
+        assert (3 * bound - 1, 20) in batch_module._GATHERS
+        assert (1, 20) not in batch_module._GATHERS
+        for index in batch_module._GATHERS.values():
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
 
 
 class TestDtwBatch:
