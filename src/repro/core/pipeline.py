@@ -142,7 +142,13 @@ class ChatVerifier:
         self,
         record: SessionRecord,
     ) -> VerificationReport:
-        """Segment a session into clips, batch-verify them, majority-vote."""
+        """Segment a session into clips, batch-verify them, majority-vote.
+
+        The landmark detector is rewound first, as
+        ``StreamingVerifier.reset`` does, so a session's scores never
+        depend on the sessions this verifier handled before it.
+        """
+        self.landmark_detector.reset()
         with self.instrumentation.span("verifier.verify_session", stage="verdict"):
             pairs = [
                 self.extract_signals(t_clip, r_clip)

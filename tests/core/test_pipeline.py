@@ -66,6 +66,22 @@ class TestSessionVerification:
         # a majority of rejections is the robust expectation here.
         assert verdict.verdict.reject_votes >= 2
 
+    def test_verdict_independent_of_prior_sessions(self, enrolled_verifier, fast_env):
+        # The landmark jitter is rewound per session: an unrelated session
+        # in between leaves the second verification bit-identical.
+        record = simulate_genuine_session(duration_s=15.0, seed=806, env=fast_env)
+        other = simulate_attack_session(duration_s=15.0, seed=807, env=fast_env)
+
+        def bits(report):
+            return [
+                ([v.hex() for v in a.features.as_array().tolist()], a.lof_score.hex())
+                for a in report.attempts
+            ]
+
+        first = bits(enrolled_verifier.verify_session(record))
+        enrolled_verifier.verify_session(other)
+        assert bits(enrolled_verifier.verify_session(record)) == first
+
     def test_too_short_session_raises(self, enrolled_verifier, fast_env):
         record = simulate_genuine_session(duration_s=8.0, seed=804, env=fast_env)
         with pytest.raises(ValueError):
