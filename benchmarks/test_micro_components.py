@@ -14,6 +14,7 @@ from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
 from repro.core.features import normalize_unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
+from repro.core.luminance import roi_luminance
 from repro.core.peaks import find_peaks
 from repro.core.preprocessing import preprocess
 from repro.experiments.simulate import simulate_genuine_session
@@ -165,6 +166,15 @@ def test_bench_landmark_detection_service_frame(benchmark):
     detector = LandmarkDetector()
     landmarks = benchmark(lambda: detector.detect(pixels))
     assert landmarks is not None
+
+
+def test_bench_received_probe_service_frame(benchmark):
+    """The whole received-frame probe on the 24x24 service frame:
+    detect -> nasal-bridge ROI -> ROI mean luminance."""
+    frame = _face_frame(WorkloadConfig(), 120.0, 0.0)
+    detector = LandmarkDetector()
+    value = benchmark(lambda: roi_luminance(detector, frame))
+    assert value is not None
 
 
 def test_bench_skin_mask_96(benchmark):

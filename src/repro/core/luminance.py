@@ -27,6 +27,7 @@ from .roi import nasal_bridge_roi
 
 __all__ = [
     "clip_signals",
+    "roi_luminance",
     "roi_mean_luminance",
     "transmitted_luminance_signal",
     "ReceivedSignal",
@@ -44,7 +45,20 @@ def roi_mean_luminance(frame: Frame, roi: Rect) -> float | None:
     patch = frame.pixels[rows, cols]
     if patch.size == 0:
         return None
-    return float(pixel_luminance(patch).mean())
+    lum = pixel_luminance(patch)
+    # Exactly what ``lum.mean()`` computes, without its Python wrappers
+    # (see ``frame_mean_luminance``).
+    return float(np.add.reduce(lum, axis=None) / lum.size)
+
+
+def roi_luminance(detector: LandmarkDetector, frame: Frame) -> float | None:
+    """The received-frame probe of both front ends: landmarks, then the
+    nasal-bridge ROI's mean luminance.  ``None`` when no face is found or
+    the ROI misses the frame; each hit advances ``detector``'s jitter."""
+    landmarks = detector.detect(frame.pixels)
+    if landmarks is None:
+        return None
+    return roi_mean_luminance(frame, nasal_bridge_roi(landmarks))
 
 
 def transmitted_luminance_signal(stream: VideoStream) -> np.ndarray:
@@ -82,10 +96,7 @@ def received_luminance_signal(
     luminance = np.zeros(n, dtype=np.float64)
     valid = np.zeros(n, dtype=bool)
     for i, frame in enumerate(stream):
-        landmarks = detector.detect(frame.pixels)
-        if landmarks is None:
-            continue
-        value = roi_mean_luminance(frame, nasal_bridge_roi(landmarks))
+        value = roi_luminance(detector, frame)
         if value is None:
             continue
         luminance[i] = value

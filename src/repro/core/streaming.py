@@ -60,9 +60,8 @@ from ..video.luminance import frame_mean_luminance
 from ..vision.landmarks import LandmarkDetector
 from .config import DetectorConfig
 from .detector import DetectionResult, LivenessDetector
-from .luminance import roi_mean_luminance
+from .luminance import roi_luminance
 from .pipeline import VerificationReport
-from .roi import nasal_bridge_roi
 from .voting import Verdict, VotingCombiner
 
 __all__ = [
@@ -357,10 +356,7 @@ class StreamingVerifier:
         )
         if frozen:
             self._clip_frozen += 1
-        landmarks = self.landmark_detector.detect(received.pixels)
-        value = None
-        if landmarks is not None:
-            value = roi_mean_luminance(received, nasal_bridge_roi(landmarks))
+        value = roi_luminance(self.landmark_detector, received)
         # A sample is stale when it carries no live measurement — the
         # frame is a frozen repeat, or the tracker had no fix and the
         # signal holds its last value either way.

@@ -38,4 +38,8 @@ def frame_mean_luminance(frame: Frame | np.ndarray) -> float:
     of the displayed content matters to the screen-light signal.
     """
     pixels = frame.pixels if isinstance(frame, Frame) else np.asarray(frame)
-    return float(pixel_luminance(pixels).mean())
+    lum = pixel_luminance(pixels)
+    # ``lum.mean()`` is this same pairwise ``add.reduce`` over every
+    # element divided by the count; calling it directly skips the
+    # Python-level wrappers of ``np.mean``, bit for bit the same value.
+    return float(np.add.reduce(lum, axis=None) / lum.size)

@@ -81,17 +81,24 @@ class Rect:
 
     def intersect(self, other: "Rect") -> "Rect | None":
         """Intersection rectangle, or ``None`` when disjoint."""
-        x0 = max(self.x0, other.x0)
-        y0 = max(self.y0, other.y0)
-        x1 = min(self.x1, other.x1)
-        y1 = min(self.y1, other.y1)
+        return self._overlap(other.x0, other.y0, other.x1, other.y1)
+
+    def clipped_to(self, width: float, height: float) -> "Rect | None":
+        """Clip to an image of the given size; ``None`` if fully outside.
+
+        The same as ``intersect(Rect(0, 0, width, height))``, without
+        building the image rectangle.
+        """
+        return self._overlap(0.0, 0.0, float(width), float(height))
+
+    def _overlap(self, x0: float, y0: float, x1: float, y1: float) -> "Rect | None":
+        x0 = max(self.x0, x0)
+        y0 = max(self.y0, y0)
+        x1 = min(self.x1, x1)
+        y1 = min(self.y1, y1)
         if x1 <= x0 or y1 <= y0:
             return None
         return Rect(x0, y0, x1, y1)
-
-    def clipped_to(self, width: float, height: float) -> "Rect | None":
-        """Clip to an image of the given size; ``None`` if fully outside."""
-        return self.intersect(Rect(0.0, 0.0, float(width), float(height)))
 
     def pixel_slices(self) -> tuple[slice, slice]:
         """Integer (row, column) slices covering the rectangle.

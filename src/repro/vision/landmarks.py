@@ -14,13 +14,15 @@ The detector is a genuine pixel-level algorithm, not a metadata lookup:
    mask, vertical anchor on the chin (the hairline is unreliable), a
    population-prior aspect ratio for face height.  The percentiles are
    histogram order statistics: the mask's per-column and per-row skin
-   counts, summed cumulatively, locate the two neighbouring order statistics of
-   each quantile with one ``searchsorted`` per axis, and numpy's
+   counts, summed cumulatively, locate the two neighbouring order
+   statistics of each quantile by bisection, and numpy's
    ``method="linear"`` interpolation rule is applied to them exactly,
    so no coordinate list is ever built or partitioned.
 3. **Landmark regression** — the canonical layout mapped through the
    fitted ellipse, with a small seeded jitter modelling the residual
-   error real landmark detectors exhibit frame to frame.
+   error real landmark detectors exhibit frame to frame.  The fit is
+   kept as 24 floats; :class:`~repro.vision.geometry.Point` objects are
+   built only for the landmarks a caller reads (the ROI reads two).
 
 Failure modes mirror the real API: too-dark frames, heavy occlusion or
 the face leaving the frame produce ``None`` (the luminance extractor
@@ -29,7 +31,7 @@ must cope, Sec. IV).
 
 from __future__ import annotations
 
-import dataclasses
+import bisect
 import math
 from collections.abc import Sequence
 
@@ -49,59 +51,121 @@ _LAYOUT_UV: tuple[tuple[float, float], ...] = tuple(
 )
 
 
-def _linear_quantiles(cumulative: np.ndarray, quantiles: Sequence[float]) -> list[float]:
+def _linear_quantiles(cumulative: list[int], quantiles: Sequence[float]) -> list[float]:
     """``np.quantile(sample, q, method="linear")`` for each ``q``, from a histogram.
 
     ``cumulative`` is the cumulative count of an integer sample over the
     bins ``0..len - 1`` (its last entry is the sample size ``n >= 1``).
     The order statistic of rank ``k`` is the first bin whose cumulative
-    count exceeds ``k``; both neighbours of every quantile are found in
-    one ``searchsorted`` (clamped to rank ``n - 1`` at the top, as numpy
-    does) and combined with numpy's own interpolation rule, so the
-    result equals ``np.quantile`` bit for bit.
+    count exceeds ``k`` (``bisect_right``, as ``searchsorted`` with
+    ``side="right"``).  Both neighbours of every quantile are found that
+    way (clamped to rank ``n - 1`` at the top, as numpy does) and
+    combined with numpy's own interpolation rule, so the result equals
+    ``np.quantile`` bit for bit.
     """
-    n = int(cumulative[-1])
-    ranks: list[int] = []
-    weights: list[float] = []
+    n = cumulative[-1]
+    out = []
     for q in quantiles:
         virtual = (n - 1) * q
         lo = math.floor(virtual)
-        ranks += (min(lo, n - 1), min(lo + 1, n - 1))
-        weights.append(virtual - lo)
-    values = np.searchsorted(cumulative, ranks, side="right").tolist()
-    out = []
-    for a, b, t in zip(values[::2], values[1::2], weights):
+        t = virtual - lo
+        a = bisect.bisect_right(cumulative, min(lo, n - 1))
+        b = bisect.bisect_right(cumulative, min(lo + 1, n - 1))
         diff = b - a
         out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
     return out
 
 
-@dataclasses.dataclass(frozen=True)
+#: Coordinate offsets into a fit's flat ``(x0, y0, x1, y1, ...)`` tuple,
+#: in :data:`_LAYOUT_UV` order.
+_BRIDGE, _TIP, _LEFT_EYE, _RIGHT_EYE, _MOUTH = 0, 8, 18, 20, 22
+
+
 class FaceLandmarks:
-    """The landmark set the paper's pipeline consumes (Fig. 5)."""
+    """The landmark set the paper's pipeline consumes (Fig. 5).
 
-    nasal_bridge: tuple[Point, ...]
-    nasal_tip: tuple[Point, ...]
-    left_eye: Point
-    right_eye: Point
-    mouth: Point
+    Immutable.  The 12 points are held as one flat tuple of coordinates
+    in layout order (bridge x4, tip x5, left eye, right eye, mouth);
+    every accessor builds its :class:`Point` objects when it is read.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.nasal_bridge) != 4:
+    __slots__ = ("_xy",)
+
+    def __init__(
+        self,
+        nasal_bridge: Sequence[Point],
+        nasal_tip: Sequence[Point],
+        left_eye: Point,
+        right_eye: Point,
+        mouth: Point,
+    ) -> None:
+        if len(nasal_bridge) != 4:
             raise ValueError("nasal_bridge must contain 4 points")
-        if len(self.nasal_tip) != 5:
+        if len(nasal_tip) != 5:
             raise ValueError("nasal_tip must contain 5 points")
+        points = (*nasal_bridge, *nasal_tip, left_eye, right_eye, mouth)
+        object.__setattr__(self, "_xy", tuple(c for p in points for c in (p.x, p.y)))
+
+    @classmethod
+    def _fitted(cls, xy: tuple[float, ...]) -> "FaceLandmarks":
+        """Wrap a detector fit: 24 coordinates in layout order, unchecked."""
+        landmarks = object.__new__(cls)
+        object.__setattr__(landmarks, "_xy", xy)
+        return landmarks
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaceLandmarks):
+            return NotImplemented
+        return self._xy == other._xy
+
+    def __hash__(self) -> int:
+        return hash(self._xy)
+
+    def __repr__(self) -> str:
+        return (
+            f"FaceLandmarks(nasal_bridge={self.nasal_bridge!r}, nasal_tip={self.nasal_tip!r}, "
+            f"left_eye={self.left_eye!r}, right_eye={self.right_eye!r}, mouth={self.mouth!r})"
+        )
+
+    def __reduce__(self):
+        return (FaceLandmarks._fitted, (self._xy,))
+
+    def _point(self, i: int) -> Point:
+        return Point(self._xy[i], self._xy[i + 1])
+
+    @property
+    def nasal_bridge(self) -> tuple[Point, ...]:
+        return tuple(self._point(i) for i in range(_BRIDGE, _TIP, 2))
+
+    @property
+    def nasal_tip(self) -> tuple[Point, ...]:
+        return tuple(self._point(i) for i in range(_TIP, _LEFT_EYE, 2))
+
+    @property
+    def left_eye(self) -> Point:
+        return self._point(_LEFT_EYE)
+
+    @property
+    def right_eye(self) -> Point:
+        return self._point(_RIGHT_EYE)
+
+    @property
+    def mouth(self) -> Point:
+        return self._point(_MOUTH)
 
     @property
     def lower_bridge(self) -> Point:
         """The lowest nasal-bridge point — the ROI anchor ``(a1, b1)``."""
-        return self.nasal_bridge[-1]
+        return self._point(_TIP - 2)
 
     @property
     def nose_tip_center(self) -> Point:
         """Center of the nasal-tip arc — the ROI sizing point ``(a2, b2)``."""
-        xs = [p.x for p in self.nasal_tip]
-        ys = [p.y for p in self.nasal_tip]
+        xs = self._xy[_TIP:_LEFT_EYE:2]
+        ys = self._xy[_TIP + 1 : _LEFT_EYE : 2]
         return Point(sum(xs) / len(xs), sum(ys) / len(ys))
 
     def as_dict(self) -> dict[str, list[Point]]:
@@ -179,13 +243,16 @@ class LandmarkDetector:
         """Detect landmarks in one frame; ``None`` when no face is found."""
         mask = self.skin_mask(pixels)
         height, width = mask.shape
-        columns = np.count_nonzero(mask, axis=0).cumsum()
-        count = int(columns[-1]) if width else 0
+        if not width:
+            return None
+        columns = mask.sum(axis=0, dtype=np.intp).cumsum().tolist()
+        count = columns[-1]
         if count == 0 or count < self.min_face_fraction * height * width:
             return None
 
         x_lo, x_hi = _linear_quantiles(columns, (0.02, 0.98))
-        (chin_y,) = _linear_quantiles(np.count_nonzero(mask, axis=1).cumsum(), (0.99,))
+        rows = mask.sum(axis=1, dtype=np.intp).cumsum().tolist()
+        (chin_y,) = _linear_quantiles(rows, (0.99,))
         half_width = max((x_hi - x_lo) / 2.0, 2.0)
         center_x = (x_lo + x_hi) / 2.0
         half_height = half_width * self.assumed_aspect
@@ -195,17 +262,10 @@ class LandmarkDetector:
         # the order in which drawing each coordinate in turn takes them.
         sigma = self.jitter_fraction * half_width
         jitter = self._rng.normal(0.0, sigma, size=(len(_LAYOUT_UV), 2))
-        points = [
-            Point(center_x + u * half_width + jx, center_y + v * half_height + jy)
-            for (u, v), (jx, jy) in zip(_LAYOUT_UV, jitter.tolist())
-        ]
-        return FaceLandmarks(
-            nasal_bridge=tuple(points[:4]),
-            nasal_tip=tuple(points[4:9]),
-            left_eye=points[9],
-            right_eye=points[10],
-            mouth=points[11],
-        )
+        xy: list[float] = []
+        for (u, v), (jx, jy) in zip(_LAYOUT_UV, jitter.tolist()):
+            xy += (center_x + u * half_width + jx, center_y + v * half_height + jy)
+        return FaceLandmarks._fitted(tuple(xy))
 
 
 def mean_landmark_error(detected: FaceLandmarks, truth: dict[str, list[Point]]) -> float:

@@ -2,16 +2,66 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.camera.sensor import ImageSensor
 from repro.core.luminance import (
     received_luminance_signal,
+    roi_luminance,
     roi_mean_luminance,
     transmitted_luminance_signal,
 )
+from repro.core.roi import MIN_ROI_SIDE
+from repro.service.loadgen import WorkloadConfig, _face_frame, _faceless_frame
 from repro.video.frame import Frame, blank_frame
+from repro.video.luminance import frame_mean_luminance, pixel_luminance
 from repro.video.stream import VideoStream
-from repro.vision.geometry import Rect
+from repro.vision.expression import PoseState
+from repro.vision.face_model import SKIN_TONES, make_face
+from repro.vision.geometry import Rect, square_around
 from repro.vision.landmarks import LandmarkDetector
+from repro.vision.renderer import FaceRenderer
+
+from ..vision.test_landmarks import _detect_reference
+
+
+def _roi_mean_luminance_reference(frame, roi):
+    """The Rect-based ROI mean ``roi_mean_luminance`` replaced: intersect
+    with the frame rectangle (the arithmetic ``Rect.intersect`` had),
+    slice, ``mean()``."""
+    bounds = Rect(0.0, 0.0, float(frame.width), float(frame.height))
+    x0, y0 = max(roi.x0, bounds.x0), max(roi.y0, bounds.y0)
+    x1, y1 = min(roi.x1, bounds.x1), min(roi.y1, bounds.y1)
+    if x1 <= x0 or y1 <= y0:
+        return None
+    rows, cols = Rect(x0, y0, x1, y1).pixel_slices()
+    patch = frame.pixels[rows, cols]
+    if patch.size == 0:
+        return None
+    return float(pixel_luminance(patch).mean())
+
+
+def _probe_reference(detector, frame):
+    """The three-call received-frame probe both front ends ran before
+    ``roi_luminance``: the percentile detector, the ROI from eagerly
+    built points, and the Rect-based mean."""
+    landmarks = _detect_reference(detector, frame.pixels)
+    if landmarks is None:
+        return None
+    anchor = landmarks.nasal_bridge[-1]
+    tip_y = sum([p.y for p in landmarks.nasal_tip]) / len(landmarks.nasal_tip)
+    roi = square_around(anchor, max(abs(anchor.y - tip_y), MIN_ROI_SIDE))
+    return _roi_mean_luminance_reference(frame, roi)
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+def _noise_frame(seed, height, width):
+    pixels = np.random.default_rng(seed).uniform(0.0, 255.0, (height, width, 3))
+    return Frame(pixels=pixels, timestamp=0.0)
 
 
 class TestRoiLuminance:
@@ -36,6 +86,145 @@ class TestRoiLuminance:
         outside = roi_mean_luminance(frame, Rect(6, 6, 8, 8))
         assert inside == pytest.approx(200.0)
         assert outside == pytest.approx(0.0)
+
+
+#: One edge coordinate relative to a frame side ``n``: its own offset, a
+#: fraction of ``n`` and a fractional part, so edges land inside, on,
+#: and beyond both borders, on and off the pixel grid.
+_EDGES = st.tuples(st.integers(-3, 3), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0))
+
+
+def _edge(n, spec):
+    offset, fraction, frac = spec
+    return offset + fraction * n + frac
+
+
+class TestRoiMeanMatchesRectReference:
+    """``roi_mean_luminance`` equals the Rect-based mean bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        x=st.tuples(_EDGES, _EDGES),
+        y=st.tuples(_EDGES, _EDGES),
+    )
+    # Inside; straddling the left, right, top and bottom edges; fully
+    # outside; zero width; fractional edges; a 1x1 frame.
+    @example(height=10, width=10, seed=0, x=((2, 0.0, 0.0), (6, 0.0, 0.0)), y=((2, 0.0, 0.0), (6, 0.0, 0.0)))
+    @example(height=10, width=10, seed=1, x=((-2, 0.0, 0.0), (3, 0.0, 0.0)), y=((2, 0.0, 0.0), (6, 0.0, 0.0)))
+    @example(height=10, width=10, seed=2, x=((-2, 1.0, 0.0), (2, 1.0, 0.0)), y=((2, 0.0, 0.0), (6, 0.0, 0.0)))
+    @example(height=10, width=10, seed=3, x=((2, 0.0, 0.0), (6, 0.0, 0.0)), y=((-3, 0.0, 0.5), (2, 0.0, 0.0)))
+    @example(height=10, width=10, seed=4, x=((2, 0.0, 0.0), (6, 0.0, 0.0)), y=((-1, 1.0, 0.0), (3, 1.0, 0.0)))
+    @example(height=10, width=10, seed=5, x=((1, 1.0, 0.0), (3, 1.0, 0.0)), y=((1, 1.0, 0.0), (3, 1.0, 0.0)))
+    @example(height=10, width=10, seed=6, x=((3, 0.0, 0.5), (3, 0.0, 0.5)), y=((2, 0.0, 0.0), (6, 0.0, 0.0)))
+    @example(height=9, width=7, seed=7, x=((1, 0.0, 0.25), (4, 0.0, 0.75)), y=((0, 0.0, 0.3), (5, 0.0, 0.9)))
+    @example(height=1, width=1, seed=8, x=((0, 0.0, 0.2), (0, 0.0, 0.7)), y=((-1, 0.0, 0.0), (1, 0.0, 0.0)))
+    def test_equals_reference(self, height, width, seed, x, y):
+        x0, x1 = sorted(_edge(width, spec) for spec in x)
+        y0, y1 = sorted(_edge(height, spec) for spec in y)
+        frame = _noise_frame(seed, height, width)
+        roi = Rect(x0, y0, x1, y1)
+        got = roi_mean_luminance(frame, roi)
+        assert _bits(got) == _bits(_roi_mean_luminance_reference(frame, roi))
+
+    def test_every_roi_on_a_1x1_frame(self):
+        frame = _noise_frame(9, 1, 1)
+        edges = (-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 1.5)
+        for x0 in edges:
+            for x1 in (e for e in edges if e >= x0):
+                roi = Rect(x0, 0.0, x1, 1.0)
+                want = _roi_mean_luminance_reference(frame, roi)
+                assert _bits(roi_mean_luminance(frame, roi)) == _bits(want)
+
+
+class TestFrameMeanMatchesNumpyMean:
+    """``frame_mean_luminance`` is ``pixel_luminance(p).mean()`` bit for
+    bit, across numpy's 8- and 128-element pairwise-summation blocks."""
+
+    def test_square_frames_1_to_97(self):
+        rng = np.random.default_rng(13)
+        for side in range(1, 98):
+            pixels = rng.uniform(0.0, 255.0, (side, side, 3))
+            want = float(pixel_luminance(pixels).mean()).hex()
+            assert frame_mean_luminance(pixels).hex() == want, side
+            assert frame_mean_luminance(Frame(pixels=pixels, timestamp=0.0)).hex() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(height=st.integers(1, 97), width=st.integers(1, 97), seed=st.integers(0, 2**16))
+    def test_rectangular_frames(self, height, width, seed):
+        pixels = np.random.default_rng(seed).uniform(0.0, 255.0, (height, width, 3))
+        want = float(pixel_luminance(pixels).mean()).hex()
+        assert frame_mean_luminance(pixels).hex() == want
+
+
+def _rendered_frames():
+    """96x96 rendered faces through a noisy sensor: every skin tone, a
+    few poses, a face partly out of frame."""
+    poses = [
+        PoseState(center_x=cx, center_y=0.48, scale=sc, roll=roll, blink=0.0, mouth_open=0.0)
+        for cx, sc, roll in ((0.5, 0.3, 0.0), (0.38, 0.25, 0.15), (0.62, 0.35, -0.1), (0.95, 0.3, 0.0))
+    ]
+    frames = []
+    for k, tone in enumerate(sorted(SKIN_TONES)):
+        renderer = FaceRenderer(make_face(tone, tone=tone), 96, 96, seed=k)
+        sensor = ImageSensor(rng=np.random.default_rng(k))
+        for pose in poses:
+            radiance = renderer.render(pose, 120.0, ambient_lux=120.0).radiance
+            frames.append(Frame(pixels=sensor.expose(radiance, exposure=1.0 / 250.0), timestamp=0.0))
+    return frames
+
+
+def _service_frames():
+    """24x24 load-generator frames at noisy luminance, some with pixel noise."""
+    config = WorkloadConfig()
+    rng = np.random.default_rng(14)
+    frames = []
+    for k, lum in enumerate(rng.uniform(0.0, 255.0, size=40)):
+        frame = _face_frame(config, float(lum), 0.0)
+        if k % 2:
+            noisy = frame.pixels + rng.normal(0.0, 6.0, frame.pixels.shape)
+            frame = Frame(pixels=np.clip(noisy, 0.0, 255.0), timestamp=0.0)
+        frames.append(frame)
+    return frames
+
+
+def _faceless_frames():
+    """Frames with no face: black, uniform grey, uniform noise."""
+    config = WorkloadConfig()
+    return [
+        _faceless_frame(config, 0.0),
+        blank_frame(24, 24, value=90.0),
+        *(_noise_frame(seed, 24, 24) for seed in range(4)),
+        _noise_frame(5, 48, 64),
+    ]
+
+
+class TestProbeMatchesThreeCallReference:
+    """``roi_luminance`` equals the three-call chain it replaced: values
+    bit for bit, misses stay ``None``, jitter generators end equal."""
+
+    @pytest.mark.parametrize(
+        "frames", [_rendered_frames, _service_frames, _faceless_frames], ids=lambda f: f.__name__
+    )
+    def test_equals_reference(self, frames):
+        frames = frames()
+        fast, slow = LandmarkDetector(seed=21), LandmarkDetector(seed=21)
+        got = [_bits(roi_luminance(fast, frame)) for frame in frames]
+        want = [_bits(_probe_reference(slow, frame)) for frame in frames]
+        assert got == want
+        assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
+
+    def test_mixed_stream_hits_and_misses(self):
+        frames = _service_frames() + _faceless_frames() + _rendered_frames()
+        order = np.random.default_rng(15).permutation(len(frames))
+        fast, slow = LandmarkDetector(seed=22), LandmarkDetector(seed=22)
+        got = [_bits(roi_luminance(fast, frames[k])) for k in order]
+        want = [_bits(_probe_reference(slow, frames[k])) for k in order]
+        assert got == want
+        assert 0 < got.count(None) < len(got)
+        assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
 
 
 class TestTransmittedSignal:

@@ -1,6 +1,9 @@
 """Landmark detector: accuracy against rendered ground truth, and exact
 agreement with the ``np.percentile`` reference it replaced."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,9 +33,41 @@ def _skin_mask_reference(pixels):
     return bright & (r > 0.355) & (b < 0.32)
 
 
-def _detect_reference(detector, pixels):
+@dataclasses.dataclass(frozen=True)
+class _EagerLandmarks:
+    """The landmark set as a frozen dataclass of built points, the shape
+    ``FaceLandmarks`` had before it kept its fit as floats."""
+
+    nasal_bridge: tuple[Point, ...]
+    nasal_tip: tuple[Point, ...]
+    left_eye: Point
+    right_eye: Point
+    mouth: Point
+
+    @property
+    def lower_bridge(self):
+        return self.nasal_bridge[-1]
+
+    @property
+    def nose_tip_center(self):
+        xs = [p.x for p in self.nasal_tip]
+        ys = [p.y for p in self.nasal_tip]
+        return Point(sum(xs) / len(xs), sum(ys) / len(ys))
+
+    def as_dict(self):
+        return {
+            "nasal_bridge": list(self.nasal_bridge),
+            "nasal_tip": list(self.nasal_tip),
+            "left_eye": [self.left_eye],
+            "right_eye": [self.right_eye],
+            "mouth": [self.mouth],
+        }
+
+
+def _detect_reference(detector, pixels, build=FaceLandmarks):
     """The percentile-and-scalar-draw detector, advancing ``detector``'s
-    jitter generator exactly as it did: 24 draws per hit, none per miss."""
+    jitter generator exactly as it did: 24 draws per hit, none per miss.
+    ``build`` makes the landmark set from the five point groups."""
     mask = _skin_mask_reference(pixels)
     height, width = mask.shape
     count = int(mask.sum())
@@ -52,7 +87,7 @@ def _detect_reference(detector, pixels):
         jy = float(detector._rng.normal(0.0, jitter_sigma))
         return Point(center_x + u * half_width + jx, center_y + v * half_height + jy)
 
-    return FaceLandmarks(
+    return build(
         nasal_bridge=tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_bridge"]),
         nasal_tip=tuple(_map(u, v) for u, v in LANDMARK_LAYOUT["nasal_tip"]),
         left_eye=_map(*LANDMARK_LAYOUT["left_eye"][0]),
@@ -272,6 +307,45 @@ class TestMatchesPercentileReference:
         assert 0 < hits < 500
 
 
+class TestPointsBuiltOnRead:
+    """A detection keeps its fit as floats; every accessor reads the same
+    points an eagerly built landmark set holds."""
+
+    def _pairs(self, renderer):
+        rng = np.random.default_rng(12)
+        frames = [
+            _frame_pixels(renderer, _pose(center_x=float(cx), roll=float(roll)))[0]
+            for cx, roll in rng.uniform((0.3, -0.2), (0.7, 0.2), size=(6, 2))
+        ]
+        frames.append(_face_frame(WorkloadConfig(), 120.0, 0.0).pixels)
+        fast, slow = LandmarkDetector(seed=7), LandmarkDetector(seed=7)
+        for pixels in frames:
+            yield fast.detect(pixels), _detect_reference(slow, pixels, build=_EagerLandmarks)
+
+    def test_accessors_equal_eager_points(self, renderer):
+        for lazy, eager in self._pairs(renderer):
+            assert lazy.as_dict() == eager.as_dict()
+            assert lazy.lower_bridge == eager.lower_bridge
+            assert lazy.nose_tip_center == eager.nose_tip_center
+            assert (lazy.nasal_bridge, lazy.nasal_tip) == (eager.nasal_bridge, eager.nasal_tip)
+            assert (lazy.left_eye, lazy.right_eye, lazy.mouth) == (
+                eager.left_eye,
+                eager.right_eye,
+                eager.mouth,
+            )
+
+    def test_value_semantics(self, renderer):
+        for lazy, eager in self._pairs(renderer):
+            groups = {f.name: getattr(eager, f.name) for f in dataclasses.fields(eager)}
+            rebuilt = FaceLandmarks(**groups)
+            assert rebuilt == lazy and hash(rebuilt) == hash(lazy)
+            plain = _EagerLandmarks(**{name: getattr(lazy, name) for name in groups})
+            assert repr(lazy) == repr(plain).replace("_EagerLandmarks", "FaceLandmarks")
+            assert pickle.loads(pickle.dumps(lazy)) == lazy
+            with pytest.raises(AttributeError):
+                lazy.mouth = Point(0.0, 0.0)
+
+
 class TestEdgeFrames:
     def test_zero_area_frame_returns_none(self):
         assert LandmarkDetector().detect(np.zeros((0, 0, 3))) is None
@@ -305,6 +379,6 @@ class TestLinearQuantiles:
     @example(counts=[1] + [0] * 6 + [30], quantiles=[0.02, 0.98])
     def test_equals_numpy_linear_quantile(self, counts, quantiles):
         sample = np.repeat(np.arange(len(counts)), counts)
-        got = _linear_quantiles(np.cumsum(counts), quantiles)
+        got = _linear_quantiles(np.cumsum(counts).tolist(), quantiles)
         want = np.quantile(sample, quantiles, method="linear")
         assert [v.hex() for v in got] == [float(v).hex() for v in want]
