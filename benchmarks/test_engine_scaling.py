@@ -89,9 +89,9 @@ def test_engine_scaling(report, benchmark):
         t0 = time.perf_counter()
         with ExecutionEngine(jobs=4) as engine:
             results = _run_experiments(dataset, engine)
-        return results, time.perf_counter() - t0
+        return (results, engine.jobs), time.perf_counter() - t0
 
-    parallel, parallel_s = run_once(benchmark, parallel_run)
+    (parallel, workers), parallel_s = run_once(benchmark, parallel_run)
 
     # Bit-identical at every job count — and with no engine at all.
     assert serial[0] == plain[0] == parallel[0]
@@ -108,7 +108,7 @@ def test_engine_scaling(report, benchmark):
             "Engine scaling (run_overall + run_threshold_sweep, cold caches)",
             f"cores={cores}",
             f"jobs=1: {serial_s:.2f}s",
-            f"jobs=4: {parallel_s:.2f}s",
+            f"jobs=4: {parallel_s:.2f}s ({workers} workers: jobs clamped to usable CPUs)",
             f"speedup: {speedup:.2f}x",
             "results: bit-identical across jobs=1 / jobs=4 / engine-less",
         ],

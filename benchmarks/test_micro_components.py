@@ -12,11 +12,11 @@ from repro.camera.sensor import ImageSensor
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
-from repro.core.features import normalize_unit, pearson_correlation
+from repro.core.features import _match_and_align, normalize_unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
 from repro.core.luminance import roi_luminance
 from repro.core.peaks import find_peaks
-from repro.core.preprocessing import preprocess
+from repro.core.preprocessing import preprocess, preprocess_batch
 from repro.experiments.simulate import simulate_genuine_session
 from repro.service.loadgen import WorkloadConfig, _face_frame
 from repro.vision.expression import ExpressionTrack, PoseState
@@ -109,6 +109,27 @@ def test_bench_lof_fit_and_score(benchmark):
 
     score = benchmark(fit_and_score)
     assert np.isfinite(score)
+
+
+def test_bench_lof_score_200x32(benchmark):
+    """One batch's LOF scoring: 32 queries against a 200-vector bank."""
+    rng = np.random.default_rng(2)
+    model = LocalOutlierFactor(5).fit(rng.normal(size=(200, 4)))
+    queries = rng.normal(size=(32, 4))
+    scores = benchmark(lambda: model.score_samples(queries))
+    assert scores.shape == (32,) and np.isfinite(scores).all()
+
+
+def test_bench_match_and_align(benchmark):
+    """The per-clip Sec. VI tail (match, delay, align, normalize, cut,
+    correlate) of one 17.5 s genuine clip, short of its DTW."""
+    config = DetectorConfig()
+    t, r = _step_pair(np.random.default_rng(8), n=175)
+    pre_t, pre_r = preprocess_batch(
+        [t, r], config, [config.peak_prominence_screen, config.peak_prominence_face]
+    )
+    partial, segments = benchmark(lambda: _match_and_align(pre_t, pre_r, config))
+    assert partial.z1 > 0 and len(segments) == config.segment_count
 
 
 def test_bench_render_frame(benchmark):

@@ -23,7 +23,9 @@ def estimate_delay(matches: list[ChangeMatch]) -> float | None:
     """
     if not matches:
         return None
-    return float(np.mean([m.time_difference_s for m in matches]))
+    # np.mean's summation order and division, without its overhead.
+    differences = np.array([m.time_difference_s for m in matches], dtype=np.float64)
+    return float(differences.sum()) / len(matches)
 
 
 def align_signals(
@@ -46,6 +48,20 @@ def align_signals(
         raise ValueError("signals must be 1-D")
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
+    aligned = _overlap(t, r, delay_s, sample_rate_hz)
+    if aligned is None:
+        raise ValueError(
+            f"delay of {delay_s:.2f}s leaves no overlap between signals "
+            f"of lengths {t.size} and {r.size}"
+        )
+    return aligned[0].copy(), aligned[1].copy()
+
+
+def _overlap(
+    t: np.ndarray, r: np.ndarray, delay_s: float, sample_rate_hz: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`align_signals` as views and without its checks; ``None``
+    when the delay leaves no overlap."""
     shift = int(round(delay_s * sample_rate_hz))
     if shift >= 0:
         t_aligned = t
@@ -55,8 +71,5 @@ def align_signals(
         r_aligned = r
     n = min(t_aligned.size, r_aligned.size)
     if n < 1:
-        raise ValueError(
-            f"delay of {delay_s:.2f}s leaves no overlap between signals "
-            f"of lengths {t.size} and {r.size}"
-        )
-    return t_aligned[:n].copy(), r_aligned[:n].copy()
+        return None
+    return t_aligned[:n], r_aligned[:n]

@@ -174,8 +174,8 @@ def verify_clips(
     every ``(transmitted, received)`` luminance pair are extracted in one
     pass through the batch core — through the content-addressed cache
     of an :class:`~repro.engine.ExecutionEngine` when one is given —
-    then classified against the detector's LOF model.  Results come back
-    in submission order, each bit-identical to
+    then scored as one query matrix against the detector's LOF model.
+    Results come back in submission order, each bit-identical to
     :meth:`LivenessDetector.verify_clip` on that pair alone.
 
     The engine path returns :class:`DetectionResult` objects without the
@@ -186,16 +186,25 @@ def verify_clips(
         return []
     instr = detector.instrumentation
     with instr.span("detector.verify_clips", stage="verdict", clips=len(pairs)):
+        extractions: Sequence[FeatureExtraction | None]
         if engine is not None:
             features = engine.extract_features_batch(pairs, detector.config)
-            results = [detector.verify_features(fv) for fv in features]
+            extractions = [None] * len(features)
         else:
-            results = [
-                detector.verify_features(extraction.features, extraction)
-                for extraction in extract_features_batch(
-                    pairs, detector.config, instrumentation=instr
-                )
-            ]
+            extractions = extract_features_batch(
+                pairs, detector.config, instrumentation=instr
+            )
+            features = [extraction.features for extraction in extractions]
+        scores = detector.score_samples(
+            np.array([(f.z1, f.z2, f.z3, f.z4) for f in features], dtype=np.float64)
+        )
+        threshold = detector.config.lof_threshold
+        results = [
+            DetectionResult(
+                features=fv, lof_score=score, threshold=threshold, extraction=extraction
+            )
+            for fv, score, extraction in zip(features, scores.tolist(), extractions)
+        ]
         for result in results:
             instr.count(
                 "detector_clips_total",

@@ -41,8 +41,8 @@ import numpy as np
 from ..obs.instrument import Instrumentation
 from .batch import dtw_distance_batch
 from .config import DetectorConfig
-from .delay import align_signals, estimate_delay
-from .matching import ChangeMatch, match_changes
+from .delay import _overlap, estimate_delay
+from .matching import ChangeMatch, _greedy_pairs
 from .preprocessing import NonFiniteSampleError, PreprocessedSignal, preprocess_batch
 
 __all__ = [
@@ -94,19 +94,31 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         return 0.0
-    # One mean per side, reused: the same sums and divisions as numpy's
-    # mean() and std(), so the result is bit-identical to
-    # ((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std()).
-    da = a - a.sum() / n
-    db = b - b.sum() / n
-    std_a = np.sqrt((da * da).sum() / n)
-    std_b = np.sqrt((db * db).sum() / n)
-    if std_a < 1e-12 or std_b < 1e-12:
-        return 0.0
-    return float((da * db).sum() / n / (std_a * std_b))
+    return _pearson_rows(a[None, :], b[None, :])[0]
+
+
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """:func:`pearson_correlation` of each row pair of two ``(rows, n)``
+    matrices, ``n >= 2``.
+
+    One mean per side, reused: the same sums and divisions as numpy's
+    mean() and std(), so each value is bit-identical to
+    ``((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std())``
+    on that row pair alone (a row sum of a contiguous matrix adds in the
+    order a 1-D sum does).
+    """
+    n = a.shape[1]
+    da = a - (a.sum(axis=1) / n)[:, None]
+    db = b - (b.sum(axis=1) / n)[:, None]
+    std_a = np.sqrt((da * da).sum(axis=1) / n)
+    std_b = np.sqrt((db * db).sum(axis=1) / n)
+    covariance = (da * db).sum(axis=1) / n
+    return [
+        0.0 if sa < 1e-12 or sb < 1e-12 else c / (sa * sb)
+        for c, sa, sb in zip(covariance.tolist(), std_a.tolist(), std_b.tolist())
+    ]
 
 
 def normalize_unit(signal: np.ndarray) -> np.ndarray:
@@ -114,13 +126,7 @@ def normalize_unit(signal: np.ndarray) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
-    if x.size == 0:
-        return x.copy()
-    low = x.min()
-    span = x.max() - low
-    if span < 1e-12:
-        return np.zeros_like(x)
-    return (x - low) / span
+    return _unit(x)
 
 
 def split_segments(signal: np.ndarray, count: int) -> list[np.ndarray]:
@@ -194,9 +200,20 @@ class _ClipPartial:
     z1: float
     z2: float
     delay_s: float
-    t_norm: np.ndarray
+    length: int  # samples of the normalized transmitted signal
     correlations: list[float]
     dtw: list[float] = dataclasses.field(default_factory=list)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """:func:`normalize_unit` of a 1-D float64 array, unchecked."""
+    if x.size == 0:
+        return x.copy()
+    low = x.min()
+    span = x.max() - low
+    if span < 1e-12:
+        return np.zeros_like(x)
+    return (x - low) / span
 
 
 def _match_and_align(
@@ -204,68 +221,76 @@ def _match_and_align(
     pre_r: PreprocessedSignal,
     config: DetectorConfig,
 ) -> tuple[_ClipPartial, list[tuple[np.ndarray, np.ndarray]]]:
-    """Everything per-clip up to (but excluding) the DTW distances."""
+    """Everything per-clip up to (but excluding) the DTW distances.
 
+    The lean form of :func:`~repro.core.matching.match_changes`,
+    :func:`~repro.core.delay.estimate_delay`,
+    :func:`~repro.core.delay.align_signals`, :func:`normalize_unit` and
+    :func:`split_segments` in sequence, bit-identical to them: peak
+    times are Python floats read once, the internal forms skip the
+    public checks, and the aligned signals and segments are views.
+    """
     # Boundary guard: a transmitted change too close to the clip end has
     # its reflection truncated by the segmentation; a received change too
     # close to the clip start reflects a pre-clip challenge.  Neither can
     # be matched even for a live face, so they are excluded from N and M.
     guard = config.boundary_guard_s
-    clip_end = (pre_t.raw.size - 1) / config.sample_rate_hz
-    t_all = pre_t.peak_times
-    r_all = pre_r.peak_times
-    t_keep = np.nonzero(t_all <= clip_end - guard)[0]
-    r_keep = np.nonzero(r_all >= guard)[0]
-    t_times = t_all[t_keep]
-    r_times = r_all[r_keep]
+    t_last = (pre_t.raw.size - 1) / config.sample_rate_hz - guard
+    t_times = [p.index / pre_t.sample_rate_hz for p in pre_t.peaks]
+    r_times = [p.index / pre_r.sample_rate_hz for p in pre_r.peaks]
+    t_keep = [i for i, t in enumerate(t_times) if t <= t_last]
+    r_keep = [j for j, r in enumerate(r_times) if r >= guard]
 
-    matches = match_changes(t_times, r_times, tolerance_s=config.match_tolerance_s)
-    # The matcher indexes the guard-trimmed arrays; remap to the untrimmed
-    # peak lists so ChangeMatch honours its documented contract
-    # ("index into the transmitted/received change list") even when the
-    # guard dropped leading or trailing peaks.
+    # Matched over the trimmed lists; each match records its indices in
+    # the untrimmed peak lists, as ChangeMatch documents.
+    pairs = _greedy_pairs(
+        [t_times[i] for i in t_keep], [r_times[j] for j in r_keep], config.match_tolerance_s
+    )
     matches = [
         ChangeMatch(
-            transmitted_index=int(t_keep[m.transmitted_index]),
-            received_index=int(r_keep[m.received_index]),
-            time_difference_s=m.time_difference_s,
+            transmitted_index=t_keep[a],
+            received_index=r_keep[b],
+            time_difference_s=difference,
         )
-        for m in matches
+        for a, b, difference in pairs
     ]
-    n = t_times.size
-    m = r_times.size
+    n = len(t_keep)
+    m = len(r_keep)
     z1 = len(matches) / n if n > 0 else 0.0
     z2 = len(matches) / m if m > 0 else 0.0
 
     delay = estimate_delay(matches)
     delay_s = 0.0 if delay is None else delay
 
-    t_norm = normalize_unit(pre_t.smoothed)
-    r_norm = normalize_unit(pre_r.smoothed)
-    try:
-        t_aligned, r_aligned = align_signals(
-            t_norm, r_norm, delay_s, config.sample_rate_hz
-        )
-    except ValueError:
+    t_norm = _unit(pre_t.smoothed)
+    r_norm = _unit(pre_r.smoothed)
+    aligned = _overlap(t_norm, r_norm, delay_s, config.sample_rate_hz)
+    if aligned is None:
         # Degenerate delay estimate (larger than the clip): fall back to
         # unaligned signals; the trend features will degrade on their own.
         t_aligned, r_aligned = t_norm, r_norm
         delay_s = 0.0
+    else:
+        t_aligned, r_aligned = aligned
 
     correlations: list[float] = []
     segment_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if t_aligned.size >= 2 * config.segment_count:
-        t_segments = split_segments(t_aligned, config.segment_count)
-        r_segments = split_segments(r_aligned, config.segment_count)
-        for t_seg, r_seg in zip(t_segments, r_segments):
-            correlations.append(pearson_correlation(t_seg, r_seg))
-            segment_pairs.append((t_seg, r_seg))
+    count = config.segment_count
+    if t_aligned.size >= 2 * count:
+        # The segments as the rows of one view per side.
+        length = t_aligned.size // count
+        if r_aligned.size // count != length:  # unequal sides, unaligned
+            raise ValueError("inputs must be 1-D arrays of equal length")
+        t_rows = t_aligned[: count * length].reshape(count, length)
+        r_rows = r_aligned[: count * length].reshape(count, length)
+        correlations = _pearson_rows(t_rows, r_rows)
+        segment_pairs = list(zip(t_rows, r_rows))
     partial = _ClipPartial(
         matches=matches,
         z1=z1,
         z2=z2,
         delay_s=delay_s,
-        t_norm=t_norm,
+        length=t_norm.size,
         correlations=correlations,
     )
     return partial, segment_pairs
@@ -304,7 +329,7 @@ def _features_from_signals_batch(
         else:
             # Too little overlap to measure a trend: maximally suspicious.
             z3 = -1.0
-            z4 = float(max(partial.t_norm.size, 1)) / config.dtw_scale
+            z4 = float(max(partial.length, 1)) / config.dtw_scale
         features = FeatureVector(
             z1=partial.z1, z2=partial.z2, z3=float(z3), z4=float(z4)
         )

@@ -22,6 +22,33 @@ import numpy as np
 __all__ = ["LocalOutlierFactor", "SmallBankWarning"]
 
 
+def _feature_sum(squares: np.ndarray) -> np.ndarray:
+    """Sum of ``squares`` ``(m, d, n)`` over its feature axis, adding the
+    ``d`` terms in the order numpy adds the values of one contiguous row,
+    so each total is bit-identical to ``row.sum()``: one after another
+    below eight (also how numpy reduces a middle axis), as eight
+    interleaved partial sums up to 128 (numpy's pairwise block), and as
+    two halves beyond."""
+    count = squares.shape[1]
+    if count < 8:
+        return squares.sum(axis=1)
+    if count <= 128:
+        partial = [squares[:, j].copy() for j in range(8)]
+        whole = count - count % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                partial[j] += squares[:, i + j]
+        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+        for i in range(whole, count):
+            total += squares[:, i]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _feature_sum(squares[:, :half]) + _feature_sum(squares[:, half:])
+
+
 class SmallBankWarning(UserWarning):
     """The training bank is too small for the requested ``n_neighbors``.
 
@@ -53,14 +80,14 @@ class LocalOutlierFactor:
             raise ValueError("n_neighbors must be >= 1")
         self.n_neighbors = n_neighbors
         self.strict_neighbors = strict_neighbors
-        self._train: np.ndarray | None = None
+        self._columns: np.ndarray | None = None  # (d, n): one row per feature
         self._train_k_distance: np.ndarray | None = None
         self._train_lrd: np.ndarray | None = None
         self._effective_k: int = n_neighbors
 
     @property
     def is_fitted(self) -> bool:
-        return self._train is not None
+        return self._columns is not None
 
     @property
     def effective_neighbors(self) -> int:
@@ -70,9 +97,9 @@ class LocalOutlierFactor:
 
     @property
     def train_size(self) -> int:
-        if self._train is None:
+        if self._columns is None:
             raise RuntimeError("model is not fitted")
-        return int(self._train.shape[0])
+        return int(self._columns.shape[1])
 
     def fit(self, X: np.ndarray) -> "LocalOutlierFactor":
         """Fit on the legitimate bank (shape ``(n, d)``, n >= 2)."""
@@ -98,81 +125,76 @@ class LocalOutlierFactor:
                 SmallBankWarning,
                 stacklevel=2,
             )
-        self._train = X.copy()
+        self._columns = X.T.copy()  # C order: each feature's column contiguous
         self._effective_k = min(self.n_neighbors, n - 1)
-        k = self._effective_k
 
-        # Pairwise distances within the bank.
-        diffs = X[:, None, :] - X[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-
-        # k-distance and k-neighborhood of every training point.
-        order = np.argsort(dist, axis=1)
-        neighbor_idx = order[:, :k]
-        self._train_k_distance = dist[np.arange(n), order[:, k - 1]]
-
-        # Local reachability density of every training point:
-        # lrd(p) = |N_k(p)| / sum_{o in N_k(p)} max(k-dist(o), d(p, o))
-        reach = np.maximum(
-            self._train_k_distance[neighbor_idx],
-            dist[np.arange(n)[:, None], neighbor_idx],
-        )
-        reach_sum = reach.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            self._train_lrd = np.where(reach_sum > 0, k / reach_sum, np.inf)
+        with np.errstate(divide="ignore", over="ignore"):
+            # k-distance and k-neighbourhood of every bank point (a point
+            # is not its own neighbour).
+            dist = self._distances(X)
+            np.fill_diagonal(dist, np.inf)
+            nearest, near_dist = self._neighbours(dist)
+            self._train_k_distance = near_dist[:, -1].copy()
+            # Local reachability density of every bank point:
+            # lrd(p) = |N_k(p)| / sum_{o in N_k(p)} max(k-dist(o), d(p, o))
+            self._train_lrd = self._reach_density(nearest, near_dist)
         return self
 
-    def _score_one(self, z: np.ndarray) -> float:
-        assert self._train is not None
+    def _distances(self, Z: np.ndarray) -> np.ndarray:
+        """Euclidean distance of every row of ``Z`` to every bank point,
+        shape ``(m, n)``: each feature's squared differences against its
+        bank column, for all rows at once, summed over the features."""
+        squares = Z[:, :, None] - self._columns
+        squares *= squares
+        total = _feature_sum(squares)
+        return np.sqrt(total, out=total)
+
+    def _neighbours(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``k`` nearest bank points, nearest first, and their
+        distances."""
+        nearest = np.argsort(dist, axis=1)[:, : self._effective_k]
+        rows = np.arange(dist.shape[0])[:, None]
+        return nearest, dist[rows, nearest]
+
+    def _reach_density(self, nearest: np.ndarray, near_dist: np.ndarray) -> np.ndarray:
+        """Local reachability density (Eq. 7) of each row; ``inf`` when
+        the reach distances sum to zero or ``k`` over them overflows."""
         assert self._train_k_distance is not None
-        assert self._train_lrd is not None
-        k = self._effective_k
-
-        dist = np.sqrt(((self._train - z) ** 2).sum(axis=1))
-        order = np.argsort(dist)
-        neighbors = order[:k]
-
-        # Local reachability density of the query point (Eq. 7).
-        reach = np.maximum(self._train_k_distance[neighbors], dist[neighbors])
-        reach_sum = reach.sum()
-        lrd_z = np.inf if reach_sum <= 0 else k / reach_sum
-
-        # LOF (Eq. 8): mean neighbour density over own density.
-        neighbor_lrd = self._train_lrd[neighbors]
-        finite = neighbor_lrd[np.isfinite(neighbor_lrd)]
-        if np.isinf(lrd_z):
-            # The query coincides with a dense cluster of training points:
-            # maximal own-density, clear inlier.
-            return 1.0
-        if finite.size == 0:
-            # All neighbours are duplicates of each other (infinite
-            # density) while the query is not among them: clear outlier.
-            return np.inf
-        mean_neighbor_lrd = float(neighbor_lrd.mean()) if finite.size == neighbor_lrd.size else float(np.inf)
-        if np.isinf(mean_neighbor_lrd):
-            return np.inf
-        return mean_neighbor_lrd / lrd_z
+        reach = np.maximum(self._train_k_distance[nearest], near_dist)
+        return self._effective_k / reach.sum(axis=1)
 
     def score_samples(self, Z: np.ndarray) -> np.ndarray:
         """LOF value of each query point (shape ``(m, d)`` -> ``(m,)``).
 
         Values near 1 mean the point sits at its neighbours' density;
         values well above 1 mean outlier (the paper rejects above tau=3).
+        Every row is scored independently of the others, so a query's
+        score does not depend on the batch it rides in.
         """
-        if self._train is None:
+        if self._columns is None:
             raise RuntimeError("fit the model before scoring")
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim == 1:
             Z = Z[None, :]
-        if Z.ndim != 2 or Z.shape[1] != self._train.shape[1]:
+        if Z.ndim != 2 or Z.shape[1] != self._columns.shape[0]:
             raise ValueError(
                 f"query shape {Z.shape} incompatible with training "
-                f"dimension {self._train.shape[1]}"
+                f"dimension {self._columns.shape[0]}"
             )
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise ValueError("query data must be finite")
-        return np.array([self._score_one(z) for z in Z], dtype=np.float64)
+        assert self._train_lrd is not None
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nearest, near_dist = self._neighbours(self._distances(Z))
+            lrd = self._reach_density(nearest, near_dist)
+            # LOF (Eq. 8): mean neighbour density over own density.  An
+            # infinite neighbour density (the neighbours duplicate each
+            # other while the query is not among them) makes it infinite.
+            scores = self._train_lrd[nearest].sum(axis=1) / self._effective_k / lrd
+        # An infinite own density: the query coincides with a dense
+        # cluster of bank points, a clear inlier.
+        scores[np.isinf(lrd)] = 1.0
+        return scores
 
     def score(self, z: np.ndarray) -> float:
         """LOF value of a single query point."""

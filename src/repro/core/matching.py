@@ -33,9 +33,10 @@ class ChangeMatch:
 
     # The indices refer to whatever arrays were handed to
     # :func:`match_changes`.  Callers that match over a *filtered* view
-    # (e.g. the boundary-guard trim in ``features_from_signals_batch``) must
-    # remap the indices back to the unfiltered lists before exposing the
-    # matches, so the contract above holds for downstream consumers.
+    # must remap the indices back to the unfiltered lists before exposing
+    # the matches, so the contract above holds for downstream consumers;
+    # the feature extractor matches the boundary-guard-trimmed changes
+    # and records their indices in the untrimmed peak lists.
 
 
 def match_changes(
@@ -55,30 +56,33 @@ def match_changes(
         raise ValueError("change-time arrays must be 1-D")
     if tolerance_s <= 0:
         raise ValueError("tolerance_s must be positive")
-    if t_times.size == 0 or r_times.size == 0:
-        return []
+    return [
+        ChangeMatch(transmitted_index=i, received_index=j, time_difference_s=difference)
+        for i, j, difference in _greedy_pairs(t_times.tolist(), r_times.tolist(), tolerance_s)
+    ]
 
-    candidates: list[tuple[float, int, int]] = []
-    for i, t in enumerate(t_times):
-        deltas = r_times - t
-        for j in np.nonzero(np.abs(deltas) <= tolerance_s)[0]:
-            candidates.append((abs(float(deltas[j])), i, int(j)))
+
+def _greedy_pairs(
+    t_times: list[float], r_times: list[float], tolerance_s: float
+) -> list[tuple[int, int, float]]:
+    """:func:`match_changes` over Python floats, without its checks:
+    ``(transmitted index, received index, received minus transmitted
+    time)`` per match, sorted by transmitted time."""
+    candidates = [
+        (abs(r - t), i, j)
+        for i, t in enumerate(t_times)
+        for j, r in enumerate(r_times)
+        if abs(r - t) <= tolerance_s
+    ]
     candidates.sort()
-
     used_t: set[int] = set()
     used_r: set[int] = set()
-    matches: list[ChangeMatch] = []
+    pairs: list[tuple[int, int]] = []
     for _, i, j in candidates:
         if i in used_t or j in used_r:
             continue
         used_t.add(i)
         used_r.add(j)
-        matches.append(
-            ChangeMatch(
-                transmitted_index=i,
-                received_index=j,
-                time_difference_s=float(r_times[j] - t_times[i]),
-            )
-        )
-    matches.sort(key=lambda m: t_times[m.transmitted_index])
-    return matches
+        pairs.append((i, j))
+    pairs.sort(key=lambda ij: t_times[ij[0]])
+    return [(i, j, r_times[j] - t_times[i]) for i, j in pairs]

@@ -32,6 +32,7 @@ never pays for a pool.
 from __future__ import annotations
 
 import argparse
+import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import AbstractContextManager
@@ -76,6 +77,14 @@ def jobs_count(text: str) -> int:
     return jobs
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunk(payload: tuple[Callable[[Any], Any], list[Any]]) -> list[Any]:
     """Worker-side execution of one chunk of tasks (module-level for
     pickling): the function is shipped once per chunk, not once per task."""
@@ -89,8 +98,11 @@ class ExecutionEngine(AbstractContextManager):
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) executes in-process with
-        no pool; results are identical either way.
+        Worker processes, clamped to the CPUs this process may run on
+        (:attr:`jobs` holds the clamped count), so a pool never starts
+        idle workers.  ``1`` (the default, or the clamp on a one-CPU
+        host) executes in-process with no pool; results are identical
+        either way.
     cache:
         Shared :class:`FeatureCache`; a private one is created when not
         given.  Pass one engine (or one cache) across several runners to
@@ -112,7 +124,7 @@ class ExecutionEngine(AbstractContextManager):
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
+        self.jobs = min(jobs, _usable_cpus())
         self.cache = cache if cache is not None else FeatureCache()
         self._recorder = PerfRecorder()
         external = Instrumentation.ensure(instrumentation)

@@ -694,11 +694,15 @@ def run_forgery_delay(
         total = 0
         cursor = 0
         for user in ordered_users:
-            for _ in per_user_clips[user]:
-                features = feature_vectors[cursor]
-                cursor += 1
-                for detector in detectors[user]:
-                    rejected += int(detector.verify_features(features).rejected)
-                    total += 1
+            count = len(per_user_clips[user])
+            queries = np.array(
+                [fv.as_array() for fv in feature_vectors[cursor : cursor + count]]
+            )
+            cursor += count
+            for detector in detectors[user]:
+                # A clip is rejected unless its score is at most tau.
+                scores = detector.score_samples(queries)
+                rejected += int(np.count_nonzero(~(scores <= detector.config.lof_threshold)))
+                total += count
         rejection[d_index] = rejected / total if total else float("nan")
     return DelaySweepResult(delays_s=delays, rejection_rate=rejection)

@@ -11,6 +11,7 @@ import repro.api
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector, verify_clips
 from repro.core.features import extract_features_batch
+from repro.core.lof import SmallBankWarning
 from repro.core.pipeline import ChatVerifier
 from repro.engine import ExecutionEngine
 from repro.experiments.simulate import simulate_genuine_session
@@ -102,6 +103,49 @@ class TestVerifyClips:
         detector.fit_from_clips(_make_pairs(8, seed=5))
         results = verify_clips(_make_pairs(2, seed=9), detector)
         assert all(r.extraction is not None for r in results)
+
+
+class TestVerifyClipsSpecialScores:
+    """The batch's one query matrix scores each clip as ``verify_clip``
+    does, on clips that hit each special case of the LOF score."""
+
+    def _probes_and_features(self):
+        probes = _make_pairs(4, seed=9)
+        features = np.array(
+            [ex.features.as_array() for ex in extract_features_batch(probes, DetectorConfig())]
+        )
+        return probes, features
+
+    def _assert_batch_equals_per_clip(self, probes, detector):
+        want = [detector.verify_clip(t, r) for t, r in probes]
+        for engine in (None, ExecutionEngine(jobs=1)):
+            got = verify_clips(probes, detector, engine=engine)
+            for g, w in zip(got, want):
+                assert g.features == w.features
+                assert repr(g.lof_score) == repr(w.lof_score)
+                assert g.accepted == w.accepted
+        return [w.lof_score for w in want]
+
+    def test_dense_neighbourhood_and_infinite_neighbour_density(self):
+        probes, features = self._probes_and_features()
+        # Probe 0's own vector six times over (k = 5 neighbours at
+        # distance 0: infinite own density, score 1.0), plus three far
+        # points; the other probes' nearest five are those duplicates,
+        # whose density is infinite, so they score inf.
+        bank = np.vstack([np.tile(features[0], (6, 1)), features[1:] + 100.0])
+        detector = LivenessDetector(DetectorConfig()).fit(bank)
+        scores = self._assert_batch_equals_per_clip(probes, detector)
+        assert scores[0] == 1.0  # reprolint: disable=R004
+        assert all(score == np.inf for score in scores[1:])
+
+    def test_small_bank_clamp(self):
+        probes, features = self._probes_and_features()
+        detector = LivenessDetector(DetectorConfig())
+        with pytest.warns(SmallBankWarning):
+            detector.fit(features[:3] + 0.01)
+        assert detector._model.effective_neighbors == 2
+        scores = self._assert_batch_equals_per_clip(probes, detector)
+        assert all(np.isfinite(scores))
 
 
 class TestChatVerifierBatchPath:

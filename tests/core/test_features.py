@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.features import (
     FeatureVector,
+    _match_and_align,
     extract_features_batch,
     features_from_signals_batch,
     normalize_unit,
     pearson_correlation,
     split_segments,
 )
-from repro.core.preprocessing import NonFiniteSampleError, preprocess_batch
+from repro.core.matching import ChangeMatch
+from repro.core.peaks import Peak
+from repro.core.preprocessing import NonFiniteSampleError, PreprocessedSignal, preprocess_batch
 
 
 class TestPearson:
@@ -343,3 +347,217 @@ class TestOnePassErrorIndex:
             extract_features_batch(pairs, config)
         with pytest.raises(NonFiniteSampleError, match="signal 3 has a non-finite sample"):
             _extract_features_two_pass(pairs, config)
+
+
+# ----------------------------------------------------------------------
+# The lean per-clip Sec. VI tail against the one it replaced
+# ----------------------------------------------------------------------
+
+
+def _match_changes_reference(t_times, r_times, tolerance_s):
+    """``match_changes`` before the lean tail, over numpy arrays."""
+    if t_times.size == 0 or r_times.size == 0:
+        return []
+    candidates = []
+    for i, t in enumerate(t_times):
+        deltas = r_times - t
+        for j in np.nonzero(np.abs(deltas) <= tolerance_s)[0]:
+            candidates.append((abs(float(deltas[j])), i, int(j)))
+    candidates.sort()
+    used_t, used_r, matches = set(), set(), []
+    for _, i, j in candidates:
+        if i in used_t or j in used_r:
+            continue
+        used_t.add(i)
+        used_r.add(j)
+        matches.append(ChangeMatch(i, j, float(r_times[j] - t_times[i])))
+    matches.sort(key=lambda m: t_times[m.transmitted_index])
+    return matches
+
+
+def _normalize_reference(x):
+    if x.size == 0:
+        return x.copy()
+    low = x.min()
+    span = x.max() - low
+    if span < 1e-12:
+        return np.zeros_like(x)
+    return (x - low) / span
+
+
+def _align_reference(t, r, delay_s, sample_rate_hz):
+    shift = int(round(delay_s * sample_rate_hz))
+    if shift >= 0:
+        t_aligned, r_aligned = t, r[shift:]
+    else:
+        t_aligned, r_aligned = t[-shift:], r
+    n = min(t_aligned.size, r_aligned.size)
+    if n < 1:
+        raise ValueError("no overlap")
+    return t_aligned[:n].copy(), r_aligned[:n].copy()
+
+
+def _match_and_align_reference(pre_t, pre_r, config):
+    """``features._match_and_align`` before the lean tail, kept verbatim
+    as the oracle with the matcher, delay mean, aligner, normalizer,
+    splitter and correlation it called then: numpy peak-time arrays, the
+    guard-trimmed matches remapped to the untrimmed peak lists."""
+    guard = config.boundary_guard_s
+    clip_end = (pre_t.raw.size - 1) / config.sample_rate_hz
+    t_all = pre_t.peak_times
+    r_all = pre_r.peak_times
+    t_keep = np.nonzero(t_all <= clip_end - guard)[0]
+    r_keep = np.nonzero(r_all >= guard)[0]
+    t_times = t_all[t_keep]
+    r_times = r_all[r_keep]
+
+    matches = _match_changes_reference(t_times, r_times, config.match_tolerance_s)
+    matches = [
+        ChangeMatch(
+            transmitted_index=int(t_keep[m.transmitted_index]),
+            received_index=int(r_keep[m.received_index]),
+            time_difference_s=m.time_difference_s,
+        )
+        for m in matches
+    ]
+    n = t_times.size
+    m = r_times.size
+    z1 = len(matches) / n if n > 0 else 0.0
+    z2 = len(matches) / m if m > 0 else 0.0
+
+    delay_s = float(np.mean([m.time_difference_s for m in matches])) if matches else 0.0
+
+    t_norm = _normalize_reference(pre_t.smoothed)
+    r_norm = _normalize_reference(pre_r.smoothed)
+    try:
+        t_aligned, r_aligned = _align_reference(t_norm, r_norm, delay_s, config.sample_rate_hz)
+    except ValueError:
+        t_aligned, r_aligned = t_norm, r_norm
+        delay_s = 0.0
+
+    correlations = []
+    segment_pairs = []
+    if t_aligned.size >= 2 * config.segment_count:
+        t_segments = split_segments(t_aligned, config.segment_count)
+        r_segments = split_segments(r_aligned, config.segment_count)
+        for t_seg, r_seg in zip(t_segments, r_segments):
+            correlations.append(_pearson_reference(t_seg, r_seg))
+            segment_pairs.append((t_seg, r_seg))
+    return matches, z1, z2, delay_s, t_norm.size, correlations, segment_pairs
+
+
+def _features_reference(pre_t, pre_r, config):
+    """The clip's features from the reference tail and its own DTW call."""
+    matches, z1, z2, delay_s, length, correlations, segment_pairs = (
+        _match_and_align_reference(pre_t, pre_r, config)
+    )
+    if correlations:
+        distances = dtw_distance_batch(
+            [t for t, _ in segment_pairs], [r for _, r in segment_pairs]
+        )
+        z3 = min(correlations)
+        z4 = max(float(d) for d in distances) / config.dtw_scale
+    else:
+        z3 = -1.0
+        z4 = float(max(length, 1)) / config.dtw_scale
+    features = FeatureVector(z1=z1, z2=z2, z3=float(z3), z4=float(z4))
+    return features, matches, delay_s
+
+
+def _pre(smoothed, peaks, raw_size=None, rate=10.0):
+    """A hand-made preprocessed signal with peaks at chosen indices."""
+    smoothed = np.asarray(smoothed, dtype=np.float64)
+    raw = np.zeros(smoothed.size if raw_size is None else raw_size)
+    return PreprocessedSignal(
+        raw=raw,
+        lowpassed=raw,
+        variance=raw,
+        thresholded=raw,
+        rms=raw,
+        savgol=smoothed,
+        smoothed=smoothed,
+        peaks=tuple(Peak(index=int(i), height=1.0, prominence=1.0) for i in peaks),
+        sample_rate_hz=rate,
+    )
+
+
+def _assert_tail_matches_reference(pre_t, pre_r, config):
+    partial, segments = _match_and_align(pre_t, pre_r, config)
+    matches, z1, z2, delay_s, length, correlations, ref_segments = (
+        _match_and_align_reference(pre_t, pre_r, config)
+    )
+    assert repr(partial.matches) == repr(matches)
+    assert repr((partial.z1, partial.z2, partial.delay_s)) == repr((z1, z2, delay_s))
+    assert partial.length == length
+    assert repr(partial.correlations) == repr(correlations)
+    assert len(segments) == len(ref_segments)
+    for (t_seg, r_seg), (t_ref, r_ref) in zip(segments, ref_segments):
+        assert t_seg.tobytes() == t_ref.tobytes() and r_seg.tobytes() == r_ref.tobytes()
+    got = features_from_signals_batch([pre_t], [pre_r], config)[0]
+    features, matches, delay_s = _features_reference(pre_t, pre_r, config)
+    assert repr(got.features) == repr(features)
+    assert repr(got.matches) == repr(tuple(matches))
+    assert repr(got.delay_s) == repr(delay_s)
+    return partial
+
+
+def _ramp(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.normal(size=n)) + np.linspace(0.0, 5.0, n)
+
+
+class TestLeanTailMatchesReference:
+    @pytest.mark.parametrize("kind", ["genuine", "reenactment", "forger"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_real_clips(self, kind, seed, config):
+        rng = np.random.default_rng([seed, 26])
+        pairs = [_clip(rng, kind, n) for n in (150, 175, 200)]
+        n = len(pairs)
+        prominences = [config.peak_prominence_screen] * n + [config.peak_prominence_face] * n
+        pre = preprocess_batch([t for t, _ in pairs] + [r for _, r in pairs], config, prominences)
+        for pre_t, pre_r in zip(pre[:n], pre[n:]):
+            _assert_tail_matches_reference(pre_t, pre_r, config)
+
+    def test_no_peaks(self, config):
+        partial = _assert_tail_matches_reference(
+            _pre(_ramp(150), []), _pre(_ramp(150, 1), []), config
+        )
+        assert partial.matches == [] and not partial.z1 and not partial.delay_s
+
+    def test_guard_trims_every_peak(self, config):
+        # Transmitted changes within 2 s of the end, received within 2 s
+        # of the start: nothing is left to count or match.
+        partial = _assert_tail_matches_reference(
+            _pre(_ramp(150), [135, 140, 148]), _pre(_ramp(150, 1), [3, 12, 19]), config
+        )
+        assert not partial.z1 and not partial.z2 and partial.matches == []
+
+    def test_negative_delay_and_tied_candidates(self, config):
+        # r at 5.5 s is 0.5 s from both t changes; the received side
+        # leads on average, so the delay is negative.
+        partial = _assert_tail_matches_reference(
+            _pre(_ramp(150), [10, 50, 60, 100]), _pre(_ramp(150, 1), [45, 55, 93]), config
+        )
+        assert partial.delay_s < 0 and len(partial.matches) == 3
+
+    def test_degenerate_delay_falls_back_to_unaligned(self, config):
+        # Short smoothed signals under a long raw clip: the 0.9 s delay
+        # is longer than the received signal, so nothing overlaps.
+        partial = _assert_tail_matches_reference(
+            _pre(_ramp(6), [30], raw_size=200), _pre(_ramp(6, 1), [39], raw_size=200), config
+        )
+        assert len(partial.matches) == 1 and not partial.delay_s
+
+    def test_flat_signal(self, config):
+        partial = _assert_tail_matches_reference(
+            _pre(np.full(150, 3.0), [40, 110]), _pre(_ramp(150, 1), [43, 114]), config
+        )
+        assert partial.correlations == [0.0, 0.0]
+
+    def test_fallback_on_unequal_sides_raises_like_the_reference(self, config):
+        pre_t = _pre(_ramp(8), [30], raw_size=200)
+        pre_r = _pre(_ramp(6, 1), [39], raw_size=200)
+        with pytest.raises(ValueError, match="equal length"):
+            _match_and_align_reference(pre_t, pre_r, config)
+        with pytest.raises(ValueError, match="equal length"):
+            _match_and_align(pre_t, pre_r, config)

@@ -8,6 +8,8 @@ whose stored features are genuinely extracted from their stored signals
 dataset's stored features).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,32 @@ class TestMap:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             ExecutionEngine(jobs=0)
+
+
+class TestWorkerClamp:
+    """``jobs`` is clamped to the CPUs the process may run on."""
+
+    def test_one_usable_cpu_runs_serially_without_a_pool(self, monkeypatch):
+        tasks = list(range(40))
+        with ExecutionEngine(jobs=1) as serial:
+            want = serial.map_batches(_square, tasks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with ExecutionEngine(jobs=4) as engine:
+            assert engine.jobs == 1
+            assert engine.map_batches(_square, tasks) == want
+            assert engine._pool is None
+
+    def test_clamps_to_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert ExecutionEngine(jobs=8).jobs == 3
+        assert ExecutionEngine(jobs=2).jobs == 2
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ExecutionEngine(jobs=8).jobs == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ExecutionEngine(jobs=8).jobs == 1
 
 
 class TestCachedExtraction:
