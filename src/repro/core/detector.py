@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, overload
 
 import numpy as np
 
@@ -124,18 +124,54 @@ class LivenessDetector:
             raise RuntimeError("detector is not trained; call fit() first")
         return self._model.score_samples(np.asarray(features, dtype=np.float64))
 
+    @overload
     def verify_features(
         self,
         features: FeatureVector,
         extraction: FeatureExtraction | None = None,
-    ) -> DetectionResult:
-        """Classify one already-extracted feature vector."""
-        return DetectionResult(
-            features=features,
-            lof_score=self.score(features),
-            threshold=self.config.lof_threshold,
-            extraction=extraction,
+    ) -> DetectionResult: ...
+
+    @overload
+    def verify_features(
+        self,
+        features: Sequence[FeatureVector],
+        extraction: Sequence[FeatureExtraction | None] | None = None,
+    ) -> list[DetectionResult]: ...
+
+    def verify_features(self, features, extraction=None):
+        """Classify already-extracted feature vectors.
+
+        One :class:`FeatureVector` (and its optional extraction) gives
+        one :class:`DetectionResult`.  A sequence of vectors (with one
+        extraction each, or none) is scored as one ``(n, 4)`` query
+        matrix and gives the results in order, each bit-identical to
+        classifying that vector alone.
+        """
+        threshold = self.config.lof_threshold
+        if isinstance(features, FeatureVector):
+            return DetectionResult(
+                features=features,
+                lof_score=self.score(features),
+                threshold=threshold,
+                extraction=extraction,
+            )
+        vectors = list(features)
+        extractions = [None] * len(vectors) if extraction is None else list(extraction)
+        if len(extractions) != len(vectors):
+            raise ValueError(
+                f"{len(extractions)} extractions for {len(vectors)} feature vectors"
+            )
+        scores = self.score_samples(
+            np.array(
+                [(f.z1, f.z2, f.z3, f.z4) for f in vectors], dtype=np.float64
+            ).reshape(-1, 4)
         )
+        return [
+            DetectionResult(
+                features=fv, lof_score=score, threshold=threshold, extraction=ex
+            )
+            for fv, score, ex in zip(vectors, scores.tolist(), extractions)
+        ]
 
     def verify_clip(
         self,
@@ -174,8 +210,9 @@ def verify_clips(
     every ``(transmitted, received)`` luminance pair are extracted in one
     pass through the batch core — through the content-addressed cache
     of an :class:`~repro.engine.ExecutionEngine` when one is given —
-    then scored as one query matrix against the detector's LOF model.
-    Results come back in submission order, each bit-identical to
+    then classified as one query matrix by
+    :meth:`LivenessDetector.verify_features`.  Results come back in
+    submission order, each bit-identical to
     :meth:`LivenessDetector.verify_clip` on that pair alone.
 
     The engine path returns :class:`DetectionResult` objects without the
@@ -186,25 +223,16 @@ def verify_clips(
         return []
     instr = detector.instrumentation
     with instr.span("detector.verify_clips", stage="verdict", clips=len(pairs)):
-        extractions: Sequence[FeatureExtraction | None]
         if engine is not None:
             features = engine.extract_features_batch(pairs, detector.config)
-            extractions = [None] * len(features)
+            results = detector.verify_features(features)
         else:
             extractions = extract_features_batch(
                 pairs, detector.config, instrumentation=instr
             )
-            features = [extraction.features for extraction in extractions]
-        scores = detector.score_samples(
-            np.array([(f.z1, f.z2, f.z3, f.z4) for f in features], dtype=np.float64)
-        )
-        threshold = detector.config.lof_threshold
-        results = [
-            DetectionResult(
-                features=fv, lof_score=score, threshold=threshold, extraction=extraction
+            results = detector.verify_features(
+                [extraction.features for extraction in extractions], extractions
             )
-            for fv, score, extraction in zip(features, scores.tolist(), extractions)
-        ]
         for result in results:
             instr.count(
                 "detector_clips_total",

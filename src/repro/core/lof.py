@@ -21,32 +21,8 @@ import numpy as np
 
 __all__ = ["LocalOutlierFactor", "SmallBankWarning"]
 
-
-def _feature_sum(squares: np.ndarray) -> np.ndarray:
-    """Sum of ``squares`` ``(m, d, n)`` over its feature axis, adding the
-    ``d`` terms in the order numpy adds the values of one contiguous row,
-    so each total is bit-identical to ``row.sum()``: one after another
-    below eight (also how numpy reduces a middle axis), as eight
-    interleaved partial sums up to 128 (numpy's pairwise block), and as
-    two halves beyond."""
-    count = squares.shape[1]
-    if count < 8:
-        return squares.sum(axis=1)
-    if count <= 128:
-        partial = [squares[:, j].copy() for j in range(8)]
-        whole = count - count % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                partial[j] += squares[:, i + j]
-        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-            (partial[4] + partial[5]) + (partial[6] + partial[7])
-        )
-        for i in range(whole, count):
-            total += squares[:, i]
-        return total
-    half = count // 2
-    half -= half % 8
-    return _feature_sum(squares[:, :half]) + _feature_sum(squares[:, half:])
+#: Queries scored per pass of the distance kernel.
+_BLOCK_ROWS = 256
 
 
 class SmallBankWarning(UserWarning):
@@ -143,10 +119,12 @@ class LocalOutlierFactor:
     def _distances(self, Z: np.ndarray) -> np.ndarray:
         """Euclidean distance of every row of ``Z`` to every bank point,
         shape ``(m, n)``: each feature's squared differences against its
-        bank column, for all rows at once, summed over the features."""
+        bank column, for all rows at once, added feature after feature.
+        Below eight features that is the order numpy sums one contiguous
+        row in, so every distance equals the per-row ``sum`` bit for bit."""
         squares = Z[:, :, None] - self._columns
         squares *= squares
-        total = _feature_sum(squares)
+        total = squares.sum(axis=1)
         return np.sqrt(total, out=total)
 
     def _neighbours(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +147,10 @@ class LocalOutlierFactor:
         Values near 1 mean the point sits at its neighbours' density;
         values well above 1 mean outlier (the paper rejects above tau=3).
         Every row is scored independently of the others, so a query's
-        score does not depend on the batch it rides in.
+        score does not depend on the batch it rides in.  Queries are
+        scored :data:`_BLOCK_ROWS` at a time, which bounds the working
+        memory at about ``_BLOCK_ROWS * (d + 3) * n`` floats for a bank of
+        ``n`` points whatever the number of queries.
         """
         if self._columns is None:
             raise RuntimeError("fit the model before scoring")
@@ -183,6 +164,13 @@ class LocalOutlierFactor:
             )
         if not np.isfinite(Z).all():
             raise ValueError("query data must be finite")
+        scores = np.empty(Z.shape[0], dtype=np.float64)
+        for start in range(0, Z.shape[0], _BLOCK_ROWS):
+            scores[start : start + _BLOCK_ROWS] = self._score_rows(Z[start : start + _BLOCK_ROWS])
+        return scores
+
+    def _score_rows(self, Z: np.ndarray) -> np.ndarray:
+        """LOF of each row of a validated block of queries."""
         assert self._train_lrd is not None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             nearest, near_dist = self._neighbours(self._distances(Z))

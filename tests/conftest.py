@@ -50,6 +50,14 @@ def pytest_sessionfinish(session, exitstatus):
         )
 
 
+@pytest.fixture
+def pool_cpus(monkeypatch):
+    """Report four usable CPUs.  ``ExecutionEngine`` clamps ``jobs`` to
+    the CPUs the process may run on, so without this a pool-vs-serial
+    test on a one- or two-CPU host would compare serial with serial."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
 @pytest.fixture(scope="session")
 def config() -> DetectorConfig:
     """The paper's configuration."""

@@ -115,3 +115,25 @@ class TestVerification:
     def test_score_samples_before_training_raises(self):
         with pytest.raises(RuntimeError):
             LivenessDetector().score_samples(np.zeros((2, 4)))
+
+    def test_verify_features_of_a_sequence_matches_one_by_one(self, trained):
+        vectors = [GENUINE_FEATURES, ATTACK_FEATURES, GENUINE_FEATURES]
+        extractions = ["first", None, "third"]  # carried through untouched
+        results = trained.verify_features(vectors, extractions)
+        assert len(results) == 3
+        for result, fv, ex in zip(results, vectors, extractions):
+            alone = trained.verify_features(fv, ex)
+            assert result == alone
+            assert result.lof_score == alone.lof_score
+        assert [r.extraction for r in trained.verify_features(vectors)] == [None] * 3
+
+    def test_verify_features_of_an_empty_sequence(self, trained):
+        assert trained.verify_features([]) == []
+
+    def test_verify_features_needs_one_extraction_per_vector(self, trained):
+        with pytest.raises(ValueError, match="2 extractions for 1 feature vectors"):
+            trained.verify_features([GENUINE_FEATURES], [None, None])
+
+    def test_verify_features_of_a_sequence_before_training_raises(self):
+        with pytest.raises(RuntimeError):
+            LivenessDetector().verify_features([GENUINE_FEATURES])

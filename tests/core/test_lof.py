@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import lof as lof_module
 from repro.core.lof import LocalOutlierFactor, SmallBankWarning
 
 
@@ -256,27 +257,18 @@ class TestMatrixKernelMatchesReference:
         _assert_bits(model._train_lrd, lrd)
         _assert_bits(model.score_samples(queries), _reference_scores(model, queries))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 30))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 30))
     @settings(max_examples=100, deadline=None)
-    def test_wide_features_keep_numpy_row_sum_order(self, seed, d, n):
-        """Mixed magnitudes, where the order of additions shows: from
-        eight features on, numpy's row sum is pairwise, not sequential,
-        and the feature-axis sum follows it."""
+    def test_mixed_magnitudes_keep_numpy_row_sum_order(self, seed, d, n):
+        """Mixed magnitudes, where the order of additions shows: below
+        eight features numpy sums a row one value after another, and so
+        does the kernel's feature-axis sum."""
         rng = np.random.default_rng(seed)
         bank = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 4, size=(n, d))
         queries = np.vstack([rng.normal(size=(5, d)) * 100.0, bank[:2]])
         model = _fit_quietly(bank, 5)
         k_distance, lrd = _fit_reference(bank, model.effective_neighbors)
         _assert_bits(model._train_k_distance, k_distance)
-        _assert_bits(model._train_lrd, lrd)
-        _assert_bits(model.score_samples(queries), _reference_scores(model, queries))
-
-    def test_beyond_one_pairwise_block(self):
-        rng = np.random.default_rng(11)
-        bank = rng.normal(size=(12, 140)) * 10.0 ** rng.integers(-4, 4, size=(12, 140))
-        queries = rng.normal(size=(3, 140))
-        model = LocalOutlierFactor(3).fit(bank)
-        _, lrd = _fit_reference(bank, 3)
         _assert_bits(model._train_lrd, lrd)
         _assert_bits(model.score_samples(queries), _reference_scores(model, queries))
 
@@ -338,3 +330,11 @@ class TestScoreIndependentOfBatch:
             _assert_bits(model.score_samples(np.tile(query, (5, 1))), np.repeat(alone, 5))
             beside_bank = np.vstack([bank[:10], query[None, :], bank[30:]])
             _assert_bits(model.score_samples(beside_bank)[10:11], alone)
+
+    def test_queries_beyond_one_block(self, model):
+        """More queries than one pass of the kernel takes: every row still
+        scores as it does alone, across the block edges too."""
+        rng = np.random.default_rng(37)
+        queries = rng.normal(size=(2 * lof_module._BLOCK_ROWS + 3, 4))
+        queries[lof_module._BLOCK_ROWS] = np.ascontiguousarray(model._columns.T)[35]
+        _assert_bits(model.score_samples(queries), _reference_scores(model, queries))

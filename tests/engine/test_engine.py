@@ -28,6 +28,9 @@ from repro.experiments.profiles import Environment, make_population
 from repro.experiments.runner import run_forgery_delay, run_overall, run_threshold_sweep
 from repro.obs import Instrumentation, render_json
 
+# Every jobs > 1 engine here builds a real pool, whatever the host's CPUs.
+pytestmark = pytest.mark.usefixtures("pool_cpus")
+
 
 def _square(x: int) -> int:
     """Module-level task fn (must be picklable for the pool)."""
@@ -200,6 +203,7 @@ class TestPoolSerialIdentity:
         serial = [ex.features for ex in extract_features_batch(pairs, config)]
         for jobs in (1, 2, 4):
             with ExecutionEngine(jobs=jobs) as engine:
+                assert engine.jobs == jobs
                 assert engine.extract_features_batch(pairs, config) == serial, jobs
 
     def test_verdicts_and_metrics_identical_at_jobs_1_2_4(self):
@@ -212,6 +216,7 @@ class TestPoolSerialIdentity:
             detector = LivenessDetector(config, instrumentation=instr)
             detector.fit_from_clips(bank_pairs)
             with ExecutionEngine(jobs=jobs) as engine:
+                assert engine.jobs == jobs
                 results = verify_clips(probe_pairs, detector, engine=engine)
             return results, render_json(instr.snapshot())
 
@@ -261,6 +266,7 @@ class TestRunnerEquivalence:
         with ExecutionEngine(jobs=1) as serial:
             one = run_overall(small_dataset, rounds=4, train_size=10, engine=serial)
         with ExecutionEngine(jobs=3) as parallel:
+            assert parallel.jobs == 3
             many = run_overall(small_dataset, rounds=4, train_size=10, engine=parallel)
         assert plain == one == many
 

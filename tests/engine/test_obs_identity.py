@@ -6,9 +6,14 @@ byte-identical between ``jobs=1`` and ``jobs=2`` — this is the repo's
 determinism contract extended to observability.
 """
 
+import pytest
+
 from repro.engine import ExecutionEngine
 from repro.obs import Instrumentation, render_json
 from repro.obs.metrics import MetricsRegistry
+
+# jobs=2 builds a real pool, whatever the host's CPUs.
+pytestmark = pytest.mark.usefixtures("pool_cpus")
 
 
 def _counting_task(payload: tuple[int, int]) -> dict:
@@ -26,6 +31,7 @@ def _run(jobs: int) -> str:
     payloads = [(seed, seed + 1) for seed in range(6)]
     registry = MetricsRegistry()
     engine = ExecutionEngine(jobs=jobs)
+    assert engine.jobs == jobs
     for row in engine.map_batches(_counting_task, payloads, stage="sessions"):
         registry.merge_snapshot(row["snapshot"])
     return render_json(registry.snapshot())

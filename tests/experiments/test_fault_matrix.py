@@ -71,8 +71,10 @@ class TestFaultMatrix:
         )
         assert again.cells == matrix.cells
 
+    @pytest.mark.usefixtures("pool_cpus")
     def test_parallel_engine_is_bit_identical_and_counts_clips(self, matrix, env):
         with ExecutionEngine(jobs=2) as engine:
+            assert engine.jobs == 2
             parallel = run_fault_matrix(
                 severities=SEVERITIES,
                 sessions_per_cell=1,

@@ -71,12 +71,14 @@ class TestProtocolMatrix:
 
 
 class TestJobsIdentity:
+    @pytest.mark.usefixtures("pool_cpus")
     def test_pool_matches_serial_at_jobs_1_2_4(self, env):
         """Satellite acceptance: the matrix is bit-identical at any
         worker count (each cell is a self-seeded task)."""
         results = []
         for jobs in (1, 2, 4):
             with ExecutionEngine(jobs=jobs) as engine:
+                assert engine.jobs == jobs
                 results.append(
                     run_protocol_matrix(
                         roles=("genuine",),
