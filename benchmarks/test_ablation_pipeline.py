@@ -11,33 +11,12 @@ DESIGN.md calls out two design choices worth ablating:
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.core.delay import align_signals
-from repro.core.features import (
-    extract_features_batch,
-    normalize_unit,
-    pearson_correlation,
-    split_segments,
-)
+from repro.core.features import _pearson_rows, _unit, extract_features_batch
 from repro.core.peaks import find_peaks
-from repro.core.preprocessing import (
-    lowpass_filter,
-    moving_variance,
-    preprocess,
-    threshold_filter,
-)
+from repro.core.preprocessing import preprocess_batch
 from repro.experiments.dataset import GENUINE
 
 from .conftest import run_once
-
-
-def _peaks_without_smoothing(raw, config, prominence):
-    """The chain cut short after the threshold filter."""
-    lowpassed = lowpass_filter(
-        raw, config.sample_rate_hz, config.lowpass_cutoff_hz, config.lowpass_taps
-    )
-    variance = moving_variance(lowpassed, config.variance_window)
-    thresholded = threshold_filter(variance, config.variance_threshold)
-    return find_peaks(thresholded, prominence)
 
 
 def test_ablation_smoothing_prevents_peak_splitting(benchmark, main_dataset, report):
@@ -47,11 +26,10 @@ def test_ablation_smoothing_prevents_peak_splitting(benchmark, main_dataset, rep
     def experiment():
         split_counts = []
         full_counts = []
-        for clip in clips:
-            full = preprocess(clip.received_luminance, config, config.peak_prominence_face)
-            cut = _peaks_without_smoothing(
-                clip.received_luminance, config, config.peak_prominence_face
-            )
+        prominence = config.peak_prominence_face
+        for full in preprocess_batch([c.received_luminance for c in clips], config, prominence):
+            # The chain cut short after the threshold filter.
+            cut = find_peaks(full.thresholded, prominence)
             full_counts.append(full.change_count)
             split_counts.append(len(cut))
         return float(np.mean(full_counts)), float(np.mean(split_counts))
@@ -83,18 +61,14 @@ def test_ablation_delay_removal_saves_legitimate_trends(benchmark, main_dataset,
             pair = (clip.transmitted_luminance, clip.received_luminance)
             fx = extract_features_batch([pair], config)[0]
             with_removal.append(fx.features.z3)
-            # Recompute z3 with the delay forced to zero.
-            t_norm = normalize_unit(fx.transmitted.smoothed)
-            r_norm = normalize_unit(fx.received.smoothed)
-            t_aligned, r_aligned = align_signals(t_norm, r_norm, 0.0, config.sample_rate_hz)
-            correlations = [
-                pearson_correlation(a, b)
-                for a, b in zip(
-                    split_segments(t_aligned, config.segment_count),
-                    split_segments(r_aligned, config.segment_count),
-                )
-            ]
-            without_removal.append(min(correlations))
+            # Recompute z3 with the delay forced to zero: both normalized
+            # signals trimmed to their common length, cut into segments.
+            t_norm = _unit(fx.transmitted.smoothed)
+            r_norm = _unit(fx.received.smoothed)
+            count = config.segment_count
+            length = min(t_norm.size, r_norm.size) // count
+            t_rows, r_rows = (x[: count * length].reshape(count, length) for x in (t_norm, r_norm))
+            without_removal.append(min(_pearson_rows(t_rows, r_rows)))
         return float(np.mean(with_removal)), float(np.mean(without_removal))
 
     aligned_z3, unaligned_z3 = run_once(benchmark, experiment)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.config import DetectorConfig
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
-from repro.core.preprocessing import preprocess
+from repro.core.preprocessing import preprocess_batch
 from repro.experiments.simulate import simulate_genuine_session
 
 from .conftest import run_once
@@ -24,8 +24,8 @@ def test_fig07_preprocessing(benchmark, report):
         record = simulate_genuine_session(duration_s=15.0, seed=700)
         t_lum = transmitted_luminance_signal(record.transmitted)
         r_lum = received_luminance_signal(record.received).luminance
-        pre_t = preprocess(t_lum, config, config.peak_prominence_screen)
-        pre_r = preprocess(r_lum, config, config.peak_prominence_face)
+        prominences = [config.peak_prominence_screen, config.peak_prominence_face]
+        pre_t, pre_r = preprocess_batch([t_lum, r_lum], config, prominences)
         return pre_t, pre_r
 
     pre_t, pre_r = run_once(benchmark, experiment)

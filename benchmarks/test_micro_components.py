@@ -12,11 +12,11 @@ from repro.camera.sensor import ImageSensor
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
-from repro.core.features import _match_and_align, normalize_unit, pearson_correlation
+from repro.core.features import _match_and_align, _unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
 from repro.core.luminance import roi_luminance
 from repro.core.peaks import find_peaks
-from repro.core.preprocessing import preprocess, preprocess_batch
+from repro.core.preprocessing import preprocess_batch
 from repro.experiments.simulate import simulate_genuine_session
 from repro.service.loadgen import WorkloadConfig, _face_frame
 from repro.vision.expression import ExpressionTrack, PoseState
@@ -36,7 +36,7 @@ def luminance_signal():
 
 def test_bench_preprocess_chain(benchmark, luminance_signal):
     config = DetectorConfig()
-    result = benchmark(lambda: preprocess(luminance_signal, config, 10.0))
+    result = benchmark(lambda: preprocess_batch([luminance_signal], config, 10.0)[0])
     assert result.smoothed.size == 150
 
 
@@ -47,7 +47,7 @@ def test_bench_find_peaks_smoothed_200(benchmark):
     x[140:] += 50.0
     x += np.random.default_rng(3).normal(0, 0.5, 200)
     config = DetectorConfig()
-    smoothed = preprocess(x, config, config.peak_prominence_screen).smoothed
+    smoothed = preprocess_batch([x], config, config.peak_prominence_screen)[0].smoothed
     peaks = benchmark(lambda: find_peaks(smoothed, config.peak_prominence_screen))
     assert len(peaks) == 2
 
@@ -55,8 +55,8 @@ def test_bench_find_peaks_smoothed_200(benchmark):
 def test_bench_pearson_90(benchmark):
     """z3 of one 18 s segment pair: two unit-range 90-sample signals."""
     rng = np.random.default_rng(4)
-    x = normalize_unit(rng.normal(size=90))
-    y = normalize_unit(x + rng.normal(0, 0.2, 90))
+    x = _unit(rng.normal(size=90))
+    y = _unit(x + rng.normal(0, 0.2, 90))
     r = benchmark(lambda: pearson_correlation(x, y))
     assert 0.5 < r < 1.0
 

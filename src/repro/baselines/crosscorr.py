@@ -15,7 +15,8 @@ import dataclasses
 import numpy as np
 
 from ..core.config import DetectorConfig
-from ..core.preprocessing import lowpass_filter
+from ..core.batch import reflect_convolve_batch
+from ..core.preprocessing import design_lowpass
 
 __all__ = ["CrossCorrelationDetector", "max_normalized_crosscorr"]
 
@@ -72,12 +73,8 @@ class CrossCorrelationDetector:
     def score(self, transmitted: np.ndarray, received: np.ndarray) -> float:
         """Peak normalized cross-correlation (higher = more live)."""
         fs = self.config.sample_rate_hz
-        t_filtered = lowpass_filter(
-            transmitted, fs, self.config.lowpass_cutoff_hz, self.config.lowpass_taps
-        )
-        r_filtered = lowpass_filter(
-            received, fs, self.config.lowpass_cutoff_hz, self.config.lowpass_taps
-        )
+        kernel = design_lowpass(self.config.lowpass_cutoff_hz, fs, self.config.lowpass_taps)
+        t_filtered, r_filtered = reflect_convolve_batch(np.stack([transmitted, received]), kernel)
         max_lag = int(round(self.max_lag_s * fs))
         max_lag = min(max_lag, t_filtered.size - 2)
         corr, _ = max_normalized_crosscorr(t_filtered, r_filtered, max_lag)

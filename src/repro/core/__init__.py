@@ -5,12 +5,7 @@ from .calibration import CalibrationResult, calibrate_threshold, leave_one_out_s
 from .challenge import ChallengeQuality, ChallengeScheduler, challenge_quality
 from .config import PAPER_CONFIG, DetectorConfig
 from .detector import DetectionResult, LivenessDetector, verify_clips
-from .features import (
-    FeatureExtraction,
-    FeatureVector,
-    extract_features_batch,
-    features_from_signals_batch,
-)
+from .features import FeatureExtraction, FeatureVector, extract_features_batch
 from .lof import LocalOutlierFactor
 from .pipeline import ChatVerifier, VerificationReport
 from .seeding import spawn_seeds
@@ -32,7 +27,6 @@ __all__ = [
     "FeatureExtraction",
     "FeatureVector",
     "extract_features_batch",
-    "features_from_signals_batch",
     "verify_clips",
     "LocalOutlierFactor",
     "ChatVerifier",

@@ -16,10 +16,10 @@ the batched kernels that process N clips per NumPy call:
 
 Every kernel is **row-independent**: the result of row ``i`` never
 depends on any other row, so running a clip in a batch of one is
-bit-identical to running it in a batch of N.  The per-clip functions in
-:mod:`~repro.core.preprocessing` are thin batch-of-1 views over these
-kernels, and ``tests/property/test_prop_batch.py`` pins the identity
-across ragged batches.  The filter kernels see rows of *different*
+bit-identical to running it in a batch of N.  These kernels are the only
+form of each filter stage (one clip ``x`` is the batch ``x[None, :]``),
+and ``tests/property/test_prop_batch.py`` pins the identity across
+ragged batches.  The filter kernels see rows of *different*
 lengths only after grouping (:func:`group_by_length`), because a
 filter's edge handling depends on where the row ends.  The DTW kernel
 needs no grouping: it sweeps all pairs padded to one shape, and since a
@@ -184,7 +184,15 @@ def reflect_convolve_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def moving_variance_batch(rows: np.ndarray, window: int) -> np.ndarray:
-    """Sliding-window variance (window *ending* at each sample) per row."""
+    """Sliding-window variance per row.
+
+    A significant luminance change (a fast rise or drop within the
+    window) produces a local maximum in this signal; slow low-frequency
+    noise produces only small values.  Each output sample is the
+    variance of the window *ending* there (the leading ``window - 1``
+    samples use the growing prefix), so a variance peak trails its
+    luminance edge by at most the window length.
+    """
     rows = _as_rows(rows)
     if window < 1:
         raise ValueError("window must be >= 1")

@@ -26,7 +26,7 @@ import dataclasses
 import numpy as np
 
 from .config import DetectorConfig
-from .preprocessing import preprocess
+from .preprocessing import preprocess_batch
 
 __all__ = ["ChallengeQuality", "challenge_quality", "ChallengeScheduler"]
 
@@ -57,7 +57,7 @@ def challenge_quality(
     config = config or DetectorConfig()
     if min_challenges is not None:
         config = config.with_overrides(min_challenges=min_challenges)
-    pre = preprocess(transmitted_luminance, config, config.peak_prominence_screen)
+    pre = preprocess_batch([transmitted_luminance], config, config.peak_prominence_screen)[0]
     clip_end = (pre.raw.size - 1) / config.sample_rate_hz
     times = pre.peak_times
     keep = times <= clip_end - config.boundary_guard_s

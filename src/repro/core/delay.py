@@ -3,8 +3,9 @@
 The received video's reflection trails the transmitted video by the
 round-trip network delay plus display/processing latency.  Before
 correlating trends, the paper "estimates and removes the delay based on
-the average time difference between matched luminance changes" — which is
-exactly :func:`estimate_delay` + :func:`align_signals`.
+the average time difference between matched luminance changes": the
+feature extractor's per-clip tail runs :func:`estimate_delay`, then
+:func:`_overlap`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .matching import ChangeMatch
 
-__all__ = ["estimate_delay", "align_signals"]
+__all__ = ["estimate_delay"]
 
 
 def estimate_delay(matches: list[ChangeMatch]) -> float | None:
@@ -28,40 +29,17 @@ def estimate_delay(matches: list[ChangeMatch]) -> float | None:
     return float(differences.sum()) / len(matches)
 
 
-def align_signals(
-    transmitted: np.ndarray,
-    received: np.ndarray,
-    delay_s: float,
-    sample_rate_hz: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shift the received signal back by the estimated delay and trim
-    both signals to their overlapping span.
-
-    A positive ``delay_s`` means the received signal lags: sample ``i`` of
-    the output pair holds transmitted[i] against received[i + delay].
-    Negative delays (possible when noise mis-matches changes) shift the
-    other way.  Raises when the overlap would be empty.
-    """
-    t = np.asarray(transmitted, dtype=np.float64)
-    r = np.asarray(received, dtype=np.float64)
-    if t.ndim != 1 or r.ndim != 1:
-        raise ValueError("signals must be 1-D")
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
-    aligned = _overlap(t, r, delay_s, sample_rate_hz)
-    if aligned is None:
-        raise ValueError(
-            f"delay of {delay_s:.2f}s leaves no overlap between signals "
-            f"of lengths {t.size} and {r.size}"
-        )
-    return aligned[0].copy(), aligned[1].copy()
-
-
 def _overlap(
     t: np.ndarray, r: np.ndarray, delay_s: float, sample_rate_hz: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`align_signals` as views and without its checks; ``None``
-    when the delay leaves no overlap."""
+    """Shift the received signal back by the estimated delay and trim
+    both signals to their overlapping span, as views.
+
+    A positive ``delay_s`` means the received signal lags: sample ``i`` of
+    the output pair holds t[i] against r[i + delay].  Negative delays
+    (possible when noise mis-matches changes) shift the other way.
+    ``None`` when the delay leaves no overlap.
+    """
     shift = int(round(delay_s * sample_rate_hz))
     if shift >= 0:
         t_aligned = t

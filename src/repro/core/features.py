@@ -19,10 +19,9 @@ equal segments:
 A genuine prover clusters near (1, 1, high, low); a reenactment attacker
 falls away on at least one dimension — which is all the LOF model needs.
 
-The documented entry points are the batch functions
-:func:`extract_features_batch` / :func:`features_from_signals_batch`:
-they run the Sec. V chain through the structure-of-arrays kernels of
-:mod:`~repro.core.batch` and hand every clip's segment pairs to one
+The one entry point is :func:`extract_features_batch`: it runs the
+Sec. V chain through the structure-of-arrays kernels of
+:mod:`~repro.core.batch` and hands every clip's segment pairs to one
 :func:`~repro.core.batch.dtw_distance_batch` call, a single
 anti-diagonal sweep over all of them.  Both sides of every pair share
 one :func:`~repro.core.preprocessing.preprocess_batch` call: the chain
@@ -49,10 +48,7 @@ __all__ = [
     "FeatureVector",
     "FeatureExtraction",
     "pearson_correlation",
-    "normalize_unit",
-    "split_segments",
     "extract_features_batch",
-    "features_from_signals_batch",
 ]
 
 
@@ -121,25 +117,6 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> list[float]:
     ]
 
 
-def normalize_unit(signal: np.ndarray) -> np.ndarray:
-    """Scale a signal to [0, 1]; a flat signal maps to all zeros."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    return _unit(x)
-
-
-def split_segments(signal: np.ndarray, count: int) -> list[np.ndarray]:
-    """Cut a signal into ``count`` equal-length segments (tail dropped)."""
-    x = np.asarray(signal, dtype=np.float64)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seg_len = x.size // count
-    if seg_len < 1:
-        raise ValueError(f"signal of length {x.size} too short for {count} segments")
-    return [x[i * seg_len : (i + 1) * seg_len] for i in range(count)]
-
-
 def extract_features_batch(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     config: DetectorConfig | None = None,
@@ -170,26 +147,8 @@ def extract_features_batch(
             pre = preprocess_batch(signals, config, prominences)
         except NonFiniteSampleError as exc:
             raise NonFiniteSampleError(exc.index % n) from None
-    return features_from_signals_batch(pre[:n], pre[n:], config, instrumentation=instr)
-
-
-def features_from_signals_batch(
-    pre_ts: Sequence[PreprocessedSignal],
-    pre_rs: Sequence[PreprocessedSignal],
-    config: DetectorConfig | None = None,
-    instrumentation: Instrumentation | None = None,
-) -> list[FeatureExtraction]:
-    """Sec. VI features for many already-preprocessed signal pairs."""
-    config = config or DetectorConfig()
-    instr = Instrumentation.ensure(instrumentation)
-    pre_ts = list(pre_ts)
-    pre_rs = list(pre_rs)
-    if len(pre_ts) != len(pre_rs):
-        raise ValueError("need one received signal per transmitted signal")
-    if not pre_ts:
-        return []
     with instr.span("features.match", stage="matching"):
-        return _features_from_signals_batch(pre_ts, pre_rs, config, instr)
+        return _features_from_signals_batch(pre[:n], pre[n:], config, instr)
 
 
 @dataclasses.dataclass
@@ -206,7 +165,8 @@ class _ClipPartial:
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
-    """:func:`normalize_unit` of a 1-D float64 array, unchecked."""
+    """Scale a 1-D float64 signal to [0, 1]; a flat signal maps to all
+    zeros."""
     if x.size == 0:
         return x.copy()
     low = x.min()
@@ -223,12 +183,13 @@ def _match_and_align(
 ) -> tuple[_ClipPartial, list[tuple[np.ndarray, np.ndarray]]]:
     """Everything per-clip up to (but excluding) the DTW distances.
 
-    The lean form of :func:`~repro.core.matching.match_changes`,
-    :func:`~repro.core.delay.estimate_delay`,
-    :func:`~repro.core.delay.align_signals`, :func:`normalize_unit` and
-    :func:`split_segments` in sequence, bit-identical to them: peak
-    times are Python floats read once, the internal forms skip the
-    public checks, and the aligned signals and segments are views.
+    Matches the changes (:func:`~repro.core.matching._greedy_pairs`),
+    estimates and removes the delay (:func:`~repro.core.delay.estimate_delay`,
+    :func:`~repro.core.delay._overlap`), normalizes both smoothed
+    signals to [0, 1] (:func:`_unit`), cuts them into
+    ``config.segment_count`` equal segments (tail dropped) and
+    correlates the segment pairs.  Peak times are Python floats read
+    once, and the aligned signals and segments are views.
     """
     # Boundary guard: a transmitted change too close to the clip end has
     # its reflection truncated by the segmentation; a received change too

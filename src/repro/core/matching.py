@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-__all__ = ["ChangeMatch", "match_changes"]
+__all__ = ["ChangeMatch"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,43 +29,23 @@ class ChangeMatch:
     received_index: int  # index into the received change list
     time_difference_s: float  # received time minus transmitted time
 
-    # The indices refer to whatever arrays were handed to
-    # :func:`match_changes`.  Callers that match over a *filtered* view
-    # must remap the indices back to the unfiltered lists before exposing
-    # the matches, so the contract above holds for downstream consumers;
-    # the feature extractor matches the boundary-guard-trimmed changes
-    # and records their indices in the untrimmed peak lists.
-
-
-def match_changes(
-    transmitted_times: np.ndarray,
-    received_times: np.ndarray,
-    tolerance_s: float,
-) -> list[ChangeMatch]:
-    """Greedy one-to-one matching of change times.
-
-    Candidate pairs within ``tolerance_s`` are sorted by absolute time
-    difference and accepted greedily, each change participating in at
-    most one pair.  Returns matches sorted by transmitted time.
-    """
-    t_times = np.asarray(transmitted_times, dtype=np.float64)
-    r_times = np.asarray(received_times, dtype=np.float64)
-    if t_times.ndim != 1 or r_times.ndim != 1:
-        raise ValueError("change-time arrays must be 1-D")
-    if tolerance_s <= 0:
-        raise ValueError("tolerance_s must be positive")
-    return [
-        ChangeMatch(transmitted_index=i, received_index=j, time_difference_s=difference)
-        for i, j, difference in _greedy_pairs(t_times.tolist(), r_times.tolist(), tolerance_s)
-    ]
+    # The feature extractor matches the boundary-guard-trimmed changes
+    # with :func:`_greedy_pairs` and records each match's indices in the
+    # untrimmed peak lists, so the contract above holds for downstream
+    # consumers.
 
 
 def _greedy_pairs(
     t_times: list[float], r_times: list[float], tolerance_s: float
 ) -> list[tuple[int, int, float]]:
-    """:func:`match_changes` over Python floats, without its checks:
-    ``(transmitted index, received index, received minus transmitted
-    time)`` per match, sorted by transmitted time."""
+    """Greedy one-to-one matching of change times (Python floats).
+
+    Candidate pairs within ``tolerance_s`` are sorted by absolute time
+    difference and accepted greedily, each change participating in at
+    most one pair.  Returns ``(transmitted index, received index,
+    received minus transmitted time)`` per match, sorted by transmitted
+    time.
+    """
     candidates = [
         (abs(r - t), i, j)
         for i, t in enumerate(t_times)

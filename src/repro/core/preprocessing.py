@@ -12,14 +12,11 @@ lives below 1 Hz (Fig. 6).  The paper's chain, applied in order:
 6. moving-average filter, window 10            -> ``smoothed``
 7. peak finding with minimal prominence        -> ``peaks``
 
-Every stage is a pure function over 1-D arrays so the ablation benchmarks
-can splice stages out.  Since the batch-core refactor the arithmetic
-lives in :mod:`~repro.core.batch`: the per-clip stage functions here are
-batch-of-1 views over the ``*_batch`` kernels, and
-:func:`preprocess_batch` runs the whole chain over N clips per NumPy
-call.  :func:`preprocess` composes the chain for one clip and keeps all
-intermediates (Fig. 7 plots them) — bit-identical to its row of any
-batch, because every kernel is row-independent.
+The arithmetic lives in the row-independent ``*_batch`` kernels of
+:mod:`~repro.core.batch`; :func:`preprocess_batch` runs the whole chain
+over N clips per NumPy call and keeps every intermediate (Fig. 7 plots
+them, the ablation benchmarks read them).  A single clip is a batch of
+one, bit-identical to its row of any larger batch.
 """
 
 from __future__ import annotations
@@ -43,15 +40,8 @@ from .peaks import Peak, find_peaks
 __all__ = [
     "NonFiniteSampleError",
     "design_lowpass",
-    "lowpass_filter",
-    "moving_variance",
-    "threshold_filter",
-    "moving_rms",
     "savgol_coefficients",
-    "savgol_filter",
-    "moving_average",
     "PreprocessedSignal",
-    "preprocess",
     "preprocess_batch",
 ]
 
@@ -78,45 +68,6 @@ def design_lowpass(cutoff_hz: float, sample_rate_hz: float, taps: int) -> np.nda
     return kernel / kernel.sum()
 
 
-def lowpass_filter(
-    signal: np.ndarray,
-    sample_rate_hz: float,
-    cutoff_hz: float = 1.0,
-    taps: int = 41,
-) -> np.ndarray:
-    """Stage 1: remove the broadband high-frequency noise (Fig. 6)."""
-    x = _as_signal(signal)
-    kernel = design_lowpass(cutoff_hz, sample_rate_hz, taps)
-    return reflect_convolve_batch(x[None, :], kernel)[0]
-
-
-def moving_variance(signal: np.ndarray, window: int) -> np.ndarray:
-    """Stage 2: short-time variance over a sliding window.
-
-    A significant luminance change (a fast rise or drop within the
-    window) produces a local maximum in this signal; slow low-frequency
-    noise produces only small values.  Output has the input's length —
-    each output sample is the variance of the window *ending* there (the
-    leading ``window - 1`` samples use the growing prefix), so a variance
-    peak trails its luminance edge by at most the window length.
-    """
-    x = _as_signal(signal)
-    return moving_variance_batch(x[None, :], window)[0]
-
-
-def threshold_filter(signal: np.ndarray, cutoff: float) -> np.ndarray:
-    """Stage 3: zero out small spikes below the cut-off (paper: 2)."""
-    x = _as_signal(signal)
-    return threshold_filter_batch(x[None, :], cutoff)[0]
-
-
-def moving_rms(signal: np.ndarray, window: int) -> np.ndarray:
-    """Stage 4: sliding root-mean-square — groups neighbouring lower
-    peaks split by low-frequency noise into one bump (window 30)."""
-    x = _as_signal(signal)
-    return moving_rms_batch(x[None, :], window)[0]
-
-
 def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     """Savitzky-Golay smoothing kernel via least-squares polynomial fit.
 
@@ -137,29 +88,6 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     # Convolution flips the kernel; it is symmetric for even orders but
     # flip explicitly so odd orders stay correct.
     return kernel[::-1].copy()
-
-
-def savgol_filter(signal: np.ndarray, window: int = 31, polyorder: int = 3) -> np.ndarray:
-    """Stage 5: polynomial smoothing (window 31) preserving bump shape."""
-    x = _as_signal(signal)
-    kernel = savgol_coefficients(window, polyorder)
-    return reflect_convolve_batch(x[None, :], kernel)[0]
-
-
-def moving_average(signal: np.ndarray, window: int) -> np.ndarray:
-    """Stage 6: final moving-average polish (window 10)."""
-    x = _as_signal(signal)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    kernel = np.full(window, 1.0 / window)
-    return reflect_convolve_batch(x[None, :], kernel)[0]
-
-
-def _as_signal(signal: np.ndarray) -> np.ndarray:
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    return x
 
 
 #: Distinct filter-field sets whose kernels :func:`_filter_kernels` keeps.
@@ -232,7 +160,7 @@ class PreprocessedSignal:
 
 
 def preprocess_batch(
-    signals: Sequence[np.ndarray] | ClipBatch,
+    signals: Sequence[np.ndarray],
     config: DetectorConfig,
     min_prominence: float | Sequence[float],
 ) -> list[PreprocessedSignal]:
@@ -241,8 +169,8 @@ def preprocess_batch(
     Clips are grouped by length (padding never enters a kernel) and the
     three FIR kernels are designed once per distinct set of filter
     fields, not once per call or clip.  Row independence of the batch
-    kernels makes every clip's result bit-identical to
-    :func:`preprocess` on that clip alone.
+    kernels makes every clip's result bit-identical to a batch of that
+    clip alone.
 
     ``min_prominence`` is the peak gate: one float for every signal, or
     one per signal, so that screen and face signals (which differ only
@@ -255,7 +183,7 @@ def preprocess_batch(
     end of the clip, and the threshold stage would turn the rest of the
     clip into zeros, silently rejecting a live face.
     """
-    batch = signals if isinstance(signals, ClipBatch) else ClipBatch.from_signals(signals)
+    batch = ClipBatch.from_signals(signals)
     if np.ndim(min_prominence) == 0:
         prominences = [min_prominence] * len(batch)
     else:
@@ -265,8 +193,7 @@ def preprocess_batch(
                 f"need one prominence per signal: got {len(prominences)} "
                 f"for {len(batch)} signals"
             )
-    padding = np.arange(batch.max_length) >= batch.lengths[:, None]
-    finite = (np.isfinite(batch.data) | padding).all(axis=1)
+    finite = np.isfinite(batch.data).all(axis=1)  # the padding is zeros
     if not finite.all():
         raise NonFiniteSampleError(int(np.argmin(finite)))
     lowpass_kernel, savgol_kernel, average_kernel = _filter_kernels(config)
@@ -298,16 +225,3 @@ def preprocess_batch(
                 sample_rate_hz=config.sample_rate_hz,
             )
     return [r for r in results if r is not None]
-
-
-def preprocess(
-    signal: np.ndarray,
-    config: DetectorConfig,
-    min_prominence: float,
-) -> PreprocessedSignal:
-    """Run the full Sec. V chain on one raw luminance signal.
-
-    A batch-of-1 view over :func:`preprocess_batch`.
-    """
-    _as_signal(signal)
-    return preprocess_batch([signal], config, min_prominence)[0]

@@ -10,16 +10,16 @@ from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.features import (
     FeatureVector,
+    _features_from_signals_batch,
     _match_and_align,
+    _unit,
     extract_features_batch,
-    features_from_signals_batch,
-    normalize_unit,
     pearson_correlation,
-    split_segments,
 )
 from repro.core.matching import ChangeMatch
 from repro.core.peaks import Peak
 from repro.core.preprocessing import NonFiniteSampleError, PreprocessedSignal, preprocess_batch
+from repro.obs.instrument import NULL
 
 
 class TestPearson:
@@ -84,33 +84,41 @@ class TestPearsonMatchesReference:
 class TestNormalizeUnit:
     def test_range_is_unit(self):
         x = np.array([5.0, 10.0, 7.5])
-        out = normalize_unit(x)
+        out = _unit(x)
         assert out.min() == pytest.approx(0.0)
         assert out.max() == pytest.approx(1.0)
 
     def test_flat_signal_maps_to_zero(self):
-        assert np.allclose(normalize_unit(np.full(5, 3.0)), 0.0)
+        assert np.allclose(_unit(np.full(5, 3.0)), 0.0)
 
     def test_preserves_shape_monotonicity(self):
         x = np.array([1.0, 3.0, 2.0])
-        out = normalize_unit(x)
+        out = _unit(x)
         assert out[1] > out[2] > out[0]
 
 
 class TestSplitSegments:
-    def test_two_halves(self):
-        segs = split_segments(np.arange(10.0), 2)
+    """The per-clip tail cuts the aligned, normalized signals into
+    ``segment_count`` equal segments, tail dropped."""
+
+    def test_two_halves(self, config):
+        pre = _pre(np.arange(10.0), peaks=[])
+        _, segs = _match_and_align(pre, pre, config)
         assert len(segs) == 2
-        assert np.allclose(segs[0], np.arange(5.0))
-        assert np.allclose(segs[1], np.arange(5.0, 10.0))
+        assert np.allclose(segs[0][0], np.arange(5.0) / 9.0)
+        assert np.allclose(segs[1][0], np.arange(5.0, 10.0) / 9.0)
 
-    def test_tail_dropped(self):
-        segs = split_segments(np.arange(11.0), 2)
-        assert all(s.size == 5 for s in segs)
+    def test_tail_dropped(self, config):
+        pre = _pre(np.arange(11.0), peaks=[])
+        _, segs = _match_and_align(pre, pre, config)
+        assert all(t.size == 5 and r.size == 5 for t, r in segs)
 
-    def test_too_short_raises(self):
-        with pytest.raises(ValueError):
-            split_segments(np.arange(1.0), 2)
+    def test_too_short_signal_is_not_cut(self, config):
+        pre = _pre(np.arange(3.0), peaks=[])  # fewer than two samples a segment
+        partial, segs = _match_and_align(pre, pre, config)
+        assert segs == [] and partial.correlations == []
+        got = _features_from_signals_batch([pre], [pre], config, NULL)[0]
+        assert got.features.z3 == -1.0  # reprolint: disable=R004
 
 
 class TestFeatureVector:
@@ -182,7 +190,7 @@ class TestDegenerateInputs:
 
 class TestMatchIndexContract:
     def test_matches_index_the_untrimmed_peak_lists(self, step_signal, config):
-        """Regression: match_changes runs on guard-trimmed peak arrays;
+        """Regression: the matcher runs on guard-trimmed peak lists;
         the returned ChangeMatch indices must be remapped to the full
         (untrimmed) change lists, or a trimmed leading received peak
         shifts every received_index off by one."""
@@ -240,7 +248,7 @@ def _extract_features_two_pass(pairs, config):
     oracle: one ``preprocess_batch`` call per side."""
     pre_ts = preprocess_batch([t for t, _ in pairs], config, config.peak_prominence_screen)
     pre_rs = preprocess_batch([r for _, r in pairs], config, config.peak_prominence_face)
-    return features_from_signals_batch(pre_ts, pre_rs, config)
+    return _features_from_signals_batch(pre_ts, pre_rs, config, NULL)
 
 
 def _screen(rng, n):
@@ -355,7 +363,7 @@ class TestOnePassErrorIndex:
 
 
 def _match_changes_reference(t_times, r_times, tolerance_s):
-    """``match_changes`` before the lean tail, over numpy arrays."""
+    """The greedy matcher before the lean tail, over numpy arrays."""
     if t_times.size == 0 or r_times.size == 0:
         return []
     candidates = []
@@ -438,8 +446,10 @@ def _match_and_align_reference(pre_t, pre_r, config):
     correlations = []
     segment_pairs = []
     if t_aligned.size >= 2 * config.segment_count:
-        t_segments = split_segments(t_aligned, config.segment_count)
-        r_segments = split_segments(r_aligned, config.segment_count)
+        seg_len = t_aligned.size // config.segment_count
+        bounds = [(i * seg_len, (i + 1) * seg_len) for i in range(config.segment_count)]
+        t_segments = [t_aligned[a:b] for a, b in bounds]
+        r_segments = [r_aligned[a:b] for a, b in bounds]
         for t_seg, r_seg in zip(t_segments, r_segments):
             correlations.append(_pearson_reference(t_seg, r_seg))
             segment_pairs.append((t_seg, r_seg))
@@ -493,7 +503,7 @@ def _assert_tail_matches_reference(pre_t, pre_r, config):
     assert len(segments) == len(ref_segments)
     for (t_seg, r_seg), (t_ref, r_ref) in zip(segments, ref_segments):
         assert t_seg.tobytes() == t_ref.tobytes() and r_seg.tobytes() == r_ref.tobytes()
-    got = features_from_signals_batch([pre_t], [pre_r], config)[0]
+    got = _features_from_signals_batch([pre_t], [pre_r], config, NULL)[0]
     features, matches, delay_s = _features_reference(pre_t, pre_r, config)
     assert repr(got.features) == repr(features)
     assert repr(got.matches) == repr(tuple(matches))

@@ -1,9 +1,9 @@
-"""Property: every ``*_batch`` kernel is bit-identical to a Python loop
-of the per-clip functions, across ragged batches (length 0 and 1
-included).  This is the contract that lets the engine split a batch into
-arbitrary chunks and still produce serial-identical results.  DTW has no
-per-clip function in the program; its loop is :func:`_dtw_reference`,
-the scalar dynamic program kept here as the oracle."""
+"""Property: every ``*_batch`` kernel is row-independent, so each row of
+a batch is bit-identical to that row run as a batch of one, across
+ragged batches (length 0 and 1 included).  This is the contract that
+lets the engine split a batch into arbitrary chunks and still produce
+serial-identical results.  DTW's loop oracle is :func:`_dtw_reference`,
+the scalar dynamic program kept here."""
 
 import numpy as np
 import pytest
@@ -23,16 +23,7 @@ from repro.core.batch import (
 from repro.core.config import DetectorConfig
 from repro.core.features import extract_features_batch
 from repro.core.peaks import find_peaks
-from repro.core.preprocessing import (
-    lowpass_filter,
-    moving_average,
-    moving_rms,
-    moving_variance,
-    preprocess,
-    preprocess_batch,
-    savgol_filter,
-    threshold_filter,
-)
+from repro.core.preprocessing import design_lowpass, preprocess_batch, savgol_coefficients
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
@@ -114,54 +105,43 @@ class TestClipBatchContainer:
         assert sorted(seen) == list(range(len(signals)))
 
 
+def _assert_rows_stand_alone(signals, kernel):
+    """``kernel(rows)[g]`` bit-equals ``kernel(rows[g : g + 1])[0]`` for
+    every row of every equal-length group of ``signals``."""
+    batch = _pad(signals)
+    for length, indices in group_by_length(batch.lengths):
+        rows = batch.data[indices][:, :length]
+        out = kernel(rows)
+        assert out.shape == rows.shape
+        for g in range(len(indices)):
+            assert out[g].tobytes() == kernel(rows[g : g + 1])[0].tobytes()
+
+
 class TestKernelsMatchPerClipLoop:
     @given(ragged_signals, st.integers(min_value=1, max_value=12))
     @settings(max_examples=40, deadline=None)
     def test_moving_variance(self, signals, window):
-        batch = _pad(signals)
-        for length, indices in group_by_length(batch.lengths):
-            rows = batch.data[indices][:, :length]
-            out = moving_variance_batch(rows, window)
-            for g, i in enumerate(indices):
-                assert np.array_equal(out[g], moving_variance(batch.row(i), window))
+        _assert_rows_stand_alone(signals, lambda rows: moving_variance_batch(rows, window))
 
     @given(ragged_signals, st.integers(min_value=1, max_value=12))
     @settings(max_examples=40, deadline=None)
     def test_moving_rms(self, signals, window):
-        batch = _pad(signals)
-        for length, indices in group_by_length(batch.lengths):
-            rows = batch.data[indices][:, :length]
-            out = moving_rms_batch(rows, window)
-            for g, i in enumerate(indices):
-                assert np.array_equal(out[g], moving_rms(batch.row(i), window))
+        _assert_rows_stand_alone(signals, lambda rows: moving_rms_batch(rows, window))
 
     @given(ragged_signals, st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_threshold(self, signals, cutoff):
-        batch = _pad(signals)
-        for length, indices in group_by_length(batch.lengths):
-            rows = batch.data[indices][:, :length]
-            out = threshold_filter_batch(rows, cutoff)
-            for g, i in enumerate(indices):
-                assert np.array_equal(out[g], threshold_filter(batch.row(i), cutoff))
+        _assert_rows_stand_alone(signals, lambda rows: threshold_filter_batch(rows, cutoff))
 
     @given(ragged_signals, st.integers(min_value=1, max_value=10))
     @settings(max_examples=30, deadline=None)
     def test_convolution_stages(self, signals, window):
-        batch = _pad(signals)
-        for length, indices in group_by_length(batch.lengths):
-            rows = batch.data[indices][:, :length]
-            for g, i in enumerate(indices):
-                row = batch.row(i)
-                assert np.array_equal(
-                    moving_average(row, window),
-                    reflect_convolve_batch(
-                        rows, np.full(window, 1.0 / window)
-                    )[g],
-                )
-                assert np.array_equal(
-                    lowpass_filter(row, 10.0), lowpass_filter(row, 10.0)
-                )
+        for kernel in (
+            np.full(window, 1.0 / window),
+            design_lowpass(1.0, 10.0, 41),
+            savgol_coefficients(31, 3),
+        ):
+            _assert_rows_stand_alone(signals, lambda rows: reflect_convolve_batch(rows, kernel))
 
     @given(ragged_signals, st.floats(min_value=0.01, max_value=5.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
@@ -252,7 +232,7 @@ class TestPreprocessBatch:
         batched = preprocess_batch(signals, config, config.peak_prominence_face)
         assert len(batched) == len(signals)
         for signal, got in zip(signals, batched):
-            want = preprocess(signal, config, config.peak_prominence_face)
+            want = preprocess_batch([signal], config, config.peak_prominence_face)[0]
             for field in (
                 "raw",
                 "lowpassed",
@@ -267,11 +247,9 @@ class TestPreprocessBatch:
 
     def test_savgol_stage_is_row_independent(self):
         rng = np.random.default_rng(5)
-        rows = rng.uniform(0.0, 4.0, size=(6, 64))
-        full = np.stack([savgol_filter(row) for row in rows])
-        assert np.array_equal(
-            full, np.stack([savgol_filter(rows[i]) for i in range(6)])
-        )
+        signals = list(rng.uniform(0.0, 4.0, size=(6, 64)))
+        kernel = savgol_coefficients(31, 3)
+        _assert_rows_stand_alone(signals, lambda rows: reflect_convolve_batch(rows, kernel))
 
 
 class TestExtractFeaturesBatchIdentity:

@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DetectorConfig
-from repro.core.delay import align_signals, estimate_delay
-from repro.core.features import extract_features_batch, normalize_unit
-from repro.core.matching import match_changes
+from repro.core.delay import _overlap, estimate_delay
+from repro.core.features import _unit, extract_features_batch
+from repro.core.matching import ChangeMatch, _greedy_pairs
 
 times = st.lists(
     st.floats(min_value=0.0, max_value=15.0, allow_nan=False),
     min_size=0,
     max_size=8,
-).map(lambda ts: np.array(sorted(ts)))
+).map(sorted)
 
 
 @st.composite
@@ -28,38 +28,38 @@ def spaced_times(draw, min_gap=2.1, max_count=6):
         )
     )
     start = draw(st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
-    return start + np.cumsum(np.array(gaps)) - gaps[0]
+    return (start + np.cumsum(np.array(gaps)) - gaps[0]).tolist()
 
 
 class TestMatchingProperties:
     @given(times, times, st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_one_to_one(self, t, r, tol):
-        matches = match_changes(t, r, tol)
-        assert len({m.transmitted_index for m in matches}) == len(matches)
-        assert len({m.received_index for m in matches}) == len(matches)
+        pairs = _greedy_pairs(t, r, tol)
+        assert len({i for i, _, _ in pairs}) == len(pairs)
+        assert len({j for _, j, _ in pairs}) == len(pairs)
 
     @given(times, times, st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_all_pairs_within_tolerance(self, t, r, tol):
-        for m in match_changes(t, r, tol):
-            assert abs(m.time_difference_s) <= tol + 1e-12
+        for _, _, difference in _greedy_pairs(t, r, tol):
+            assert abs(difference) <= tol + 1e-12
 
     @given(spaced_times(), st.floats(min_value=0.0, max_value=0.9))
     @settings(max_examples=60, deadline=None)
     def test_planted_delay_recovered(self, t, delay):
         # Changes spaced > 2x tolerance apart: the matching is unambiguous
         # and the estimator must recover the planted delay exactly.
-        matches = match_changes(t, t + delay, tolerance_s=1.0)
-        estimated = estimate_delay(matches)
+        pairs = _greedy_pairs(t, [x + delay for x in t], tolerance_s=1.0)
+        estimated = estimate_delay([ChangeMatch(i, j, d) for i, j, d in pairs])
         assert estimated is not None
         assert abs(estimated - delay) < 1e-9
 
     @given(times, times, st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_of_match_count(self, t, r, tol):
-        forward = match_changes(t, r, tol)
-        backward = match_changes(r, t, tol)
+        forward = _greedy_pairs(t, r, tol)
+        backward = _greedy_pairs(r, t, tol)
         assert len(forward) == len(backward)
 
 
@@ -76,7 +76,7 @@ class TestAlignProperties:
             y = np.concatenate([np.zeros(shift_samples), x])[:n]
         else:
             y = np.concatenate([x[-shift_samples:], np.zeros(-shift_samples)])
-        t_a, r_a = align_signals(x, y, shift_samples / 10.0, 10.0)
+        t_a, r_a = _overlap(x, y, shift_samples / 10.0, 10.0)
         overlap = min(t_a.size, r_a.size)
         if shift_samples >= 0:
             assert np.allclose(t_a[: overlap - shift_samples], r_a[: overlap - shift_samples])
@@ -92,7 +92,7 @@ class TestNormalizeProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_output_in_unit_interval(self, values):
-        out = normalize_unit(np.array(values))
+        out = _unit(np.array(values))
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 

@@ -26,7 +26,8 @@ class TestFacade:
         assert api.ExecutionEngine is ExecutionEngine
 
     def test_deleted_shims_stay_deleted(self):
-        from repro.core import features, pipeline
+        from repro import core
+        from repro.core import delay, features, matching, pipeline, preprocessing
         from repro.core.config import DetectorConfig
         from repro.engine import ExecutionEngine
 
@@ -39,3 +40,24 @@ class TestFacade:
         for name in ("SessionVerdict", "DiagnosedVerdict"):
             assert not hasattr(pipeline, name)
             assert not hasattr(repro, name)
+        # One form per Sec. V/VI step: the batch kernels, preprocess_batch
+        # and the unchecked tail helpers stay; their views are gone.
+        deleted = {
+            preprocessing: (
+                "lowpass_filter",
+                "moving_variance",
+                "threshold_filter",
+                "moving_rms",
+                "savgol_filter",
+                "moving_average",
+                "_as_signal",
+                "preprocess",
+            ),
+            features: ("normalize_unit", "split_segments", "features_from_signals_batch"),
+            matching: ("match_changes",),
+            delay: ("align_signals",),
+        }
+        for module, names in deleted.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(core, "features_from_signals_batch")
