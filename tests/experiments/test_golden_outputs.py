@@ -13,7 +13,9 @@ sweeps (Figs. 13/16, Sec. VIII-I) get a synthetic ``build_dataset``
 whose banks move with the swept environment and config, so the sweep
 loop — nominal vs per-point training, per-point seed keys — is pinned
 without simulating clips.  The matrices and the session builders have
-no synthetic form and run the real chat stack at a small raster.
+no synthetic form and run the real chat stack at a small raster.  The
+Sec. V chain itself is pinned too: every intermediate of
+``preprocess_batch`` and its peaks, on seeded ragged signals.
 
 Re-record (only when an output change is intended) with::
 
@@ -35,6 +37,7 @@ import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.features import FeatureVector
+from repro.core.preprocessing import preprocess_batch
 from repro.engine import ExecutionEngine
 from repro.experiments import runner
 from repro.experiments.dataset import ATTACK, GENUINE, ClipInstance, FeatureDataset
@@ -250,6 +253,43 @@ def _session_digests():
     return digests
 
 
+def _chain_signals():
+    """Seeded ragged luminance signals for the Sec. V chain: step pairs
+    shaped like a screen challenge and its reflection at three clip
+    lengths, plus noise rows as short as one sample."""
+    rng = np.random.default_rng(28)
+    signals = []
+    for n in (150, 175, 200, 150, 175):
+        t = np.full(n, 180.0)
+        t[int(rng.integers(25, 55)) :] -= 50.0
+        t[int(rng.integers(85, 120)) :] += 50.0
+        delay = int(rng.integers(2, 6))
+        r = 120.0 + rng.uniform(0.12, 0.4) * np.concatenate([np.full(delay, t[0]), t[:-delay]])
+        signals += [t + rng.normal(0.0, 1.0, n), r + rng.normal(0.0, rng.uniform(0.3, 2.0), n)]
+    for n in (1, 2, 5, 40, 150):
+        signals.append(rng.uniform(0.0, 255.0, n))
+    return signals
+
+
+def _preprocess_chain():
+    """Every intermediate of ``preprocess_batch`` (sha256 of its exact
+    bytes) plus the peaks, on ragged signals with per-signal gates."""
+    config = DetectorConfig()
+    signals = _chain_signals()
+    gates = [
+        config.peak_prominence_screen if i % 2 == 0 else config.peak_prominence_face
+        for i in range(len(signals))
+    ]
+    fields = ("raw", "lowpassed", "variance", "thresholded", "rms", "savgol", "smoothed")
+    return [
+        {
+            **{name: hashlib.sha256(getattr(pre, name).tobytes()).hexdigest() for name in fields},
+            "peaks": pre.peaks,
+        }
+        for pre in preprocess_batch(signals, config, gates)
+    ]
+
+
 def _cases() -> dict:
     return {
         **dict(_figure_cases()),
@@ -258,6 +298,7 @@ def _cases() -> dict:
         "run_fault_matrix": _fault_matrix,
         "run_protocol_matrix": _protocol_matrix,
         "session_digests": _session_digests,
+        "preprocess_batch": _preprocess_chain,
     }
 
 
@@ -267,8 +308,9 @@ def _golden() -> dict[str, str]:
 
 SWEEP_CASES = [name for name, _ in _sweep_cases()]
 SIMULATED_CASES = ["run_fault_matrix", "run_protocol_matrix", "session_digests"]
+CHAIN_CASES = ["preprocess_batch"]
 FIGURE_CASES = [
-    name for name in _cases() if name not in SWEEP_CASES + SIMULATED_CASES
+    name for name in _cases() if name not in SWEEP_CASES + SIMULATED_CASES + CHAIN_CASES
 ]
 
 
@@ -285,6 +327,11 @@ def test_environment_sweep_output_is_pinned(name, monkeypatch):
 
 @pytest.mark.parametrize("name", SIMULATED_CASES)
 def test_simulated_output_is_pinned(name):
+    assert canonical(_cases()[name]()) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_signal_chain_output_is_pinned(name):
     assert canonical(_cases()[name]()) == _golden()[name]
 
 
