@@ -29,7 +29,7 @@ def test_ablation_smoothing_prevents_peak_splitting(benchmark, main_dataset, rep
         prominence = config.peak_prominence_face
         for full in preprocess_batch([c.received_luminance for c in clips], config, prominence):
             # The chain cut short after the threshold filter.
-            cut = find_peaks(full.thresholded, prominence)
+            cut = find_peaks(full.thresholded[None, :], prominence)[0]
             full_counts.append(full.change_count)
             split_counts.append(len(cut))
         return float(np.mean(full_counts)), float(np.mean(split_counts))

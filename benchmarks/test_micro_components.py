@@ -48,8 +48,31 @@ def test_bench_find_peaks_smoothed_200(benchmark):
     x += np.random.default_rng(3).normal(0, 0.5, 200)
     config = DetectorConfig()
     smoothed = preprocess_batch([x], config, config.peak_prominence_screen)[0].smoothed
-    peaks = benchmark(lambda: find_peaks(smoothed, config.peak_prominence_screen))
+    peaks = benchmark(lambda: find_peaks(smoothed[None, :], config.peak_prominence_screen)[0])
     assert len(peaks) == 2
+
+
+def _pair_signals(count, n, seed):
+    """``count`` raw luminance signals of ``n`` samples, alternating a
+    screen step signal and its dimmer, noisier face reflection."""
+    rng = np.random.default_rng(seed)
+    signals = []
+    for _ in range(count // 2):
+        t, r = _step_pair(rng, n)
+        signals += [t + rng.normal(0.0, 0.5, n), r]
+    return signals
+
+
+@pytest.mark.parametrize("count, n", [(2, 150), (48, 175)])
+def test_bench_preprocess_group(benchmark, count, n):
+    """The Sec. V chain over one length group with per-signal gates: a
+    clip close's transmitted/received pair, and a 48-signal batch group."""
+    config = DetectorConfig()
+    signals = _pair_signals(count, n, seed=count)
+    gates = [config.peak_prominence_screen, config.peak_prominence_face] * (count // 2)
+    results = benchmark(lambda: preprocess_batch(signals, config, gates))
+    assert len(results) == count
+    assert all(pre.change_count >= 1 for pre in results)
 
 
 def test_bench_pearson_90(benchmark):

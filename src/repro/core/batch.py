@@ -10,7 +10,15 @@ the batched kernels that process N clips per NumPy call:
   consumes.
 * ``reflect_convolve_batch`` / ``moving_variance_batch`` /
   ``threshold_filter_batch`` / ``moving_rms_batch`` — the filter stages
-  of Sec. V over a dense group of equal-length rows.
+  of Sec. V over a dense group of equal-length rows.  They take and
+  return ``(clips, samples)`` arrays but compute on the **time-major**
+  block ``rows.T``: a convolution tap is two contiguous operations over
+  one slice of the padded ``(samples, clips)`` block, and the window
+  sums are ``cumsum(axis=0)``.  Each returns ``out.T``, a free view
+  whose own ``.T`` is contiguous again for the next stage.  Every
+  element gets the same operations in the same order as the row-major
+  form (``add.accumulate`` is sequential along any axis), so the
+  outputs are bit-identical to it.
 * :func:`dtw_distance_batch` — feature ``z4``'s dynamic program as one
   anti-diagonal wavefront over every padded pair.
 
@@ -158,7 +166,9 @@ def reflect_convolve_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     ``_reflect_convolve`` (reflect capped at ``len - 1``, edge values
     beyond that), evaluated as a tap-accumulation sum so each output row
     depends only on its own input row.  The padding is one gather
-    through the cached :func:`_reflect_index` of the row shape.
+    through the cached :func:`_reflect_index` of the row shape, taken on
+    the time-major ``rows.T``, so each tap reads one contiguous slice of
+    the padded ``(length + 2 * half, clips)`` block.
     """
     rows = _as_rows(rows)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -170,17 +180,28 @@ def reflect_convolve_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         if half == 0 and length > 0 and count > 0:
             return kernel[0] * rows
         return rows.copy()
-    padded = rows[:, _reflect_index(length, half)]
-    # out[:, m] = sum_k kernel[k] * padded[:, m + shift - k]; with the
+    padded = rows.T[_reflect_index(length, half)]
+    # out[m] = sum_k kernel[k] * padded[m + shift - k]; with the
     # symmetric padding above the kernel always has full support, so no
     # boundary cases remain (shift reproduces np.convolve's "same"
     # alignment for odd and even kernel sizes alike).
     shift = half + (kernel.size - 1) // 2
-    out = np.zeros_like(rows)
+    out = np.zeros((length, count))
+    term = np.empty_like(out)
     for k in range(kernel.size):
         start = shift - k
-        out += kernel[k] * padded[:, start : start + length]
-    return out
+        np.multiply(padded[start : start + length], kernel[k], out=term)
+        out += term
+    return out.T
+
+
+def _window_sums(block: np.ndarray) -> np.ndarray:
+    """Running sums of a time-major block with a zero row in front:
+    ``sums[m]`` is the sum of the first ``m`` samples of each column."""
+    sums = np.empty((block.shape[0] + 1, block.shape[1]))
+    sums[0] = 0.0
+    np.cumsum(block, axis=0, out=sums[1:])
+    return sums
 
 
 def moving_variance_batch(rows: np.ndarray, window: int) -> np.ndarray:
@@ -199,23 +220,24 @@ def moving_variance_batch(rows: np.ndarray, window: int) -> np.ndarray:
     count, length = rows.shape
     if length == 0 or count == 0:
         return rows.copy()
-    zeros = np.zeros((count, 1), dtype=np.float64)
-    csum = np.concatenate([zeros, np.cumsum(rows, axis=1)], axis=1)
-    csum2 = np.concatenate([zeros, np.cumsum(rows * rows, axis=1)], axis=1)
+    block = rows.T
+    csum = _window_sums(block)
+    csum2 = _window_sums(block * block)
     idx = np.arange(length)
     lo = np.maximum(idx - window + 1, 0)
-    n = idx - lo + 1
-    mean = (csum[:, idx + 1] - csum[:, lo]) / n
-    mean2 = (csum2[:, idx + 1] - csum2[:, lo]) / n
-    return np.maximum(mean2 - mean * mean, 0.0)
+    n = (idx - lo + 1)[:, None]
+    mean = (csum[1:] - csum[lo]) / n
+    mean2 = (csum2[1:] - csum2[lo]) / n
+    return np.maximum(mean2 - mean * mean, 0.0).T
 
 
 def threshold_filter_batch(rows: np.ndarray, cutoff: float) -> np.ndarray:
     """Zero out samples below the cut-off, elementwise per row."""
     rows = _as_rows(rows)
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    return np.where(rows >= cutoff, rows, 0.0)
+    if not cutoff >= 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff!r}")
+    block = rows.T
+    return np.where(block >= cutoff, block, 0.0).T
 
 
 def moving_rms_batch(rows: np.ndarray, window: int) -> np.ndarray:
@@ -226,13 +248,13 @@ def moving_rms_batch(rows: np.ndarray, window: int) -> np.ndarray:
     count, length = rows.shape
     if length == 0 or count == 0:
         return rows.copy()
-    zeros = np.zeros((count, 1), dtype=np.float64)
-    csum2 = np.concatenate([zeros, np.cumsum(rows * rows, axis=1)], axis=1)
+    block = rows.T
+    csum2 = _window_sums(block * block)
     half = window // 2
     idx = np.arange(length)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + window - half, length)
-    return np.sqrt((csum2[:, hi] - csum2[:, lo]) / (hi - lo))
+    return np.sqrt((csum2[hi] - csum2[lo]) / (hi - lo)[:, None]).T
 
 
 def _time_major(signals: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ constructing modified configs rather than monkey-patching the pipeline.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 __all__ = ["DetectorConfig", "PAPER_CONFIG"]
 
@@ -142,6 +143,13 @@ class DetectorConfig:
     min_gap_s: float = 4.5
 
     def __post_init__(self) -> None:
+        # Every range check below is a comparison, and a NaN fails every
+        # comparison, so ``nan <= 0`` would let a NaN through: a NaN
+        # prominence gate, for one, passes no peak and rejects every face.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{field.name} must not be NaN")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         if self.clip_duration_s <= 0:

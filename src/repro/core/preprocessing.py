@@ -212,6 +212,7 @@ def preprocess_batch(
         # at zero.
         savgol = np.maximum(reflect_convolve_batch(rms, savgol_kernel), 0.0)
         smoothed = np.maximum(reflect_convolve_batch(savgol, average_kernel), 0.0)
+        peaks = find_peaks(smoothed, [prominences[i] for i in indices])
         for g, i in enumerate(indices):
             results[int(i)] = PreprocessedSignal(
                 raw=raw[g],
@@ -221,7 +222,7 @@ def preprocess_batch(
                 rms=rms[g],
                 savgol=savgol[g],
                 smoothed=smoothed[g],
-                peaks=tuple(find_peaks(smoothed[g], prominences[i])),
+                peaks=tuple(peaks[g]),
                 sample_rate_hz=config.sample_rate_hz,
             )
     return [r for r in results if r is not None]

@@ -1,6 +1,7 @@
 """DetectorConfig: paper defaults and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -71,6 +72,16 @@ class TestValidation:
     def test_rejects_zero_prominence(self):
         with pytest.raises(ValueError):
             DetectorConfig(peak_prominence_face=0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(DetectorConfig) if isinstance(f.default, float)],
+    )
+    def test_rejects_nan_by_field_name(self, name):
+        # A NaN fails every range comparison, so `nan <= 0` checks let
+        # it through (a NaN face gate then rejects every live face).
+        with pytest.raises(ValueError, match=name):
+            PAPER_CONFIG.with_overrides(**{name: math.nan})
 
 
 class TestWithOverrides:

@@ -1,5 +1,5 @@
 """Peak finding: local maxima, plateaus, prominence gating, and the
-one-pass finder against the two-walk finder it replaced."""
+batch kernel against the per-signal two-walk finder it replaced."""
 
 import math
 
@@ -63,6 +63,11 @@ def _exact(peaks):
     return [(p.index, repr(p.height), repr(p.prominence)) for p in peaks]
 
 
+def _one(signal, min_prominence):
+    """The peaks of one signal: the kernel over the batch of one."""
+    return find_peaks(np.asarray(signal, dtype=np.float64)[None, :], min_prominence)[0]
+
+
 # Values that make ties and plateaus likely, signed zeros, magnitudes
 # near +-1e6 (where adding 1 still changes the value) and non-finite
 # samples, mixed with arbitrary floats.
@@ -104,7 +109,7 @@ _prominence = st.one_of(
 class TestBasicDetection:
     def test_single_triangle_peak(self):
         x = np.array([0, 1, 2, 3, 2, 1, 0], dtype=float)
-        peaks = find_peaks(x, 0.5)
+        peaks = _one(x, 0.5)
         assert len(peaks) == 1
         assert peaks[0].index == 3
         assert peaks[0].height == pytest.approx(3.0)
@@ -112,7 +117,7 @@ class TestBasicDetection:
 
     def test_two_peaks_with_saddle(self):
         x = np.array([0, 5, 1, 4, 0], dtype=float)
-        peaks = find_peaks(x, 0.5)
+        peaks = _one(x, 0.5)
         assert [p.index for p in peaks] == [1, 3]
         # Left peak rises from the global floor; right peak only from the saddle.
         assert peaks[0].prominence == pytest.approx(5.0)
@@ -120,62 +125,81 @@ class TestBasicDetection:
 
     def test_endpoints_never_peaks(self):
         x = np.array([5, 1, 0, 1, 6], dtype=float)
-        assert find_peaks(x, 0.5) == []
+        assert _one(x, 0.5) == []
 
     def test_monotonic_signal_has_no_peaks(self):
-        assert find_peaks(np.arange(10.0), 0.1) == []
+        assert _one(np.arange(10.0), 0.1) == []
 
     def test_flat_signal_has_no_peaks(self):
-        assert find_peaks(np.zeros(20), 0.1) == []
+        assert _one(np.zeros(20), 0.1) == []
 
 
 class TestPlateaus:
     def test_plateau_reported_once_at_midpoint(self):
         x = np.array([0, 1, 3, 3, 3, 1, 0], dtype=float)
-        peaks = find_peaks(x, 0.5)
+        peaks = _one(x, 0.5)
         assert len(peaks) == 1
         assert peaks[0].index == 3
 
     def test_plateau_touching_edge_is_not_a_peak(self):
         x = np.array([3, 3, 3, 1, 0], dtype=float)
-        assert find_peaks(x, 0.5) == []
+        assert _one(x, 0.5) == []
 
     def test_zero_valley_between_lumps_is_not_a_peak(self):
         # The clamped smoothed-variance shape: lump, zero plateau, lump.
         x = np.array([0, 4, 8, 4, 0, 0, 0, 0, 3, 6, 3, 0], dtype=float)
-        peaks = find_peaks(x, 0.5)
+        peaks = _one(x, 0.5)
         assert [p.index for p in peaks] == [2, 9]
 
 
 class TestProminenceGate:
     def test_small_peak_filtered(self):
         x = np.array([0, 10, 0, 0.3, 0, 10, 0], dtype=float)
-        peaks = find_peaks(x, 0.5)
+        peaks = _one(x, 0.5)
         assert [p.index for p in peaks] == [1, 5]
 
     def test_gate_is_inclusive(self):
         x = np.array([0, 0.5, 0], dtype=float)
-        assert len(find_peaks(x, 0.5)) == 1
+        assert len(_one(x, 0.5)) == 1
 
     def test_prominence_measured_from_higher_saddle(self):
         # Peak of height 6 between floors 2 (left) and 4 (right).
         x = np.array([10, 2, 6, 4, 12], dtype=float)
-        peaks = find_peaks(x, 0.1)
+        peaks = _one(x, 0.1)
         assert len(peaks) == 1
         assert peaks[0].prominence == pytest.approx(2.0)
 
 
 class TestValidation:
-    def test_rejects_2d_input(self):
-        with pytest.raises(ValueError):
-            find_peaks(np.zeros((3, 3)), 1.0)
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            find_peaks(np.zeros(5), 1.0)
+        with pytest.raises(ValueError, match="2-D"):
+            find_peaks(np.zeros((2, 3, 3)), 1.0)
 
     def test_rejects_nonpositive_prominence(self):
         with pytest.raises(ValueError):
-            find_peaks(np.zeros(5), 0.0)
+            _one(np.zeros(5), 0.0)
+        with pytest.raises(ValueError, match="min_prominence"):
+            find_peaks(np.zeros((2, 5)), [0.5, -1.0])
+
+    def test_rejects_nan_prominence(self):
+        x = np.array([0.0, 3.0, 0.0])
+        with pytest.raises(ValueError, match="min_prominence"):
+            _one(x, math.nan)
+        with pytest.raises(ValueError, match="min_prominence"):
+            find_peaks(np.stack([x, x]), [0.5, math.nan])
+
+    def test_rejects_wrong_gate_count(self):
+        with pytest.raises(ValueError, match="one min_prominence per row"):
+            find_peaks(np.zeros((3, 5)), [0.5, 0.5])
+
+    def test_empty_block_has_no_rows(self):
+        assert find_peaks(np.zeros((0, 5)), 0.5) == []
+        assert find_peaks(np.zeros((2, 0)), [0.5, 1.0]) == [[], []]
 
     def test_short_signal_returns_empty(self):
-        assert find_peaks(np.array([1.0, 2.0]), 0.5) == []
+        assert _one(np.array([1.0, 2.0]), 0.5) == []
 
     def test_peak_is_frozen_dataclass(self):
         peak = Peak(index=1, height=2.0, prominence=1.0)
@@ -183,9 +207,21 @@ class TestValidation:
             peak.height = 5.0  # type: ignore[misc]
 
 
-class TestOneWalkMatchesReference:
-    """The one-pass finder is bit-identical to :func:`_find_peaks_reference`:
-    same indices, same heights (sign of zero included), same prominences."""
+@st.composite
+def terrain_group(draw):
+    """One to four equal-length :func:`terrain` rows, each with its own
+    gate (a shorter row is cut to the shortest one's length)."""
+    rows = draw(st.lists(terrain(), min_size=1, max_size=4))
+    length = min(row.size for row in rows)
+    block = np.array([row[:length] for row in rows], dtype=np.float64).reshape(len(rows), length)
+    gates = draw(st.lists(_prominence, min_size=len(rows), max_size=len(rows)))
+    return block, gates
+
+
+class TestKernelMatchesReference:
+    """The batch kernel is bit-identical to :func:`_find_peaks_reference`
+    on every row: same indices, same heights (sign of zero included),
+    same prominences, and a row's peaks do not depend on its block."""
 
     @given(terrain(), _prominence)
     @settings(max_examples=300, deadline=None)
@@ -195,17 +231,36 @@ class TestOneWalkMatchesReference:
     @example(np.array([0.0, math.inf, math.inf, 0.0, math.inf, -1.0]), 1.0)
     @example(np.array([-1e6, 1e6, 1e6 + 1.0, 1e6, -1e6]), 1.0)
     def test_terrain(self, x, prominence):
-        assert _exact(find_peaks(x, prominence)) == _exact(
-            _find_peaks_reference(x, prominence)
-        )
+        assert _exact(_one(x, prominence)) == _exact(_find_peaks_reference(x, prominence))
 
     @given(st.lists(_value, max_size=5), _prominence)
     @settings(max_examples=200, deadline=None)
     def test_short_signals(self, values, prominence):
         x = np.array(values, dtype=np.float64)
-        assert _exact(find_peaks(x, prominence)) == _exact(
-            _find_peaks_reference(x, prominence)
-        )
+        assert _exact(_one(x, prominence)) == _exact(_find_peaks_reference(x, prominence))
+
+    @given(terrain_group())
+    @settings(max_examples=200, deadline=None)
+    @example((np.array([[0.0, 2.0, 2.0, 1.0], [math.nan, 1.0, 0.0, 0.0]]), [0.5, 1.0]))
+    def test_terrain_groups(self, group):
+        rows, gates = group
+        got = find_peaks(rows, gates)
+        assert len(got) == len(rows)
+        for i, row in enumerate(rows):
+            assert _exact(got[i]) == _exact(_find_peaks_reference(row, gates[i]))
+            assert _exact(got[i]) == _exact(find_peaks(rows[i : i + 1], gates[i : i + 1])[0])
+        assert [_exact(p) for p in find_peaks(np.asfortranarray(rows), gates)] == [
+            _exact(p) for p in got
+        ]
+
+    @given(terrain_group())
+    @settings(max_examples=50, deadline=None)
+    def test_one_gate_is_every_row_gate(self, group):
+        rows, gates = group
+        shared = find_peaks(rows, gates[0])
+        assert [_exact(p) for p in shared] == [
+            _exact(p) for p in find_peaks(rows, [gates[0]] * len(rows))
+        ]
 
 
 def _kind_pair(rng, kind, n):
@@ -230,16 +285,19 @@ class TestRealSmoothedSignals:
         config = DetectorConfig()
         rng = np.random.default_rng([n, len(kind)])
         pairs = [_kind_pair(rng, kind, n) for _ in range(8)]
+        signals = [p[side] for p in pairs for side in (0, 1)]
+        gates = [config.peak_prominence_screen, config.peak_prominence_face] * len(pairs)
+        pres = preprocess_batch(signals, config, gates)
+        block = np.array([pre.smoothed for pre in pres])
         found = 0
-        for side, prominence in (
-            (0, config.peak_prominence_screen),
-            (1, config.peak_prominence_face),
-        ):
-            for pre in preprocess_batch([p[side] for p in pairs], config, prominence):
-                for gate in (prominence, 1e-9):
-                    got = find_peaks(pre.smoothed, gate)
-                    assert _exact(got) == _exact(_find_peaks_reference(pre.smoothed, gate))
-                    found += len(got)
+        for row_gates in (gates, [1e-9] * len(gates)):
+            got = find_peaks(block, row_gates)
+            for pre, peaks, gate in zip(pres, got, row_gates):
+                assert _exact(peaks) == _exact(_find_peaks_reference(pre.smoothed, gate))
+                found += len(peaks)
+        assert [_exact(pre.peaks) for pre in pres] == [
+            _exact(p) for p in find_peaks(block, gates)
+        ]
         assert found > 0
 
 
@@ -248,7 +306,7 @@ class TestScipyCrossCheck:
     @settings(max_examples=150, deadline=None)
     def test_matches_scipy_find_peaks(self, x, prominence):
         scipy_signal = pytest.importorskip("scipy.signal")
-        ours = find_peaks(x, prominence)
+        ours = _one(x, prominence)
         indices, props = scipy_signal.find_peaks(x, prominence=prominence)
         assert [p.index for p in ours] == indices.tolist()
         assert [p.prominence for p in ours] == props["prominences"].tolist()

@@ -143,14 +143,19 @@ class TestKernelsMatchPerClipLoop:
         ):
             _assert_rows_stand_alone(signals, lambda rows: reflect_convolve_batch(rows, kernel))
 
-    @given(ragged_signals, st.floats(min_value=0.01, max_value=5.0, allow_nan=False))
+    @given(ragged_signals, st.data())
     @settings(max_examples=30, deadline=None)
-    def test_find_peaks_on_padded_rows(self, signals, prominence):
-        # A row of a padded batch is a view that ends before the padding;
-        # the finder sees only the clip.
+    def test_find_peaks_on_padded_rows(self, signals, data):
+        # A length group of a padded batch is a block that ends before
+        # the padding; the kernel sees only the clips, each with its gate.
+        gate = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
+        gates = data.draw(st.lists(gate, min_size=len(signals), max_size=len(signals)))
         batch = _pad(signals)
-        for row, signal in zip(batch.rows(), signals):
-            assert find_peaks(row, prominence) == find_peaks(signal, prominence)
+        for length, indices in group_by_length(batch.lengths):
+            rows = batch.data[indices][:, :length]
+            got = find_peaks(rows, [gates[i] for i in indices])
+            for g, i in enumerate(indices):
+                assert got[g] == find_peaks(signals[i][None, :], gates[i])[0]
 
 
 def _reflect_convolve_reference(rows, kernel):
@@ -179,6 +184,105 @@ def _reflect_convolve_reference(rows, kernel):
         start = shift - k
         out += kernel[k] * padded[:, start : start + length]
     return out
+
+
+def _moving_variance_reference(rows, window):
+    """The row-major variance kernel the time-major one replaced."""
+    count, length = rows.shape
+    if length == 0 or count == 0:
+        return rows.copy()
+    zeros = np.zeros((count, 1), dtype=np.float64)
+    csum = np.concatenate([zeros, np.cumsum(rows, axis=1)], axis=1)
+    csum2 = np.concatenate([zeros, np.cumsum(rows * rows, axis=1)], axis=1)
+    idx = np.arange(length)
+    lo = np.maximum(idx - window + 1, 0)
+    n = idx - lo + 1
+    mean = (csum[:, idx + 1] - csum[:, lo]) / n
+    mean2 = (csum2[:, idx + 1] - csum2[:, lo]) / n
+    return np.maximum(mean2 - mean * mean, 0.0)
+
+
+def _moving_rms_reference(rows, window):
+    """The row-major RMS kernel the time-major one replaced."""
+    count, length = rows.shape
+    if length == 0 or count == 0:
+        return rows.copy()
+    zeros = np.zeros((count, 1), dtype=np.float64)
+    csum2 = np.concatenate([zeros, np.cumsum(rows * rows, axis=1)], axis=1)
+    half = window // 2
+    idx = np.arange(length)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + window - half, length)
+    return np.sqrt((csum2[:, hi] - csum2[:, lo]) / (hi - lo))
+
+
+def _bits(a):
+    """The exact bit patterns of a float64 array (tells -0.0 from 0.0)."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+#: A block of equal-length rows: up to five rows of up to 60 samples.
+blocks = st.tuples(st.integers(1, 5), st.integers(0, 60)).flatmap(
+    lambda shape: st.lists(
+        st.lists(finite, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(shape))
+)
+
+
+class TestTimeMajorKernels:
+    """Each filter kernel computes time-major inside; its result is
+    bit-equal to the row-major oracle on C-order input, on F-order input
+    and row by row as batches of one."""
+
+    def _check(self, rows, kernel, reference):
+        want = _bits(reference(rows))
+        assert np.array_equal(_bits(kernel(rows)), want)
+        assert np.array_equal(_bits(kernel(np.asfortranarray(rows))), want)
+        for g in range(rows.shape[0]):
+            assert np.array_equal(_bits(kernel(rows[g : g + 1])[0]), want[g])
+
+    @given(blocks, st.sampled_from([1, 2, 3, 10, 31, 41]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reflect_convolve(self, rows, taps, seed):
+        kernel = np.random.default_rng(seed).normal(size=taps)
+        self._check(
+            rows,
+            lambda r: reflect_convolve_batch(r, kernel),
+            lambda r: _reflect_convolve_reference(r, kernel),
+        )
+
+    @given(blocks, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_moving_variance(self, rows, window):
+        self._check(
+            rows,
+            lambda r: moving_variance_batch(r, window),
+            lambda r: _moving_variance_reference(r, window),
+        )
+
+    @given(blocks, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_moving_rms(self, rows, window):
+        self._check(
+            rows,
+            lambda r: moving_rms_batch(r, window),
+            lambda r: _moving_rms_reference(r, window),
+        )
+
+    @given(blocks, st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_threshold(self, rows, cutoff):
+        self._check(
+            rows,
+            lambda r: threshold_filter_batch(r, cutoff),
+            lambda r: np.where(r >= cutoff, r, 0.0),
+        )
+
+    def test_threshold_rejects_nan_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            threshold_filter_batch(np.ones((1, 3)), float("nan"))
 
 
 class TestReflectGather:
