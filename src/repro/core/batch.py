@@ -15,7 +15,8 @@ the batched kernels that process N clips per NumPy call:
   block ``rows.T``: a convolution tap is two contiguous operations over
   one slice of the padded ``(samples, clips)`` block, and the window
   sums are ``cumsum(axis=0)``.  Each returns ``out.T``, a free view
-  whose own ``.T`` is contiguous again for the next stage.  Every
+  whose own ``.T`` is contiguous again for the next stage (the
+  elementwise threshold keeps its input's memory order).  Every
   element gets the same operations in the same order as the row-major
   form (``add.accumulate`` is sequential along any axis), so the
   outputs are bit-identical to it.
@@ -236,8 +237,7 @@ def threshold_filter_batch(rows: np.ndarray, cutoff: float) -> np.ndarray:
     rows = _as_rows(rows)
     if not cutoff >= 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff!r}")
-    block = rows.T
-    return np.where(block >= cutoff, block, 0.0).T
+    return np.where(rows >= cutoff, rows, 0.0)
 
 
 def moving_rms_batch(rows: np.ndarray, window: int) -> np.ndarray:
