@@ -9,6 +9,7 @@ import pytest
 
 from repro.camera.metering import LightMeter, MeteringMode
 from repro.camera.sensor import ImageSensor
+from repro.core import batch as batch_module
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
@@ -90,6 +91,36 @@ def test_bench_dtw_75_samples(benchmark):
     xs = [rng.normal(size=75) for _ in range(2)]
     ys = [rng.normal(size=75) for _ in range(2)]
     distances = benchmark(lambda: dtw_distance_batch(xs, ys))
+    assert distances.shape == (2,) and (distances > 0).all()
+
+
+def _service_dtw_calls():
+    """One clip close's z4 call per service shape: two segment pairs of
+    70-75 samples a side (``k = 2``, ``N = M``)."""
+    rng = np.random.default_rng(9)
+    return [
+        ([rng.normal(size=n) for _ in range(2)], [rng.normal(size=n) for _ in range(2)])
+        for n in range(70, 76)
+    ]
+
+
+def test_bench_dtw_service_shapes(benchmark):
+    """Six clip closes, one per service shape, with their plans kept."""
+    calls = _service_dtw_calls()
+    distances = benchmark(lambda: [dtw_distance_batch(xs, ys) for xs, ys in calls])
+    assert all(d.shape == (2,) and (d > 0).all() for d in distances)
+
+
+def test_bench_dtw_cold_plan(benchmark):
+    """One 73-sample clip close with the plan memo cleared before the
+    call, as in an experiment sweep whose shapes rarely repeat."""
+    xs, ys = _service_dtw_calls()[3]
+
+    def cold():
+        batch_module._PLANS.clear()
+        return dtw_distance_batch(xs, ys)
+
+    distances = benchmark(cold)
     assert distances.shape == (2,) and (distances > 0).all()
 
 

@@ -21,7 +21,15 @@ the batched kernels that process N clips per NumPy call:
   form (``add.accumulate`` is sequential along any axis), so the
   outputs are bit-identical to it.
 * :func:`dtw_distance_batch` — feature ``z4``'s dynamic program as one
-  anti-diagonal wavefront over every padded pair.
+  anti-diagonal wavefront over every padded pair.  Its buffers and the
+  views each step reads and writes are a plan built once per
+  ``(N, M, k)`` shape, so a call runs bare ufunc calls.
+
+Plans, reflect gathers and the FIR kernels of
+:mod:`repro.core.preprocessing` are kept in memos (:class:`_Memo`), each
+bounded by a fixed number of bytes, oldest entry evicted first.  Like
+the tracer, they are process-local and single-threaded: a pool worker
+builds its own, and two threads must not run a kernel at once.
 
 Every kernel is **row-independent**: the result of row ``i`` never
 depends on any other row, so running a clip in a batch of one is
@@ -39,7 +47,9 @@ never read its padding.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+import sys
+from collections.abc import Hashable, Sequence
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -130,9 +140,54 @@ def group_by_length(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(val), np.nonzero(arr == val)[0]) for val in np.unique(arr)]
 
 
-#: Distinct ``(length, half)`` shapes whose gathers :func:`_reflect_index` keeps.
-_GATHER_MEMO_SIZE = 32
-_GATHERS: dict[tuple[int, int], np.ndarray] = {}
+_K = TypeVar("_K", bound=Hashable)
+_V = TypeVar("_V")
+
+
+class _Memo(Generic[_K, _V]):
+    """Insertion-ordered memo that holds at most ``budget`` bytes.
+
+    :meth:`keep` evicts the oldest entries until a new one fits, and
+    does not keep an entry larger than the whole budget (its caller
+    still uses it).  ``nbytes`` sums the sizes that :meth:`keep` was
+    given for the entries kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: dict[_K, tuple[_V, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    def get(self, key: _K) -> _V | None:
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def values(self) -> list[_V]:
+        return [value for value, _ in self._entries.values()]
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+    def keep(self, key: _K, value: _V, nbytes: int) -> None:
+        if nbytes > self.budget:
+            return
+        while self.nbytes + nbytes > self.budget:
+            oldest = next(iter(self._entries))
+            self.nbytes -= self._entries.pop(oldest)[1]
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+
+
+#: Bytes of ``(length, half)`` gathers that :func:`_reflect_index` keeps.
+_GATHER_MEMO_BYTES = 1 << 17
+_GATHERS: _Memo[tuple[int, int], np.ndarray] = _Memo(_GATHER_MEMO_BYTES)
 
 
 def _reflect_index(length: int, half: int) -> np.ndarray:
@@ -154,9 +209,7 @@ def _reflect_index(length: int, half: int) -> np.ndarray:
         if extra > 0:
             index = np.pad(index, extra, mode="edge")
         index.flags.writeable = False
-        if len(_GATHERS) >= _GATHER_MEMO_SIZE:
-            del _GATHERS[next(iter(_GATHERS))]  # the oldest entry
-        _GATHERS[key] = index
+        _GATHERS.keep(key, index, index.nbytes)
     return index
 
 
@@ -257,11 +310,107 @@ def moving_rms_batch(rows: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt((csum2[hi] - csum2[lo]) / (hi - lo)[:, None]).T
 
 
-def _time_major(signals: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``signals`` packed by :meth:`ClipBatch.from_signals` as one
-    contiguous ``(max_len, clips)`` array, plus the length vector."""
-    batch = ClipBatch.from_signals(signals)
-    return np.ascontiguousarray(batch.data.T), batch.lengths
+#: Bytes of wavefront plans that :func:`_wavefront_plan` keeps.
+_PLAN_MEMO_BYTES = 1 << 20
+
+
+@dataclasses.dataclass(frozen=True)
+class _WavefrontPlan:
+    """Every buffer and view of one ``(N, M, k)`` DTW sweep.
+
+    ``buffers`` is the three diagonal buffers, ``(N + 2, k)`` each:
+    cells ``-1..N`` of a diagonal, cell ``i`` of pair ``p`` at
+    ``[i + 1, p]``, and diagonal ``s`` in ``buffers[s % 3]``.
+    ``diagonals`` is the same memory from cell 0 on.  ``a`` is the
+    packed x block, ``(N, k)``, after a zero row that stands for
+    ``x[-1]``; ``b`` is the time-reversed y block, ``(M, k)``.
+    ``steps[s - 2]`` holds the six 1-D views step ``s`` reads and
+    writes, in the order :func:`_sweep` takes them.
+    """
+
+    buffers: np.ndarray
+    diagonals: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    steps: list[tuple[np.ndarray, ...]]
+
+
+_PLANS: _Memo[tuple[int, int, int], _WavefrontPlan] = _Memo(_PLAN_MEMO_BYTES)
+
+
+def _wavefront_plan(big_n: int, big_m: int, k: int) -> _WavefrontPlan:
+    """The plan of an ``(N, M, k)`` sweep, built once per shape and kept
+    while all kept plans hold at most ``_PLAN_MEMO_BYTES`` by their
+    buffers plus their view tuples, oldest evicted first.
+
+    Every block is a cell-major slice of one flat array, so cells
+    ``lo..hi`` of any block are one contiguous 1-D view.  Step ``s``
+    covers cells ``lo = max(0, s - M)`` to ``hi = min(N, s - 1)`` of
+    diagonal ``s``.  Cell 0 is the boundary ``D[0, s]``: the cells it
+    reads, ``-1`` and ``0`` of the two diagonals before, are boundary
+    cells too, all ``inf``, so the step itself writes ``inf`` there.
+    """
+    key = (big_n, big_m, k)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    cells = (big_n + 2) * k  # one diagonal buffer
+    a_at = 3 * cells
+    b_at = a_at + (big_n + 1) * k
+    store = np.zeros(b_at + big_m * k)
+    steps = []
+    for s in range(2, big_n + big_m + 1):
+        lo = s - big_m if s > big_m else 0
+        hi = s - 1 if s <= big_n else big_n
+        width = (hi - lo + 1) * k
+        row = lo * k  # offset of cell lo - 1 in a buffer, and of x[lo - 1] in a
+        before = (s - 2) % 3 * cells + row
+        prev = (s - 1) % 3 * cells + row
+        cur = s % 3 * cells + row + k
+        x = a_at + row
+        y = b_at + (big_m - s + lo) * k  # y is time-reversed
+        steps.append(
+            (
+                store[before : before + width],  # D[i-1, j-1]; then the minimum
+                store[prev : prev + width],  # D[i-1, j]
+                store[prev + k : prev + k + width],  # D[i, j-1]
+                store[cur : cur + width],  # D[i, j]
+                store[x : x + width],  # x[i-1]
+                store[y : y + width],  # y[j-1]
+            )
+        )
+    buffers = store[:a_at].reshape(3, big_n + 2, k)
+    plan = _WavefrontPlan(
+        buffers=buffers,
+        diagonals=buffers[:, 1:],
+        a=store[a_at + k : b_at].reshape(big_n, k),
+        b=store[b_at:].reshape(big_m, k),
+        steps=steps,
+    )
+    # Every view is a 1-D slice and every step a 6-tuple, so one of each
+    # prices them all.
+    step = sys.getsizeof(steps[0]) + 6 * sys.getsizeof(steps[0][0])
+    _PLANS.keep(key, plan, store.nbytes + sys.getsizeof(steps) + len(steps) * step)
+    return plan
+
+
+def _sweep(steps: Sequence[tuple[np.ndarray, ...]]) -> None:
+    """Run wavefront steps, one diagonal each, as five in-place ufunc calls:
+    ``D[i, j] = |x[i-1] - y[j-1]| + min(D[i-1, j-1], D[i-1, j], D[i, j-1])``.
+
+    The minimum goes into cells ``lo - 1..hi - 1`` of diagonal ``s - 2``,
+    which is dead once read.  As diagonal ``s + 1`` each such cell is
+    rewritten by the next step, lies past column ``M`` where no later
+    step reads, or is cell ``-1``, where the minimum of boundary cells
+    keeps ``inf``.
+    """
+    minimum, subtract, absolute, add = np.minimum, np.subtract, np.absolute, np.add
+    for best, up, left, d, x, y in steps:
+        minimum(best, up, out=best)
+        minimum(best, left, out=best)
+        subtract(x, y, out=d)
+        absolute(d, out=d)
+        add(d, best, out=d)
 
 
 def dtw_distance_batch(
@@ -277,52 +426,52 @@ def dtw_distance_batch(
 
     Both sides are packed with :meth:`ClipBatch.from_signals` to one
     ``N`` and one ``M`` and the cost matrix is swept one anti-diagonal
-    ``s = i + j`` at a time, from 2 to ``N + M``.  Cell ``(i, s - i)``
-    reads diagonal ``s - 2`` at ``i - 1`` and diagonal ``s - 1`` at
-    ``i - 1`` and ``i``, so a step is five in-place vector operations
-    over every pair and every cell on the diagonal.  Three diagonal
-    buffers of ``N + 1`` cells per pair are all the state; they are
-    stored cell-major, ``(N + 1, k)``, so that each slice is one
-    contiguous block.  Pair ``p`` is read off diagonal ``n_p + m_p`` at
-    index ``n_p``.  Its own cells read only smaller ``i`` and ``j``, so
-    the padding never reaches them, and ``abs``/``min``/``add`` are
-    exact in IEEE-754: each distance is bit-identical to the scalar
-    row-by-row dynamic program and does not depend on the batch it
-    rides in.
+    ``s = i + j`` at a time, from 2 to the largest ``n_p + m_p``.  Cell
+    ``(i, s - i)`` reads diagonal ``s - 2`` at ``i - 1`` and diagonal
+    ``s - 1`` at ``i - 1`` and ``i``, so a step is five in-place vector
+    operations over every pair and every cell on the diagonal.  Three
+    diagonal buffers per pair are all the state; they are stored
+    cell-major, ``(N + 2, k)``, so that each slice is one contiguous
+    block.  The buffers and every step's views are a plan built once per
+    ``(N, M, k)`` and kept in a module memo bounded by bytes
+    (:func:`_wavefront_plan`).  A call packs its inputs into the plan,
+    resets the diagonals and runs bare ufunc calls in chunks, each
+    ending where a group of pairs finishes.  The plan is process-local
+    and single-threaded, like the tracer.
+
+    Pair ``p`` is read off diagonal ``n_p + m_p`` at index ``n_p``.  Its
+    own cells read only smaller ``i`` and ``j``, so the padding never
+    reaches them, and ``abs``/``min``/``add`` are exact in IEEE-754:
+    each distance is bit-identical to the scalar row-by-row dynamic
+    program and depends neither on the batch it rides in nor on the
+    calls before it.  A NaN or infinite sample raises ``ValueError``
+    naming the first pair that holds one, before any plan buffer is
+    written.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same number of sequences")
-    a, n = _time_major(xs)
-    b, m = _time_major(ys)
-    if n.size and min(n.min(), m.min()) < 1:
-        raise ValueError("dtw inputs must be non-empty")
-    big_n, k = a.shape
-    big_m = b.shape[0]
+    x_batch = ClipBatch.from_signals(xs)
+    y_batch = ClipBatch.from_signals(ys)
+    n, m = x_batch.lengths, y_batch.lengths
+    k = n.size
     out = np.empty(k, dtype=np.float64)
     if k == 0:
         return out
+    if min(n.min(), m.min()) < 1:
+        raise ValueError("dtw inputs must be non-empty")
+    # The padding is zeros, so a row is finite iff its signal is.
+    finite = np.isfinite(x_batch.data).all(axis=1) & np.isfinite(y_batch.data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"dtw pair {int(np.argmin(finite))} has a non-finite sample")
+    plan = _wavefront_plan(x_batch.max_length, y_batch.max_length, k)
+    plan.a[...] = x_batch.data.T
     # Reverse y in time, so that y[s - i - 1] over rising i is a forward slice.
-    b = np.ascontiguousarray(b[::-1])
-    before, prev, cur = (np.full((big_n + 1, k), np.inf) for _ in range(3))
-    before[0] = 0.0  # D[0, 0]; every other boundary cell stays inf
-    finish = dict(group_by_length(n + m))
-    for s in range(2, big_n + big_m + 1):
-        lo, hi = max(1, s - big_m), min(big_n, s - 1)
-        d = cur[lo : hi + 1]
-        np.minimum(before[lo - 1 : hi], prev[lo - 1 : hi], out=d)
-        np.minimum(d, prev[lo : hi + 1], out=d)
-        # Diagonal s - 2 is dead once read, so its cells lo..hi take the
-        # costs.  Index 0 (a boundary) is never touched, and each entry
-        # is either rewritten as diagonal s + 1 or lies past column M,
-        # where no later step reads.
-        c = before[lo : hi + 1]
-        np.subtract(a[lo - 1 : hi], b[big_m - s + lo : big_m - s + hi + 1], out=c)
-        np.abs(c, out=c)
-        np.add(c, d, out=d)
-        if s == 2:
-            before[0] = np.inf  # D[0, 0] feeds D[1, 1] only
-        rows = finish.get(s)
-        if rows is not None:
-            out[rows] = cur[n[rows], rows]
-        before, prev, cur = prev, cur, before
+    plan.b[...] = y_batch.data.T[::-1]
+    plan.buffers.fill(np.inf)
+    plan.diagonals[0, 0] = 0.0  # D[0, 0]; every other boundary cell stays inf
+    done = 0  # steps[i] sweeps diagonal i + 2
+    for s, rows in group_by_length(n + m):
+        _sweep(plan.steps[done : s - 1])
+        done = s - 1
+        out[rows] = plan.diagonals[s % 3, n[rows], rows]
     return out

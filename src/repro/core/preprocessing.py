@@ -28,6 +28,7 @@ import numpy as np
 
 from .batch import (
     ClipBatch,
+    _Memo,
     group_by_length,
     moving_rms_batch,
     moving_variance_batch,
@@ -90,9 +91,11 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     return kernel[::-1].copy()
 
 
-#: Distinct filter-field sets whose kernels :func:`_filter_kernels` keeps.
-_KERNEL_MEMO_SIZE = 32
-_KERNELS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+#: Bytes of filter kernels that :func:`_filter_kernels` keeps.
+_KERNEL_MEMO_BYTES = 1 << 15
+_KERNELS: _Memo[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = _Memo(
+    _KERNEL_MEMO_BYTES
+)
 
 
 def _filter_kernels(config: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,9 +126,7 @@ def _filter_kernels(config: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.
         kernels = (lowpass, savgol, np.full(average_window, 1.0 / average_window))
         for kernel in kernels:
             kernel.flags.writeable = False
-        if len(_KERNELS) >= _KERNEL_MEMO_SIZE:
-            del _KERNELS[next(iter(_KERNELS))]  # the oldest entry
-        _KERNELS[key] = kernels
+        _KERNELS.keep(key, kernels, sum(kernel.nbytes for kernel in kernels))
     return kernels
 
 

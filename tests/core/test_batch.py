@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import batch as batch_module
 from repro.core.batch import (
     ClipBatch,
     dtw_distance_batch,
@@ -157,3 +158,112 @@ class TestDtwOracleAtRealShapes:
         order = np.random.default_rng(19).permutation(len(xs))
         shuffled = dtw_distance_batch([xs[i] for i in order], [ys[i] for i in order])
         assert np.array_equal(shuffled, want[order])
+
+
+def _oracle(xs, ys):
+    return np.array([_dtw_reference(x, y) for x, y in zip(xs, ys)])
+
+
+def _pairs(rng, shapes):
+    xs = [rng.normal(size=n) for n, _ in shapes]
+    ys = [rng.normal(size=m) for _, m in shapes]
+    return xs, ys
+
+
+class TestDtwPlanReuse:
+    """A kept wavefront plan is invisible: every call equals the scalar DP,
+    whatever the memo held before it."""
+
+    def test_cold_warm_and_scalar_agree(self):
+        xs, ys = _pairs(np.random.default_rng(20), [(73, 73), (70, 73), (73, 1)])
+        want = _oracle(xs, ys)
+        batch_module._PLANS.clear()
+        cold = dtw_distance_batch(xs, ys)
+        assert (73, 73, 3) in batch_module._PLANS
+        warm = dtw_distance_batch(xs, ys)
+        assert np.array_equal(cold, want) and np.array_equal(warm, want)
+
+    def test_second_call_does_not_see_the_first(self):
+        rng = np.random.default_rng(21)
+        shapes = [(40, 40), (12, 40), (40, 3)]
+        first = _pairs(rng, shapes)
+        # Far larger values, then far smaller: stale cells of either call
+        # would dominate the other's minima.
+        second = ([1e5 * x for x in first[0]], [1e5 * y for y in first[1]])
+        third = _pairs(rng, shapes)
+        batch_module._PLANS.clear()
+        for xs, ys in (first, second, third, first):
+            assert np.array_equal(dtw_distance_batch(xs, ys), _oracle(xs, ys))
+        assert len(batch_module._PLANS) == 1
+
+    def test_evicted_plans_are_rebuilt(self):
+        rng = np.random.default_rng(22)
+        inputs = [_pairs(rng, [(size, size), (size - 5, size)]) for size in range(70, 82)]
+        wants = [_oracle(xs, ys) for xs, ys in inputs]
+        plans = batch_module._PLANS
+        plans.clear()
+        for _ in range(2):
+            for (xs, ys), want in zip(inputs, wants):
+                assert np.array_equal(dtw_distance_batch(xs, ys), want)
+                assert plans.nbytes <= batch_module._PLAN_MEMO_BYTES
+            # Twelve shapes overflow the budget, so the first went first.
+            assert (70, 70, 2) not in plans and (81, 81, 2) in plans
+
+    def test_plan_over_budget_runs_but_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_PLANS", batch_module._Memo(4096))
+        xs, ys = _pairs(np.random.default_rng(23), [(30, 30), (30, 17)])
+        want = _oracle(xs, ys)
+        for _ in range(2):
+            assert np.array_equal(dtw_distance_batch(xs, ys), want)
+            assert len(batch_module._PLANS) == 0 and batch_module._PLANS.nbytes == 0
+
+    def test_smallest_pair_and_empty_batch(self):
+        batch_module._PLANS.clear()
+        assert dtw_distance_batch([], []).size == 0
+        assert len(batch_module._PLANS) == 0
+        for _ in range(2):  # cold, then warm
+            assert dtw_distance_batch([[3.0]], [[7.5]]).tolist() == [4.5]
+        xs, ys = [np.array([2.0]), np.array([1.0, -1.0])], [np.array([-1.0]), np.array([4.0])]
+        assert np.array_equal(dtw_distance_batch(xs, ys), _oracle(xs, ys))
+
+    def test_mutating_result_or_inputs_leaves_the_next_call_alone(self):
+        xs, ys = _pairs(np.random.default_rng(24), [(50, 45), (44, 50)])
+        kept = ([x.copy() for x in xs], [y.copy() for y in ys])
+        want = _oracle(xs, ys)
+        out = dtw_distance_batch(xs, ys)
+        out[:] = -1.0
+        for x in xs:
+            x[:] = 1e9
+        assert np.array_equal(dtw_distance_batch(*kept), want)
+        assert not np.shares_memory(dtw_distance_batch(*kept), out)
+
+
+class TestDtwNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_names_the_first_bad_pair(self, bad, side):
+        rng = np.random.default_rng(25)
+        xs, ys = _pairs(rng, [(20, 20), (20, 18), (15, 20), (20, 20)])
+        for pair in (2, 3):
+            (xs if side == "x" else ys)[pair][4] = bad
+        with pytest.raises(ValueError, match="dtw pair 2 has a non-finite sample"):
+            dtw_distance_batch(xs, ys)
+
+    def test_refused_before_any_plan_buffer_is_written(self):
+        xs, ys = _pairs(np.random.default_rng(26), [(20, 20), (18, 20)])
+        batch_module._PLANS.clear()
+        ys[1][0] = np.nan
+        with pytest.raises(ValueError, match="dtw pair 1"):
+            dtw_distance_batch(xs, ys)
+        assert (20, 20, 2) not in batch_module._PLANS
+        ys[1][0] = 0.0
+        dtw_distance_batch(xs, ys)
+        plan = batch_module._PLANS.get((20, 20, 2))
+        before = [array.copy() for array in (plan.buffers, plan.a, plan.b)]
+        xs[0][7] = np.inf
+        with pytest.raises(ValueError, match="dtw pair 0"):
+            dtw_distance_batch(xs, ys)
+        after = (plan.buffers, plan.a, plan.b)
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        xs[0][7] = 0.0
+        assert np.array_equal(dtw_distance_batch(xs, ys), _oracle(xs, ys))

@@ -299,14 +299,17 @@ class TestReflectGather:
 
     def test_index_cache_is_bounded_and_read_only(self):
         kernel = np.full(41, 1.0 / 41)
-        bound = batch_module._GATHER_MEMO_SIZE
-        for length in range(1, 3 * bound):
+        gathers = batch_module._GATHERS
+        gathers.clear()
+        lengths = range(1, 400)
+        for length in lengths:
             reflect_convolve_batch(np.ones((1, length)), kernel)
-            assert len(batch_module._GATHERS) <= bound
-        # The newest shapes are the ones kept.
-        assert (3 * bound - 1, 20) in batch_module._GATHERS
-        assert (1, 20) not in batch_module._GATHERS
-        for index in batch_module._GATHERS.values():
+            held = sum(index.nbytes for index in gathers.values())
+            assert held == gathers.nbytes <= batch_module._GATHER_MEMO_BYTES
+        # The newest shapes are the ones kept, oldest evicted first.
+        kept = sorted(length for length in lengths if (length, 20) in gathers)
+        assert kept[0] > 1 and kept == list(range(kept[0], lengths[-1] + 1))
+        for index in gathers.values():
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[0] = 0
@@ -320,6 +323,33 @@ class TestDtwBatch:
         batched = dtw_distance_batch(xs, ys)
         for x, y, value in zip(xs, ys, batched):
             assert value == _dtw_reference(x, y)
+
+    @given(mixed_shape_pairs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_reuse_is_invisible(self, pairs, seed):
+        """Cold plan, warm plan with other data of the same shapes, and the
+        first data again: each call equals the scalar DP bit for bit."""
+        xs, ys = pairs
+        rng = np.random.default_rng(seed)
+        other_xs = [rng.uniform(-1e6, 1e6, x.size) for x in xs]
+        other_ys = [rng.uniform(-1e6, 1e6, y.size) for y in ys]
+        batch_module._PLANS.clear()
+        for bxs, bys in ((xs, ys), (other_xs, other_ys), (xs, ys)):
+            batched = dtw_distance_batch(bxs, bys)
+            for x, y, value in zip(bxs, bys, batched):
+                assert value == _dtw_reference(x, y)
+
+    @given(mixed_shape_pairs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_names_the_first_bad_pair(self, pairs, data):
+        xs, ys = [x.copy() for x in pairs[0]], [y.copy() for y in pairs[1]]
+        bad = data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=1, unique=True))
+        for pair in bad:
+            side = data.draw(st.sampled_from([xs, ys]))
+            at = data.draw(st.integers(0, side[pair].size - 1))
+            side[pair][at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match=f"dtw pair {min(bad)} has a non-finite sample"):
+            dtw_distance_batch(xs, ys)
 
     def test_rejects_empty_sequences(self):
         with pytest.raises(ValueError):
