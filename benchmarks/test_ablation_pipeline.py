@@ -63,12 +63,13 @@ def test_ablation_delay_removal_saves_legitimate_trends(benchmark, main_dataset,
             with_removal.append(fx.features.z3)
             # Recompute z3 with the delay forced to zero: both normalized
             # signals trimmed to their common length, cut into segments.
-            t_norm = _unit(fx.transmitted.smoothed)
-            r_norm = _unit(fx.received.smoothed)
+            t_norm, r_norm = (
+                _unit(pre.smoothed[None, :])[0] for pre in (fx.transmitted, fx.received)
+            )
             count = config.segment_count
             length = min(t_norm.size, r_norm.size) // count
             t_rows, r_rows = (x[: count * length].reshape(count, length) for x in (t_norm, r_norm))
-            without_removal.append(min(_pearson_rows(t_rows, r_rows)))
+            without_removal.append(min(_pearson_rows(np.concatenate((t_rows, r_rows)))))
         return float(np.mean(with_removal)), float(np.mean(without_removal))
 
     aligned_z3, unaligned_z3 = run_once(benchmark, experiment)

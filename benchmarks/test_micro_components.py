@@ -13,11 +13,12 @@ from repro.core import batch as batch_module
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
-from repro.core.features import _match_and_align, _unit, pearson_correlation
+from repro.core.features import _features_from_signals_batch, _unit, pearson_correlation
 from repro.core.lof import LocalOutlierFactor
 from repro.core.luminance import roi_luminance
 from repro.core.peaks import find_peaks
 from repro.core.preprocessing import preprocess_batch
+from repro.obs.instrument import NULL
 from repro.experiments.simulate import simulate_genuine_session
 from repro.service.loadgen import WorkloadConfig, _face_frame
 from repro.vision.expression import ExpressionTrack, PoseState
@@ -79,8 +80,8 @@ def test_bench_preprocess_group(benchmark, count, n):
 def test_bench_pearson_90(benchmark):
     """z3 of one 18 s segment pair: two unit-range 90-sample signals."""
     rng = np.random.default_rng(4)
-    x = _unit(rng.normal(size=90))
-    y = _unit(x + rng.normal(0, 0.2, 90))
+    x = _unit(rng.normal(size=(1, 90)))[0]
+    y = _unit((x + rng.normal(0, 0.2, 90))[None, :])[0]
     r = benchmark(lambda: pearson_correlation(x, y))
     assert 0.5 < r < 1.0
 
@@ -174,16 +175,37 @@ def test_bench_lof_score_200x32(benchmark):
     assert scores.shape == (32,) and np.isfinite(scores).all()
 
 
-def test_bench_match_and_align(benchmark):
-    """The per-clip Sec. VI tail (match, delay, align, normalize, cut,
-    correlate) of one 17.5 s genuine clip, short of its DTW."""
+def _tail_batch(lengths, seed):
+    """Preprocessed sides of one batch: a genuine pair per length, every
+    third received side replaced by an unrelated (reenacted) track."""
     config = DetectorConfig()
-    t, r = _step_pair(np.random.default_rng(8), n=175)
-    pre_t, pre_r = preprocess_batch(
-        [t, r], config, [config.peak_prominence_screen, config.peak_prominence_face]
+    rng = np.random.default_rng(seed)
+    pairs = [_step_pair(rng, n) for n in lengths]
+    for i in range(2, len(pairs), 3):
+        t, r = pairs[i]
+        pairs[i] = (t, 174.0 + np.cumsum(rng.normal(0.0, 0.5, r.size)))
+    n = len(pairs)
+    pre = preprocess_batch(
+        [t for t, _ in pairs] + [r for _, r in pairs],
+        config,
+        [config.peak_prominence_screen] * n + [config.peak_prominence_face] * n,
     )
-    partial, segments = benchmark(lambda: _match_and_align(pre_t, pre_r, config))
-    assert partial.z1 > 0 and len(segments) == config.segment_count
+    return pre[:n], pre[n:]
+
+
+@pytest.mark.parametrize(
+    "lengths", [(150, 175, 200) * 8, (150,)], ids=["batch-verify-24", "service-close-1"]
+)
+def test_bench_features_tail(benchmark, lengths):
+    """The Sec. VI tail (match, delay, align, normalize, cut, correlate,
+    DTW) of a 24-clip ``batch-verify``-shaped batch and of a single
+    15 s service close."""
+    config = DetectorConfig()
+    pre_ts, pre_rs = _tail_batch(lengths, seed=8)
+    results = benchmark(lambda: _features_from_signals_batch(pre_ts, pre_rs, config, NULL))
+    assert len(results) == len(lengths)
+    assert all(-1.0 <= fx.features.z3 <= 1.0 and fx.features.z4 >= 0 for fx in results)
+    assert results[0].features.z1 > 0
 
 
 def test_bench_render_frame(benchmark):

@@ -27,9 +27,9 @@ the batched kernels that process N clips per NumPy call:
 
 Plans, reflect gathers and the FIR kernels of
 :mod:`repro.core.preprocessing` are kept in memos (:class:`_Memo`), each
-bounded by a fixed number of bytes, oldest entry evicted first.  Like
-the tracer, they are process-local and single-threaded: a pool worker
-builds its own, and two threads must not run a kernel at once.
+bounded by a fixed number of bytes, least recently used evicted first.
+Like the tracer, they are process-local and single-threaded: a pool
+worker builds its own, and two threads must not run a kernel at once.
 
 Every kernel is **row-independent**: the result of row ``i`` never
 depends on any other row, so running a clip in a batch of one is
@@ -145,9 +145,10 @@ _V = TypeVar("_V")
 
 
 class _Memo(Generic[_K, _V]):
-    """Insertion-ordered memo that holds at most ``budget`` bytes.
+    """Least-recently-used memo that holds at most ``budget`` bytes.
 
-    :meth:`keep` evicts the oldest entries until a new one fits, and
+    A hit in :meth:`get` makes its entry the newest.  :meth:`keep`
+    evicts the least recently used entries until a new one fits, and
     does not keep an entry larger than the whole budget (its caller
     still uses it).  ``nbytes`` sums the sizes that :meth:`keep` was
     given for the entries kept.
@@ -165,8 +166,11 @@ class _Memo(Generic[_K, _V]):
         return key in self._entries
 
     def get(self, key: _K) -> _V | None:
-        entry = self._entries.get(key)
-        return None if entry is None else entry[0]
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        self._entries[key] = entry  # the newest end
+        return entry[0]
 
     def values(self) -> list[_V]:
         return [value for value, _ in self._entries.values()]
@@ -179,8 +183,8 @@ class _Memo(Generic[_K, _V]):
         if nbytes > self.budget:
             return
         while self.nbytes + nbytes > self.budget:
-            oldest = next(iter(self._entries))
-            self.nbytes -= self._entries.pop(oldest)[1]
+            stalest = next(iter(self._entries))
+            self.nbytes -= self._entries.pop(stalest)[1]
         self._entries[key] = (value, nbytes)
         self.nbytes += nbytes
 
@@ -196,7 +200,8 @@ def _reflect_index(length: int, half: int) -> np.ndarray:
     It is the historical padding (reflect capped at ``length - 1``, edge
     values beyond that) applied once to ``arange(length)``, so
     ``rows[:, index]`` equals padding the rows themselves by construction.
-    Kept per shape as a read-only array, oldest entry evicted first.
+    Kept per shape as a read-only array, least recently used evicted
+    first.
     """
     key = (length, half)
     index = _GATHERS.get(key)
@@ -341,7 +346,7 @@ _PLANS: _Memo[tuple[int, int, int], _WavefrontPlan] = _Memo(_PLAN_MEMO_BYTES)
 def _wavefront_plan(big_n: int, big_m: int, k: int) -> _WavefrontPlan:
     """The plan of an ``(N, M, k)`` sweep, built once per shape and kept
     while all kept plans hold at most ``_PLAN_MEMO_BYTES`` by their
-    buffers plus their view tuples, oldest evicted first.
+    buffers plus their view tuples, least recently used evicted first.
 
     Every block is a cell-major slice of one flat array, so cells
     ``lo..hi`` of any block are one contiguous 1-D view.  Step ``s``

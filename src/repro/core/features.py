@@ -28,6 +28,16 @@ one :func:`~repro.core.preprocessing.preprocess_batch` call: the chain
 is the same for both, only the peak-prominence gate differs (screen vs
 face), and it is passed per signal.  A single clip is a batch of one;
 each clip's result does not depend on the batch it rides in.
+
+The Sec. VI tail keeps per clip only what is Python by nature: the peak
+times, the boundary guard, the greedy matching, ``z1``, ``z2`` and the
+delay estimate, then the alignment and the cut, which are views.  Its
+NumPy work runs once per group: one [0, 1] scaling (:func:`_unit`, a
+row-block kernel) per length group of the ``2n`` smoothed signals, one
+correlation call (:func:`_pearson_rows`) per segment length over the
+stacked segment rows, and the one DTW call.  Every step is exact
+elementwise or sums contiguous rows in 1-D order, so each value is
+bit-identical to the same step on that clip alone.
 """
 
 from __future__ import annotations
@@ -92,28 +102,29 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("inputs must be 1-D arrays of equal length")
     if a.size < 2:
         return 0.0
-    return _pearson_rows(a[None, :], b[None, :])[0]
+    return _pearson_rows(np.stack((a, b)))[0]
 
 
-def _pearson_rows(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """:func:`pearson_correlation` of each row pair of two ``(rows, n)``
-    matrices, ``n >= 2``.
+def _pearson_rows(rows: np.ndarray) -> list[float]:
+    """:func:`pearson_correlation` of row ``i`` with row ``k + i`` of a
+    C-contiguous ``(2k, n)`` matrix, ``n >= 2``, for each ``i < k``.
 
-    One mean per side, reused: the same sums and divisions as numpy's
+    One mean per row, reused: the same sums and divisions as numpy's
     mean() and std(), so each value is bit-identical to
     ``((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std())``
     on that row pair alone (a row sum of a contiguous matrix adds in the
-    order a 1-D sum does).
+    order a 1-D sum does).  Both sides in one matrix halve the ufunc
+    calls of a small batch.
     """
-    n = a.shape[1]
-    da = a - (a.sum(axis=1) / n)[:, None]
-    db = b - (b.sum(axis=1) / n)[:, None]
-    std_a = np.sqrt((da * da).sum(axis=1) / n)
-    std_b = np.sqrt((db * db).sum(axis=1) / n)
-    covariance = (da * db).sum(axis=1) / n
+    k = rows.shape[0] // 2
+    n = rows.shape[1]
+    add = np.add.reduce  # ndarray.sum without its Python wrapper
+    deviations = rows - (add(rows, 1) / n)[:, None]
+    std = np.sqrt(add(deviations * deviations, 1) / n).tolist()
+    covariance = add(deviations[:k] * deviations[k:], 1) / n
     return [
         0.0 if sa < 1e-12 or sb < 1e-12 else c / (sa * sb)
-        for c, sa, sb in zip(covariance.tolist(), std_a.tolist(), std_b.tolist())
+        for c, sa, sb in zip(covariance.tolist(), std[:k], std[k:])
     ]
 
 
@@ -151,45 +162,54 @@ def extract_features_batch(
         return _features_from_signals_batch(pre[:n], pre[n:], config, instr)
 
 
-@dataclasses.dataclass
-class _ClipPartial:
-    """One clip's Sec. VI state awaiting its batched DTW distances."""
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of a ``(rows, n)`` float64 block to [0, 1]; a flat
+    row (span below 1e-12) maps to all zeros.
 
-    matches: list[ChangeMatch]
-    z1: float
-    z2: float
-    delay_s: float
-    length: int  # samples of the normalized transmitted signal
-    correlations: list[float]
-    dtw: list[float] = dataclasses.field(default_factory=list)
-
-
-def _unit(x: np.ndarray) -> np.ndarray:
-    """Scale a 1-D float64 signal to [0, 1]; a flat signal maps to all
-    zeros."""
-    if x.size == 0:
-        return x.copy()
-    low = x.min()
-    span = x.max() - low
-    if span < 1e-12:
-        return np.zeros_like(x)
-    return (x - low) / span
+    ``min``, ``max``, the subtraction and the division are exact
+    elementwise, so each row equals the scaling of that signal alone;
+    one signal ``x`` is ``x[None, :]``.
+    """
+    if rows.shape[1] == 0:
+        return rows.copy()
+    low = np.minimum.reduce(rows, 1, keepdims=True)
+    span = np.maximum.reduce(rows, 1, keepdims=True) - low
+    flat = [s < 1e-12 for s in span[:, 0].tolist()]
+    if True not in flat:
+        return (rows - low) / span
+    # A flat row is divided by 1, not by its (near-)zero span, then zeroed.
+    span[flat] = 1.0
+    out = (rows - low) / span
+    out[flat] = 0.0
+    return out
 
 
-def _match_and_align(
+def _unit_by_length(signals: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`_unit` of every signal, one call per length group; each
+    result is a row of its group's block."""
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(signals):
+        groups.setdefault(x.size, []).append(i)
+    rows: list[np.ndarray] = [signals[0]] * len(signals)
+    for indices in groups.values():
+        block = _unit(np.array([signals[i] for i in indices]))
+        for g, i in enumerate(indices):
+            rows[i] = block[g]
+    return rows
+
+
+def _match_clip(
     pre_t: PreprocessedSignal,
     pre_r: PreprocessedSignal,
     config: DetectorConfig,
-) -> tuple[_ClipPartial, list[tuple[np.ndarray, np.ndarray]]]:
-    """Everything per-clip up to (but excluding) the DTW distances.
+) -> tuple[list[ChangeMatch], float, float, float]:
+    """One clip's matches, ``z1``, ``z2`` and estimated delay (0 without
+    matches).
 
-    Matches the changes (:func:`~repro.core.matching._greedy_pairs`),
-    estimates and removes the delay (:func:`~repro.core.delay.estimate_delay`,
-    :func:`~repro.core.delay._overlap`), normalizes both smoothed
-    signals to [0, 1] (:func:`_unit`), cuts them into
-    ``config.segment_count`` equal segments (tail dropped) and
-    correlates the segment pairs.  Peak times are Python floats read
-    once, and the aligned signals and segments are views.
+    Peak times are Python floats read once; the changes are matched
+    over the guard-trimmed lists (:func:`~repro.core.matching._greedy_pairs`)
+    and each match records its indices in the untrimmed peak lists, as
+    :class:`~repro.core.matching.ChangeMatch` documents.
     """
     # Boundary guard: a transmitted change too close to the clip end has
     # its reflection truncated by the segmentation; a received change too
@@ -201,9 +221,6 @@ def _match_and_align(
     r_times = [p.index / pre_r.sample_rate_hz for p in pre_r.peaks]
     t_keep = [i for i, t in enumerate(t_times) if t <= t_last]
     r_keep = [j for j, r in enumerate(r_times) if r >= guard]
-
-    # Matched over the trimmed lists; each match records its indices in
-    # the untrimmed peak lists, as ChangeMatch documents.
     pairs = _greedy_pairs(
         [t_times[i] for i in t_keep], [r_times[j] for j in r_keep], config.match_tolerance_s
     )
@@ -219,42 +236,8 @@ def _match_and_align(
     m = len(r_keep)
     z1 = len(matches) / n if n > 0 else 0.0
     z2 = len(matches) / m if m > 0 else 0.0
-
     delay = estimate_delay(matches)
-    delay_s = 0.0 if delay is None else delay
-
-    t_norm = _unit(pre_t.smoothed)
-    r_norm = _unit(pre_r.smoothed)
-    aligned = _overlap(t_norm, r_norm, delay_s, config.sample_rate_hz)
-    if aligned is None:
-        # Degenerate delay estimate (larger than the clip): fall back to
-        # unaligned signals; the trend features will degrade on their own.
-        t_aligned, r_aligned = t_norm, r_norm
-        delay_s = 0.0
-    else:
-        t_aligned, r_aligned = aligned
-
-    correlations: list[float] = []
-    segment_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    count = config.segment_count
-    if t_aligned.size >= 2 * count:
-        # The segments as the rows of one view per side.
-        length = t_aligned.size // count
-        if r_aligned.size // count != length:  # unequal sides, unaligned
-            raise ValueError("inputs must be 1-D arrays of equal length")
-        t_rows = t_aligned[: count * length].reshape(count, length)
-        r_rows = r_aligned[: count * length].reshape(count, length)
-        correlations = _pearson_rows(t_rows, r_rows)
-        segment_pairs = list(zip(t_rows, r_rows))
-    partial = _ClipPartial(
-        matches=matches,
-        z1=z1,
-        z2=z2,
-        delay_s=delay_s,
-        length=t_norm.size,
-        correlations=correlations,
-    )
-    return partial, segment_pairs
+    return matches, z1, z2, 0.0 if delay is None else delay
 
 
 def _features_from_signals_batch(
@@ -263,47 +246,93 @@ def _features_from_signals_batch(
     config: DetectorConfig,
     instr: Instrumentation,
 ) -> list[FeatureExtraction]:
-    partials: list[_ClipPartial] = []
+    """The Sec. VI tail of a batch: the Python steps per clip, the NumPy
+    work once per group.
+
+    1. Per clip: matches, ``z1``, ``z2`` and the delay (:func:`_match_clip`).
+    2. One [0, 1] scaling per length group over all ``2n`` smoothed
+       signals (:func:`_unit_by_length`).
+    3. Per clip: the aligned overlap and its segments, as views.
+    4. One :func:`_pearson_rows` call per segment length.
+    5. One :func:`~repro.core.batch.dtw_distance_batch` call over every
+       clip's segment pairs, in clip order.
+    6. The :class:`FeatureExtraction` of each clip.
+
+    Each step is row-independent, so a clip's result does not depend on
+    the batch it rides in.
+    """
+    n = len(pre_ts)
+    count = config.segment_count
+    clips = [_match_clip(pre_t, pre_r, config) for pre_t, pre_r in zip(pre_ts, pre_rs)]
+    norms = _unit_by_length([pre.smoothed for pre in pre_ts] + [pre.smoothed for pre in pre_rs])
+
+    # Align and cut each clip: its segments are the rows of one view per
+    # side, filed by segment length for the correlation and in clip
+    # order for the DTW call.  A contiguous row of the stacked segments
+    # sums in 1-D order, which _pearson_rows relies on.
+    delays: list[float] = []
+    cuts: list[tuple[int, int] | None] = []  # (segment length, slot in its group)
+    by_length: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     seg_t: list[np.ndarray] = []
     seg_r: list[np.ndarray] = []
-    seg_owner: list[int] = []
-    for i, (pre_t, pre_r) in enumerate(zip(pre_ts, pre_rs)):
-        partial, segment_pairs = _match_and_align(pre_t, pre_r, config)
-        partials.append(partial)
-        for t_seg, r_seg in segment_pairs:
-            seg_t.append(t_seg)
-            seg_r.append(r_seg)
-            seg_owner.append(i)
+    for i, (_, _, _, delay_s) in enumerate(clips):
+        t_norm, r_norm = norms[i], norms[n + i]
+        aligned = _overlap(t_norm, r_norm, delay_s, config.sample_rate_hz)
+        if aligned is None:
+            # Degenerate delay estimate (larger than the clip): fall back to
+            # unaligned signals; the trend features will degrade on their own.
+            t_aligned, r_aligned = t_norm, r_norm
+            delay_s = 0.0
+        else:
+            t_aligned, r_aligned = aligned
+        delays.append(delay_s)
+        if t_aligned.size < 2 * count:
+            cuts.append(None)
+            continue
+        length = t_aligned.size // count
+        if r_aligned.size // count != length:  # unequal sides, unaligned
+            raise ValueError("inputs must be 1-D arrays of equal length")
+        t_rows = t_aligned[: count * length].reshape(count, length)
+        r_rows = r_aligned[: count * length].reshape(count, length)
+        t_blocks, r_blocks = by_length.setdefault(length, ([], []))
+        cuts.append((length, len(t_blocks)))
+        t_blocks.append(t_rows)
+        r_blocks.append(r_rows)
+        seg_t.extend(t_rows)
+        seg_r.extend(r_rows)
 
-    # One wavefront over every clip's segment pairs at once (the z4 hot
-    # loop that used to run clip-by-clip in pure Python).
-    if seg_t:
-        distances = dtw_distance_batch(seg_t, seg_r)
-        for owner, distance in zip(seg_owner, distances):
-            partials[owner].dtw.append(float(distance))
+    # One correlation call per segment length over contiguous rows, and
+    # one wavefront over every clip's segment pairs at once.
+    correlations = {
+        length: _pearson_rows(np.concatenate(t_blocks + r_blocks))
+        for length, (t_blocks, r_blocks) in by_length.items()
+    }
+    distances = dtw_distance_batch(seg_t, seg_r).tolist() if seg_t else []
 
     results: list[FeatureExtraction] = []
-    for pre_t, pre_r, partial in zip(pre_ts, pre_rs, partials):
-        if partial.correlations:
-            z3 = min(partial.correlations)
-            z4 = max(partial.dtw) / config.dtw_scale
-        else:
+    start = 0
+    for pre_t, pre_r, (matches, z1, z2, _), delay_s, cut in zip(
+        pre_ts, pre_rs, clips, delays, cuts
+    ):
+        if cut is None:
             # Too little overlap to measure a trend: maximally suspicious.
             z3 = -1.0
-            z4 = float(max(partial.length, 1)) / config.dtw_scale
-        features = FeatureVector(
-            z1=partial.z1, z2=partial.z2, z3=float(z3), z4=float(z4)
-        )
-        instr.count("features_clips_total")
-        instr.count("features_matched_changes_total", len(partial.matches))
+            z4 = float(max(pre_t.smoothed.size, 1)) / config.dtw_scale
+        else:
+            length, slot = cut
+            z3 = min(correlations[length][slot * count : (slot + 1) * count])
+            z4 = max(distances[start : start + count]) / config.dtw_scale
+            start += count
+        features = FeatureVector(z1=z1, z2=z2, z3=float(z3), z4=float(z4))
         results.append(
             FeatureExtraction(
                 features=features,
                 transmitted=pre_t,
                 received=pre_r,
-                matches=tuple(partial.matches),
-                delay_s=partial.delay_s,
+                matches=tuple(matches),
+                delay_s=delay_s,
             )
         )
+    instr.count("features_clips_total", n)
+    instr.count("features_matched_changes_total", sum(len(clip[0]) for clip in clips))
     return results
-

@@ -206,8 +206,26 @@ class TestDtwPlanReuse:
             for (xs, ys), want in zip(inputs, wants):
                 assert np.array_equal(dtw_distance_batch(xs, ys), want)
                 assert plans.nbytes <= batch_module._PLAN_MEMO_BYTES
-            # Twelve shapes overflow the budget, so the first went first.
+            # Twelve shapes overflow the budget and none is hit between
+            # its uses, so the least recently used is the first.
             assert (70, 70, 2) not in plans and (81, 81, 2) in plans
+
+    def test_hot_plan_survives_transient_shapes(self):
+        """A shape used between every transient one is never rebuilt,
+        though the transients alone overflow the budget."""
+        rng = np.random.default_rng(27)
+        hot = _pairs(rng, [(70, 70), (65, 70)])
+        want = _oracle(*hot)
+        transients = [_pairs(rng, [(size, size), (size - 5, size)]) for size in range(71, 83)]
+        plans = batch_module._PLANS
+        plans.clear()
+        dtw_distance_batch(*hot)
+        plan = plans.get((70, 70, 2))
+        for xs, ys in transients:
+            assert np.array_equal(dtw_distance_batch(*hot), want)
+            assert np.array_equal(dtw_distance_batch(xs, ys), _oracle(xs, ys))
+        assert (71, 71, 2) not in plans and (82, 82, 2) in plans
+        assert plans.get((70, 70, 2)) is plan
 
     def test_plan_over_budget_runs_but_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(batch_module, "_PLANS", batch_module._Memo(4096))
@@ -236,6 +254,33 @@ class TestDtwPlanReuse:
             x[:] = 1e9
         assert np.array_equal(dtw_distance_batch(*kept), want)
         assert not np.shares_memory(dtw_distance_batch(*kept), out)
+
+
+class TestMemoOrder:
+    """``_Memo`` evicts the least recently used entry, not the oldest."""
+
+    def test_hot_entry_survives_a_stream_of_short_lived_keys(self):
+        memo = batch_module._Memo(40)
+        memo.keep("hot", "H", 10)
+        for key in range(20):
+            assert memo.get("hot") == "H"
+            memo.keep(key, key, 10)
+            assert memo.nbytes <= 40
+        # Insertion order would have evicted "hot" at the fourth key.
+        assert "hot" in memo and len(memo) == 4
+        assert sorted(k for k in (17, 18, 19) if k in memo) == [17, 18, 19]
+
+    def test_a_hit_makes_its_entry_the_newest(self):
+        memo = batch_module._Memo(30)
+        for key in "abc":
+            memo.keep(key, key.upper(), 10)
+        assert memo.get("a") == "A"
+        assert memo.get("missing") is None
+        memo.keep("d", "D", 10)
+        assert "b" not in memo and {"a", "c", "d"} <= {k for k in "abcd" if k in memo}
+        memo.keep("e", "E", 20)  # needs two slots: c, then a
+        assert "a" not in memo and "c" not in memo
+        assert memo.values() == ["D", "E"] and memo.nbytes == 30
 
 
 class TestDtwNonFinite:

@@ -1,17 +1,19 @@
 """Feature extraction: z1..z4 semantics on controlled signals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import features as features_module
 from repro.core.batch import dtw_distance_batch
 from repro.core.config import DetectorConfig
 from repro.core.features import (
     FeatureVector,
     _features_from_signals_batch,
-    _match_and_align,
     _unit,
     extract_features_batch,
     pearson_correlation,
@@ -82,42 +84,80 @@ class TestPearsonMatchesReference:
 
 
 class TestNormalizeUnit:
+    """The row-block normaliser; one signal ``x`` is ``x[None, :]``."""
+
     def test_range_is_unit(self):
         x = np.array([5.0, 10.0, 7.5])
-        out = _unit(x)
+        out = _unit(x[None, :])[0]
         assert out.min() == pytest.approx(0.0)
         assert out.max() == pytest.approx(1.0)
 
     def test_flat_signal_maps_to_zero(self):
-        assert np.allclose(_unit(np.full(5, 3.0)), 0.0)
+        assert np.allclose(_unit(np.full((1, 5), 3.0)), 0.0)
+
+    def test_flat_rows_are_not_divided_by_their_span(self):
+        rows = np.array([[3.0, 3.0, 3.0], [1.0, 2.0, 4.0], [0.0, 1e-13, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 behind the zeros
+            out = _unit(rows)
+        assert out[[0, 2]].tolist() == [[0.0] * 3] * 2 and np.isfinite(out).all()
 
     def test_preserves_shape_monotonicity(self):
         x = np.array([1.0, 3.0, 2.0])
-        out = _unit(x)
+        out = _unit(x[None, :])[0]
         assert out[1] > out[2] > out[0]
+
+    def test_rows_are_scaled_alone(self):
+        # Different minima and spans, a flat row and a near-flat one in
+        # one block: each row equals the 1-D normaliser on it alone.
+        rows = np.array(
+            [[5.0, 10.0, 7.5, 6.0], [-3.0, -3.0, -3.0, -3.0], [0.0, 1e-13, 0.0, 0.0],
+             [1e6, -1e6, 0.5, 2.0]]
+        )
+        got = _unit(rows)
+        for row, want in zip(got, rows):
+            assert row.view(np.int64).tolist() == _unit_reference(want).view(np.int64).tolist()
+        assert _unit(np.zeros((3, 0))).shape == (3, 0)
+
+
+def _dtw_inputs(monkeypatch):
+    """Record every ``dtw_distance_batch`` call the tail makes."""
+    calls = []
+
+    def recording(xs, ys):
+        calls.append(([x.copy() for x in xs], [y.copy() for y in ys]))
+        return dtw_distance_batch(xs, ys)
+
+    monkeypatch.setattr(features_module, "dtw_distance_batch", recording)
+    return calls
 
 
 class TestSplitSegments:
-    """The per-clip tail cuts the aligned, normalized signals into
-    ``segment_count`` equal segments, tail dropped."""
+    """The tail cuts the aligned, normalized signals into
+    ``segment_count`` equal segments, tail dropped, and hands them to
+    the DTW call."""
 
-    def test_two_halves(self, config):
+    def test_two_halves(self, config, monkeypatch):
+        calls = _dtw_inputs(monkeypatch)
         pre = _pre(np.arange(10.0), peaks=[])
-        _, segs = _match_and_align(pre, pre, config)
+        _features_from_signals_batch([pre], [pre], config, NULL)
+        [(segs, _)] = calls
         assert len(segs) == 2
-        assert np.allclose(segs[0][0], np.arange(5.0) / 9.0)
-        assert np.allclose(segs[1][0], np.arange(5.0, 10.0) / 9.0)
+        assert np.allclose(segs[0], np.arange(5.0) / 9.0)
+        assert np.allclose(segs[1], np.arange(5.0, 10.0) / 9.0)
 
-    def test_tail_dropped(self, config):
+    def test_tail_dropped(self, config, monkeypatch):
+        calls = _dtw_inputs(monkeypatch)
         pre = _pre(np.arange(11.0), peaks=[])
-        _, segs = _match_and_align(pre, pre, config)
-        assert all(t.size == 5 and r.size == 5 for t, r in segs)
+        _features_from_signals_batch([pre], [pre], config, NULL)
+        [(t_segs, r_segs)] = calls
+        assert all(t.size == 5 and r.size == 5 for t, r in zip(t_segs, r_segs))
 
-    def test_too_short_signal_is_not_cut(self, config):
+    def test_too_short_signal_is_not_cut(self, config, monkeypatch):
+        calls = _dtw_inputs(monkeypatch)
         pre = _pre(np.arange(3.0), peaks=[])  # fewer than two samples a segment
-        partial, segs = _match_and_align(pre, pre, config)
-        assert segs == [] and partial.correlations == []
         got = _features_from_signals_batch([pre], [pre], config, NULL)[0]
+        assert calls == []
         assert got.features.z3 == -1.0  # reprolint: disable=R004
 
 
@@ -383,7 +423,8 @@ def _match_changes_reference(t_times, r_times, tolerance_s):
     return matches
 
 
-def _normalize_reference(x):
+def _unit_reference(x):
+    """The 1-D normaliser before the row-block form, kept as the oracle."""
     if x.size == 0:
         return x.copy()
     low = x.min()
@@ -405,11 +446,9 @@ def _align_reference(t, r, delay_s, sample_rate_hz):
     return t_aligned[:n].copy(), r_aligned[:n].copy()
 
 
-def _match_and_align_reference(pre_t, pre_r, config):
-    """``features._match_and_align`` before the lean tail, kept verbatim
-    as the oracle with the matcher, delay mean, aligner, normalizer,
-    splitter and correlation it called then: numpy peak-time arrays, the
-    guard-trimmed matches remapped to the untrimmed peak lists."""
+def _match_reference(pre_t, pre_r, config):
+    """The first half of :func:`_match_and_align_reference`: matches,
+    ``z1``, ``z2`` and the ``np.mean`` delay (0 without matches)."""
     guard = config.boundary_guard_s
     clip_end = (pre_t.raw.size - 1) / config.sample_rate_hz
     t_all = pre_t.peak_times
@@ -434,9 +473,17 @@ def _match_and_align_reference(pre_t, pre_r, config):
     z2 = len(matches) / m if m > 0 else 0.0
 
     delay_s = float(np.mean([m.time_difference_s for m in matches])) if matches else 0.0
+    return matches, z1, z2, delay_s
 
-    t_norm = _normalize_reference(pre_t.smoothed)
-    r_norm = _normalize_reference(pre_r.smoothed)
+
+def _match_and_align_reference(pre_t, pre_r, config):
+    """``features._match_and_align`` before the lean tail, kept verbatim
+    as the oracle with the matcher, delay mean, aligner, normalizer,
+    splitter and correlation it called then: numpy peak-time arrays, the
+    guard-trimmed matches remapped to the untrimmed peak lists."""
+    matches, z1, z2, delay_s = _match_reference(pre_t, pre_r, config)
+    t_norm = _unit_reference(pre_t.smoothed)
+    r_norm = _unit_reference(pre_r.smoothed)
     try:
         t_aligned, r_aligned = _align_reference(t_norm, r_norm, delay_s, config.sample_rate_hz)
     except ValueError:
@@ -474,6 +521,21 @@ def _features_reference(pre_t, pre_r, config):
     return features, matches, delay_s
 
 
+def _tail_refuses(pre_t, pre_r, config):
+    """Whether the tail refuses a clip with ``ValueError``: the delay
+    leaves no overlap, so the sides stay unaligned, and their segment
+    lengths differ.  (The oracle cuts the received side with the
+    transmitted side's bounds instead, or fails on the shapes.)"""
+    delay_s = _match_reference(pre_t, pre_r, config)[3]
+    t, r = pre_t.smoothed, pre_r.smoothed
+    try:
+        _align_reference(t, r, delay_s, config.sample_rate_hz)
+        return False
+    except ValueError:
+        count = config.segment_count
+        return t.size >= 2 * count and r.size // count != t.size // count
+
+
 def _pre(smoothed, peaks, raw_size=None, rate=10.0):
     """A hand-made preprocessed signal with peaks at chosen indices."""
     smoothed = np.asarray(smoothed, dtype=np.float64)
@@ -491,24 +553,28 @@ def _pre(smoothed, peaks, raw_size=None, rate=10.0):
     )
 
 
-def _assert_tail_matches_reference(pre_t, pre_r, config):
-    partial, segments = _match_and_align(pre_t, pre_r, config)
-    matches, z1, z2, delay_s, length, correlations, ref_segments = (
-        _match_and_align_reference(pre_t, pre_r, config)
-    )
-    assert repr(partial.matches) == repr(matches)
-    assert repr((partial.z1, partial.z2, partial.delay_s)) == repr((z1, z2, delay_s))
-    assert partial.length == length
-    assert repr(partial.correlations) == repr(correlations)
-    assert len(segments) == len(ref_segments)
-    for (t_seg, r_seg), (t_ref, r_ref) in zip(segments, ref_segments):
-        assert t_seg.tobytes() == t_ref.tobytes() and r_seg.tobytes() == r_ref.tobytes()
-    got = _features_from_signals_batch([pre_t], [pre_r], config, NULL)[0]
+def _assert_extraction_is_oracle(got, pre_t, pre_r, config):
+    """One clip's extraction equals the per-clip oracle bit for bit."""
     features, matches, delay_s = _features_reference(pre_t, pre_r, config)
     assert repr(got.features) == repr(features)
     assert repr(got.matches) == repr(tuple(matches))
     assert repr(got.delay_s) == repr(delay_s)
-    return partial
+    assert got.transmitted is pre_t and got.received is pre_r
+
+
+def _assert_tail_matches_reference(pre_t, pre_r, config):
+    """The tail on a batch of one equals the oracle, down to the
+    segments it hands to the DTW call."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _dtw_inputs(patch)
+        got = _features_from_signals_batch([pre_t], [pre_r], config, NULL)[0]
+    ref_segments = _match_and_align_reference(pre_t, pre_r, config)[-1]
+    segments = [pair for xs, ys in calls for pair in zip(xs, ys)]
+    assert len(segments) == len(ref_segments)
+    for (t_seg, r_seg), (t_ref, r_ref) in zip(segments, ref_segments):
+        assert t_seg.tobytes() == t_ref.tobytes() and r_seg.tobytes() == r_ref.tobytes()
+    _assert_extraction_is_oracle(got, pre_t, pre_r, config)
+    return got
 
 
 def _ramp(n, seed=0):
@@ -529,40 +595,40 @@ class TestLeanTailMatchesReference:
             _assert_tail_matches_reference(pre_t, pre_r, config)
 
     def test_no_peaks(self, config):
-        partial = _assert_tail_matches_reference(
+        got = _assert_tail_matches_reference(
             _pre(_ramp(150), []), _pre(_ramp(150, 1), []), config
         )
-        assert partial.matches == [] and not partial.z1 and not partial.delay_s
+        assert got.matches == () and not got.features.z1 and not got.delay_s
 
     def test_guard_trims_every_peak(self, config):
         # Transmitted changes within 2 s of the end, received within 2 s
         # of the start: nothing is left to count or match.
-        partial = _assert_tail_matches_reference(
+        got = _assert_tail_matches_reference(
             _pre(_ramp(150), [135, 140, 148]), _pre(_ramp(150, 1), [3, 12, 19]), config
         )
-        assert not partial.z1 and not partial.z2 and partial.matches == []
+        assert not got.features.z1 and not got.features.z2 and got.matches == ()
 
     def test_negative_delay_and_tied_candidates(self, config):
         # r at 5.5 s is 0.5 s from both t changes; the received side
         # leads on average, so the delay is negative.
-        partial = _assert_tail_matches_reference(
+        got = _assert_tail_matches_reference(
             _pre(_ramp(150), [10, 50, 60, 100]), _pre(_ramp(150, 1), [45, 55, 93]), config
         )
-        assert partial.delay_s < 0 and len(partial.matches) == 3
+        assert got.delay_s < 0 and len(got.matches) == 3
 
     def test_degenerate_delay_falls_back_to_unaligned(self, config):
         # Short smoothed signals under a long raw clip: the 0.9 s delay
         # is longer than the received signal, so nothing overlaps.
-        partial = _assert_tail_matches_reference(
+        got = _assert_tail_matches_reference(
             _pre(_ramp(6), [30], raw_size=200), _pre(_ramp(6, 1), [39], raw_size=200), config
         )
-        assert len(partial.matches) == 1 and not partial.delay_s
+        assert len(got.matches) == 1 and not got.delay_s
 
     def test_flat_signal(self, config):
-        partial = _assert_tail_matches_reference(
-            _pre(np.full(150, 3.0), [40, 110]), _pre(_ramp(150, 1), [43, 114]), config
-        )
-        assert partial.correlations == [0.0, 0.0]
+        pre_t, pre_r = _pre(np.full(150, 3.0), [40, 110]), _pre(_ramp(150, 1), [43, 114])
+        got = _assert_tail_matches_reference(pre_t, pre_r, config)
+        assert _match_and_align_reference(pre_t, pre_r, config)[5] == [0.0, 0.0]
+        assert repr(got.features.z3) == repr(0.0)
 
     def test_fallback_on_unequal_sides_raises_like_the_reference(self, config):
         pre_t = _pre(_ramp(8), [30], raw_size=200)
@@ -570,4 +636,114 @@ class TestLeanTailMatchesReference:
         with pytest.raises(ValueError, match="equal length"):
             _match_and_align_reference(pre_t, pre_r, config)
         with pytest.raises(ValueError, match="equal length"):
-            _match_and_align(pre_t, pre_r, config)
+            _features_from_signals_batch([pre_t], [pre_r], config, NULL)
+
+
+# ----------------------------------------------------------------------
+# The grouped Sec. VI tail against the per-clip oracle
+# ----------------------------------------------------------------------
+
+
+def _edge_clips():
+    """Hand-made clips for the corners of the grouped tail."""
+    return [
+        # Shared length, a 0.3 s delay.
+        (_pre(_ramp(150, 3), [40, 110]), _pre(_ramp(150, 4), [43, 113])),
+        # A flat transmitted signal.
+        (_pre(np.full(150, 3.0), [40, 110]), _pre(_ramp(150, 5), [43, 114])),
+        # Unequal sides: 160 transmitted against 140 received samples.
+        (_pre(_ramp(160, 6), [50]), _pre(_ramp(140, 7), [52])),
+        # A negative delay.
+        (_pre(_ramp(150, 8), [10, 50, 60, 100]), _pre(_ramp(150, 9), [45, 55, 93])),
+        # A delay that leaves no overlap: the unaligned fallback.
+        (_pre(_ramp(6, 10), [30], raw_size=200), _pre(_ramp(6, 11), [39], raw_size=200)),
+        # An overlap shorter than two segments: z3 = -1.
+        (_pre(_ramp(5, 12), [30], raw_size=200), _pre(_ramp(5, 13), [32], raw_size=200)),
+        # Both sides flat.
+        (_pre(np.zeros(40), []), _pre(np.full(40, 7.0), [])),
+    ]
+
+
+def _real_clips(config, seed):
+    rng = np.random.default_rng([seed, 30])
+    pairs = [
+        _clip(rng, kind, n)
+        for n in (150, 175, 200)
+        for kind in ("genuine", "genuine", "reenactment", "forger")
+    ]
+    n = len(pairs)
+    prominences = [config.peak_prominence_screen] * n + [config.peak_prominence_face] * n
+    pre = preprocess_batch([t for t, _ in pairs] + [r for _, r in pairs], config, prominences)
+    return list(zip(pre[:n], pre[n:]))
+
+
+def _run(clips, config):
+    return _features_from_signals_batch(
+        [t for t, _ in clips], [r for _, r in clips], config, NULL
+    )
+
+
+def _same(a, b):
+    return (
+        repr(a.features) == repr(b.features)
+        and repr(a.matches) == repr(b.matches)
+        and repr(a.delay_s) == repr(b.delay_s)
+    )
+
+
+class TestGroupedTailMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_clip_equals_the_oracle(self, seed, config):
+        clips = _real_clips(config, seed) + _edge_clips()
+        order = np.random.default_rng(seed).permutation(len(clips))
+        clips = [clips[i] for i in order]
+        for got, (pre_t, pre_r) in zip(_run(clips, config), clips, strict=True):
+            _assert_extraction_is_oracle(got, pre_t, pre_r, config)
+
+    def test_shuffled_batch_gives_each_clip_the_same_result(self, config):
+        clips = _real_clips(config, 2) + _edge_clips()
+        want = _run(clips, config)
+        order = np.random.default_rng(3).permutation(len(clips))
+        got = _run([clips[i] for i in order], config)
+        assert all(_same(got[k], want[i]) for k, i in enumerate(order))
+
+    def test_batch_of_one_equals_its_row(self, config):
+        clips = _real_clips(config, 4) + _edge_clips()
+        batch = _run(clips, config)
+        for clip, row in zip(clips, batch):
+            assert _same(_run([clip], config)[0], row)
+
+    def test_one_call_per_segment_length(self, config, monkeypatch):
+        """Real batches share few segment lengths; every clip still gets
+        its own correlations."""
+        widths = []
+
+        def counting(rows):
+            widths.append(rows.shape[1])
+            return pearson_rows(rows)
+
+        pearson_rows = features_module._pearson_rows
+        monkeypatch.setattr(features_module, "_pearson_rows", counting)
+        clips = _real_clips(config, 5) + _edge_clips()
+        got = _run(clips, config)
+        assert len(widths) == len(set(widths)) and len(widths) < len(clips)
+        for extraction, (pre_t, pre_r) in zip(got, clips):
+            _assert_extraction_is_oracle(extraction, pre_t, pre_r, config)
+
+    @pytest.mark.parametrize("lengths", [[60] * 5, [20, 30, 40, 50, 60]])
+    def test_one_shared_or_all_distinct_segment_lengths(self, lengths, config):
+        clips = [
+            (_pre(_ramp(n, 20 + i), []), _pre(_ramp(n, 40 + i), []))
+            for i, n in enumerate(lengths)
+        ]
+        for got, (pre_t, pre_r) in zip(_run(clips, config), clips, strict=True):
+            _assert_extraction_is_oracle(got, pre_t, pre_r, config)
+
+    def test_normalised_rows_equal_the_one_signal_form(self):
+        rng = np.random.default_rng(31)
+        signals = [rng.normal(size=n) for n in (150, 175, 150, 200, 175, 150)]
+        signals[2][:] = 4.0  # flat
+        signals[4][[3, 9]] = [0.0, -0.0]
+        rows = features_module._unit_by_length(signals)
+        for row, signal in zip(rows, signals, strict=True):
+            assert row.view(np.int64).tolist() == _unit_reference(signal).view(np.int64).tolist()

@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import preprocessing
 from repro.core.batch import (
+    _Memo,
     moving_rms_batch,
     moving_variance_batch,
     reflect_convolve_batch,
@@ -293,6 +295,18 @@ class TestKernelMemo:
         other = _filter_kernels(dataclasses.replace(config, moving_average_window=5))
         assert other[2].size == 5
         assert other[0].tobytes() == first[0].tobytes()
+
+    def test_hot_config_survives_a_stream_of_other_designs(self, config, monkeypatch):
+        """The memo evicts the least recently used design: the config of
+        every other call keeps its kernels while one-off configs churn."""
+        size = sum(kernel.nbytes for kernel in _filter_kernels(config))
+        monkeypatch.setattr(preprocessing, "_KERNELS", _Memo(3 * size))
+        hot = _filter_kernels(config)
+        for step in range(1, 8):
+            other = dataclasses.replace(config, lowpass_cutoff_hz=1.0 + 0.1 * step)
+            assert _filter_kernels(other)[0].tobytes() != hot[0].tobytes()
+            assert all(a is b for a, b in zip(_filter_kernels(config), hot, strict=True))
+        assert len(preprocessing._KERNELS) == 3
 
 
 class TestPerSignalProminence:

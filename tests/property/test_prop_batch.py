@@ -302,13 +302,22 @@ class TestReflectGather:
         gathers = batch_module._GATHERS
         gathers.clear()
         lengths = range(1, 400)
+        hot = 150
         for length in lengths:
             reflect_convolve_batch(np.ones((1, length)), kernel)
+            if length == hot:
+                hot_index = gathers.get((hot, 20))
+            if length > hot:  # a hit refreshes the hot shape
+                reflect_convolve_batch(np.ones((1, hot)), kernel)
             held = sum(index.nbytes for index in gathers.values())
             assert held == gathers.nbytes <= batch_module._GATHER_MEMO_BYTES
-        # The newest shapes are the ones kept, oldest evicted first.
+        # The most recently used shapes are kept: the newest run and the
+        # hot shape, least recently used evicted first.
         kept = sorted(length for length in lengths if (length, 20) in gathers)
-        assert kept[0] > 1 and kept == list(range(kept[0], lengths[-1] + 1))
+        assert hot in kept and kept[0] > 1
+        assert gathers.get((hot, 20)) is hot_index  # never evicted and rebuilt
+        run = [length for length in kept if length != hot]
+        assert run[0] > hot and run == list(range(run[0], lengths[-1] + 1))
         for index in gathers.values():
             assert not index.flags.writeable
             with pytest.raises(ValueError):

@@ -53,7 +53,13 @@ class TestFacade:
                 "_as_signal",
                 "preprocess",
             ),
-            features: ("normalize_unit", "split_segments", "features_from_signals_batch"),
+            features: (
+                "normalize_unit",
+                "split_segments",
+                "features_from_signals_batch",
+                "_match_and_align",
+                "_ClipPartial",
+            ),
             matching: ("match_changes",),
             delay: ("align_signals",),
         }
