@@ -2,9 +2,14 @@
 
 Every benchmark regenerates one of the paper's tables or figures: it runs
 the experiment (datasets are simulated once and cached under
-``.cache/datasets``), *prints* the figure's rows, writes them to
-``results/<experiment>.txt``, and asserts the qualitative shape the paper
-reports.  Timings are recorded via pytest-benchmark.
+``.cache/datasets``), *prints* the figure's rows and asserts the
+qualitative shape the paper reports.  Timings are recorded via
+pytest-benchmark.
+
+The checked-in outputs (``results/<experiment>.txt``, ``BENCH_engine.json``
+and ``BENCH_service.json``) carry host-dependent wall times, so a plain
+run leaves them alone; pass ``--record`` to refresh them, e.g.
+``pytest benchmarks -m smoke --record``.
 
 First run generates ~2500 simulated chat clips (~25 minutes on one core);
 subsequent runs load everything from the dataset cache.  Set
@@ -24,6 +29,20 @@ from repro.engine import ExecutionEngine
 from repro.experiments.dataset import build_dataset
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record",
+        action="store_true",
+        help="rewrite the checked-in results/*.txt and BENCH_*.json files",
+    )
+
+
+@pytest.fixture(scope="session")
+def record(request) -> bool:
+    """Whether this run rewrites the checked-in benchmark outputs."""
+    return request.config.getoption("--record")
 
 
 @pytest.fixture(scope="session")
@@ -46,14 +65,16 @@ def main_dataset(engine):
 
 
 @pytest.fixture(scope="session")
-def report():
-    """Writer that both prints a figure's rows and persists them."""
+def report(record):
+    """Writer that prints a figure's rows and, under ``--record``,
+    persists them to ``results/<name>.txt``."""
 
     def _report(name: str, lines: list[str]) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
         text = "\n".join(lines)
         print(f"\n=== {name} ===\n{text}")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if record:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _report
 

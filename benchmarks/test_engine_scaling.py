@@ -140,10 +140,10 @@ def _percentile(values, q):
 
 
 @pytest.mark.smoke
-def test_batch_engine_throughput(report, benchmark, tmp_path):
+def test_batch_engine_throughput(report, record, benchmark, tmp_path):
     """Batch-core throughput gate: a jobs=4 engine must beat the legacy
     per-clip extraction loop by the checked-in baseline factor, with
-    bit-identical features, and ``BENCH_engine.json`` must record the run.
+    bit-identical features; ``--record`` writes the run to ``BENCH_engine.json``.
 
     ``serial`` here means the historical granularity — one batch-of-1
     extraction per clip, no engine.  The engine extracts its cache misses
@@ -215,9 +215,10 @@ def test_batch_engine_throughput(report, benchmark, tmp_path):
             f"{BENCH_SUBBATCHES} instrumented jobs=1 sub-batch spans"
         ),
     }
-    (REPO_ROOT / "BENCH_engine.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    if record:
+        (REPO_ROOT / "BENCH_engine.json").write_text(
+            json.dumps(payload, indent=2) + "\n"
+        )
     report(
         "engine_batch_throughput",
         [

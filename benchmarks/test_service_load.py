@@ -11,8 +11,8 @@ time.
 Because the run is virtual-time deterministic, the SLO numbers (peak
 concurrency, admission rate, drop rate, p99 verdict latency, task
 failures) are machine-independent, so ``service_baseline.json`` gates
-them exactly; only the wall-clock seconds vary by host.  The run is
-recorded in ``BENCH_service.json`` at the repo root.
+them exactly; only the wall-clock seconds vary by host.  ``--record``
+writes the run to ``BENCH_service.json`` at the repo root.
 """
 
 import json
@@ -70,7 +70,7 @@ def _run(serial: bool):
 
 @pytest.mark.smoke
 @pytest.mark.filterwarnings("ignore::repro.core.lof.SmallBankWarning")
-def test_service_load(report, benchmark):
+def test_service_load(report, record, benchmark):
     concurrent, snapshot, server, concurrent_s = run_once(
         benchmark, lambda: _run(serial=False)
     )
@@ -115,9 +115,10 @@ def test_service_load(report, benchmark):
             "by service_baseline.json; only the *_wall_s fields vary by host"
         ),
     }
-    (REPO_ROOT / "BENCH_service.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    if record:
+        (REPO_ROOT / "BENCH_service.json").write_text(
+            json.dumps(payload, indent=2) + "\n"
+        )
 
     report(
         "service_load",

@@ -75,8 +75,10 @@ class Waiter:
 
     Awaiting an unfired slot yields the slot itself to the driver, which
     records the awaiting coroutine in ``task``; resolving the slot fires
-    it and queues that coroutine with the value.  Awaiting a fired slot
-    returns its value without suspending.
+    it and queues that coroutine with the value.  A slot that wakes a
+    parked task this way hands the value over and keeps none (nor the
+    task).  Only a slot resolved before anyone awaits it stores the value
+    in ``value``, and awaiting it returns that without suspending.
     """
 
     __slots__ = ("fired", "value", "task")
@@ -232,12 +234,23 @@ class VirtualScheduler(Scheduler):
         return Waiter()
 
     def resolve(self, waiter: Waiter, value: Any) -> bool:
+        """Fire ``waiter`` with ``value``; False when it already fired.
+
+        A slot with a parked task hands ``value`` to that task through
+        the ready deque and keeps neither: its pending timer entry, if
+        any, may sit in the heap until its deadline, and must not hold a
+        delivered frame alive that long.  Only a slot resolved before
+        anyone awaits it stores the value, for ``Waiter.__await__``.
+        """
         if waiter.fired:
             return False
         waiter.fired = True
-        waiter.value = value
-        if waiter.task is not None:
-            self._ready.append((waiter.task, value))
+        task = waiter.task
+        if task is None:
+            waiter.value = value
+        else:
+            waiter.task = None
+            self._ready.append((task, value))
         return True
 
     def spawn(self, coro: Coroutine, name: str = "task") -> TaskHandle:

@@ -17,7 +17,8 @@ sessions over one scheduler:
   hangs: every wait in the session loop carries a timeout.
 * **Tenant models** — verifiers come from the
   :class:`~repro.service.tenants.TenantBankCache`; recycling relies on
-  the ``reset()`` bit-identity fixed in this PR.
+  :meth:`~repro.core.streaming.StreamingVerifier.reset` being bit-identical
+  to construction.
 
 Determinism: everything here waits through the scheduler and the only
 randomness lives in the (seeded) workload, so under a

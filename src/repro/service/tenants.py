@@ -17,7 +17,7 @@ problems:
   would make shard assignment (and hence lock-contention order)
   nondeterministic.
 
-Verifier recycling leans on the session-lifecycle fix in this PR:
+Verifier recycling leans on the session lifecycle:
 ``StreamingVerifier.reset()`` is bit-identical to construction, so a
 session cannot tell whether its verifier is fresh or recycled — which is
 exactly what keeps the pool-vs-serial identity check honest.

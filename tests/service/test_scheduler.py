@@ -3,7 +3,9 @@
 import asyncio
 import gc
 import warnings
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.service import TIMEOUT, ForeignAwaitError, ServiceLock, VirtualScheduler
@@ -102,6 +104,31 @@ class TestParkAndJoin:
         assert result == "payload"
         # The stale 100 s timer is lazily discarded.
         assert now == 1.0  # reprolint: disable=R004
+
+    def test_resolved_park_keeps_no_payload_until_its_timer(self, sched):
+        """A slot that wakes a parked task hands its value over: once the
+        task drops the payload it is gone, although the slot's timer
+        entry still sits in the heap until its deadline."""
+        waiter = sched.make_waiter()
+
+        async def resolver():
+            await sched.sleep(1.0)
+            sched.resolve(waiter, np.zeros(8))
+
+        async def main():
+            sched.spawn(resolver(), name="resolver")
+            payload = await sched.park(waiter, timeout=100.0)
+            ref = weakref.ref(payload)
+            del payload
+            # Resume once more, so the driver's own last-sent value is gone.
+            await sched.sleep(1.0)
+            gc.collect()
+            pending = any(slot is waiter for _, _, slot in sched._timers)
+            return ref() is None, pending, sched.now()
+
+        dead, pending, now = run_guarded(sched, main())
+        assert pending and now == 2.0  # reprolint: disable=R004
+        assert dead
 
     def test_join_returns_result(self, sched):
         async def worker():
