@@ -9,9 +9,13 @@ pytest-benchmark.
 The checked-in outputs (``results/<experiment>.txt``, ``BENCH_engine.json``
 and ``BENCH_service.json``) carry host-dependent wall times, so a plain
 run leaves them alone; pass ``--record`` to refresh them, e.g.
-``pytest benchmarks -m smoke --record``.
+``pytest benchmarks -m smoke --record``.  Results files are written by
+:func:`repro.experiments.figures.write_results`, stamp line first; the
+Fig. 11-17 and Sec. VIII-I benchmarks run the matching ``FIGURES``
+generator, so ``repro figures`` writes the same bytes.
 
-First run generates ~2500 simulated chat clips (~25 minutes on one core);
+First run generates ~2500 simulated chat clips: the whole suite took
+11 minutes cold with ``REPRO_BENCH_JOBS=2`` on a 2-core host;
 subsequent runs load everything from the dataset cache.  Set
 ``REPRO_BENCH_JOBS=N`` to simulate and evaluate over N worker processes —
 results are bit-identical at any job count.  ``pytest benchmarks -m smoke``
@@ -26,7 +30,7 @@ import pathlib
 import pytest
 
 from repro.engine import ExecutionEngine
-from repro.experiments.dataset import build_dataset
+from repro.experiments.figures import headline_dataset, write_results
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -61,22 +65,26 @@ def engine():
 @pytest.fixture(scope="session")
 def main_dataset(engine):
     """The paper's headline dataset: 10 users x 2 roles x 40 clips."""
-    return build_dataset(clips_per_role=40, engine=engine)
+    return headline_dataset(engine)
+
+
+def make_report(record: bool, results_dir: pathlib.Path = RESULTS_DIR):
+    """Writer that prints a figure's rows and, when ``record`` is set,
+    persists them to ``<results_dir>/<name>.txt`` through the figures
+    module's one writer (stamp line first)."""
+
+    def _report(name: str, lines: list[str]) -> None:
+        print(f"\n=== {name} ===\n" + "\n".join(lines))
+        if record:
+            write_results(results_dir, name, lines)
+
+    return _report
 
 
 @pytest.fixture(scope="session")
 def report(record):
-    """Writer that prints a figure's rows and, under ``--record``,
-    persists them to ``results/<name>.txt``."""
-
-    def _report(name: str, lines: list[str]) -> None:
-        text = "\n".join(lines)
-        print(f"\n=== {name} ===\n{text}")
-        if record:
-            RESULTS_DIR.mkdir(exist_ok=True)
-            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-    return _report
+    """The session's :func:`make_report` writer (writes only under ``--record``)."""
+    return make_report(record)
 
 
 def run_once(benchmark, fn):

@@ -6,28 +6,15 @@ average TRR 94.4 % against ICFace reenactment — the headline claim that
 the system needs no per-user and no attacker training data.
 """
 
-from repro.experiments.runner import run_overall
+from repro.experiments.figures import figure_11_overall
 
 from .conftest import run_once
 
 
-def test_fig11_overall(benchmark, main_dataset, report):
-    result = run_once(
-        benchmark, lambda: run_overall(main_dataset, rounds=20, train_size=20)
+def test_fig11_overall(benchmark, main_dataset, engine, report):
+    result, lines = run_once(
+        benchmark, lambda: figure_11_overall(main_dataset, engine=engine)
     )
-
-    lines = [
-        "Fig. 11 single-detection performance (20 rounds, 20 training clips)",
-        f"{'user':8s} {'TAR(own)':>10s} {'TAR(other)':>11s} {'TRR':>8s}",
-    ]
-    for u in result.per_user:
-        lines.append(
-            f"{u.user:8s} {u.tar_own_mean:10.3f} {u.tar_other_mean:11.3f} {u.trr_mean:8.3f}"
-        )
-    lines += [
-        f"{'AVERAGE':8s} {result.avg_tar_own:10.3f} {result.avg_tar_other:11.3f} {result.avg_trr:8.3f}",
-        "paper    :      0.925       0.928    0.944",
-    ]
     report("fig11_overall", lines)
 
     # Shape assertions (who wins, roughly by what factor):

@@ -6,38 +6,14 @@ accuracy rise with screen size; the smallest tested screen still reaches
 screen.
 """
 
-from repro.experiments.profiles import DEFAULT_ENVIRONMENT
-from repro.experiments.runner import run_screen_size
-from repro.screen.display import PHONE_6_OLED, SCREEN_SIZE_LADDER
+from repro.experiments.figures import figure_13_screen_size
+from repro.screen.display import SCREEN_SIZE_LADDER
 
 from .conftest import run_once
 
 
-def _screen_configs():
-    configs = [
-        (f'{spec.diagonal_in:g}"', DEFAULT_ENVIRONMENT.replace(screen=spec))
-        for spec in SCREEN_SIZE_LADDER
-    ]
-    configs.append(('6" phone @0.5m', DEFAULT_ENVIRONMENT.replace(screen=PHONE_6_OLED)))
-    configs.append(
-        (
-            '6" phone @0.1m',
-            DEFAULT_ENVIRONMENT.replace(screen=PHONE_6_OLED, viewing_distance_m=0.1),
-        )
-    )
-    return configs
-
-
-def test_fig13_screen_size(benchmark, report):
-    result = run_once(benchmark, lambda: run_screen_size(_screen_configs()))
-
-    lines = [
-        "Fig. 13 performance vs screen size",
-        f"{'screen':>16s} {'TAR':>8s} {'TRR':>8s}",
-    ]
-    for point in result.points:
-        lines.append(f"{point.label:>16s} {point.tar_mean:8.3f} {point.trr_mean:8.3f}")
-    lines.append('paper: monotone in size; smallest ~0.85 TAR; 6" phone only at ~10 cm')
+def test_fig13_screen_size(benchmark, engine, report):
+    result, lines = run_once(benchmark, lambda: figure_13_screen_size(engine=engine))
     report("fig13_screen_size", lines)
 
     by_label = {p.label: p for p in result.points}

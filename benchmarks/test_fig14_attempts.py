@@ -6,32 +6,15 @@ other users' data (the voting rule needs rejects > 0.7 D, so TRR can dip
 slightly at D = 2-3 before recovering).
 """
 
-from repro.experiments.runner import run_attempts
+from repro.experiments.figures import figure_14_attempts
 
 from .conftest import run_once
 
 
-def test_fig14_attempts(benchmark, main_dataset, report):
-    result = run_once(
-        benchmark,
-        lambda: run_attempts(
-            main_dataset,
-            attempts=(1, 2, 3, 4, 5, 6, 7),
-            rounds=10,
-            trials_per_round=10,
-            train_size=20,
-        ),
+def test_fig14_attempts(benchmark, main_dataset, engine, report):
+    result, lines = run_once(
+        benchmark, lambda: figure_14_attempts(main_dataset, engine=engine)
     )
-
-    lines = [
-        "Fig. 14 accuracy vs number of voting attempts D",
-        f"{'D':>3s} {'TAR(own)':>10s} {'+-':>6s} {'TAR(other)':>11s} {'TRR':>8s} {'+-':>6s}",
-    ]
-    for i, d in enumerate(result.attempts):
-        lines.append(
-            f"{d:3d} {result.tar_own_mean[i]:10.3f} {result.tar_own_std[i]:6.3f} "
-            f"{result.tar_other_mean[i]:11.3f} {result.trr_mean[i]:8.3f} {result.trr_std[i]:6.3f}"
-        )
     report("fig14_attempts", lines)
 
     first, last = 0, len(result.attempts) - 1

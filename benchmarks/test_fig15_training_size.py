@@ -6,29 +6,15 @@ standard deviations by up to 8.8 % — i.e. the system launches cheaply and
 stabilizes with more data.
 """
 
-from repro.experiments.runner import run_training_size
+from repro.experiments.figures import figure_15_training_size
 
 from .conftest import run_once
 
 
-def test_fig15_training_size(benchmark, main_dataset, report):
-    result = run_once(
-        benchmark,
-        lambda: run_training_size(
-            main_dataset, sizes=(4, 8, 12, 16, 20), rounds=20
-        ),
+def test_fig15_training_size(benchmark, main_dataset, engine, report):
+    result, lines = run_once(
+        benchmark, lambda: figure_15_training_size(main_dataset, engine=engine)
     )
-
-    lines = [
-        "Fig. 15 accuracy vs training-set size (one volunteer)",
-        f"{'n':>3s} {'TAR':>8s} {'+-':>6s} {'TRR':>8s} {'+-':>6s}",
-    ]
-    for i, n in enumerate(result.sizes):
-        lines.append(
-            f"{n:3d} {result.tar_mean[i]:8.3f} {result.tar_std[i]:6.3f} "
-            f"{result.trr_mean[i]:8.3f} {result.trr_std[i]:6.3f}"
-        )
-    lines.append("paper: n=8 -> 0.9225/0.91; n=20 -> 0.9475/0.9575; stds shrink")
     report("fig15_training_size", lines)
 
     sizes = list(result.sizes)

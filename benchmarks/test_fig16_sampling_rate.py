@@ -7,21 +7,13 @@ spans twice the time and the matching/trend evidence blurs away, letting
 attackers through.  8 Hz is the lowest viable rate.
 """
 
-from repro.experiments.runner import run_sampling_rate
+from repro.experiments.figures import figure_16_sampling_rate
 
 from .conftest import run_once
 
 
-def test_fig16_sampling_rate(benchmark, report):
-    result = run_once(benchmark, lambda: run_sampling_rate(rates_hz=(5.0, 8.0, 10.0)))
-
-    lines = [
-        "Fig. 16 performance vs sampling rate (one volunteer)",
-        f"{'rate':>8s} {'TAR':>8s} {'TRR':>8s}",
-    ]
-    for point in result.points:
-        lines.append(f"{point.label:>8s} {point.tar_mean:8.3f} {point.trr_mean:8.3f}")
-    lines.append("paper: 10/8 Hz >= 0.95 both; 5 Hz -> TAR ~0.86, TRR ~0.48")
+def test_fig16_sampling_rate(benchmark, engine, report):
+    result, lines = run_once(benchmark, lambda: figure_16_sampling_rate(engine=engine))
     report("fig16_sampling_rate", lines)
 
     by_label = {p.label: p for p in result.points}

@@ -10,31 +10,15 @@ relighting stage is added.
 
 import numpy as np
 
-from repro.experiments.runner import run_forgery_delay
+from repro.experiments.figures import figure_17_forgery_delay
 
 from .conftest import run_once
 
 
-def test_fig17_forgery_delay(benchmark, main_dataset, report):
-    delays = (0.0, 0.3, 0.5, 0.8, 1.0, 1.3, 1.6, 2.0, 2.5, 3.0)
-    result = run_once(
-        benchmark,
-        lambda: run_forgery_delay(
-            main_dataset,
-            delays_s=delays,
-            rounds=3,
-            train_size=20,
-            max_clips_per_user=10,
-        ),
+def test_fig17_forgery_delay(benchmark, main_dataset, engine, report):
+    result, lines = run_once(
+        benchmark, lambda: figure_17_forgery_delay(main_dataset, engine=engine)
     )
-
-    lines = [
-        "Fig. 17 rejection rate vs forgery processing delay",
-        f"{'delay':>7s} {'rejection':>10s}",
-    ]
-    for delay, rejection in zip(result.delays_s, result.rejection_rate):
-        lines.append(f"{delay:7.1f} {rejection:10.3f}")
-    lines.append("paper: ~0.80 rejection at 1.3 s delay")
     report("fig17_forgery_delay", lines)
 
     by_delay = dict(zip(result.delays_s, result.rejection_rate))

@@ -5,23 +5,13 @@ single-attempt TAR drops to ~80 % when the illuminance on the face rises
 to 240 lux — strong ambient light drowns the screen's reflection.
 """
 
-from repro.experiments.runner import run_ambient_light
+from repro.experiments.figures import figure_ambient_light
 
 from .conftest import run_once
 
 
-def test_sec8i_ambient_light(benchmark, report):
-    result = run_once(
-        benchmark, lambda: run_ambient_light(lux_levels=(50.0, 120.0, 240.0))
-    )
-
-    lines = [
-        "Sec. VIII-I performance vs ambient illuminance on the face",
-        f"{'ambient':>10s} {'TAR':>8s} {'TRR':>8s}",
-    ]
-    for point in result.points:
-        lines.append(f"{point.label:>10s} {point.tar_mean:8.3f} {point.trr_mean:8.3f}")
-    lines.append("paper: nominal at ~50 lux; TAR ~0.80 at 240 lux on the face")
+def test_sec8i_ambient_light(benchmark, engine, report):
+    result, lines = run_once(benchmark, lambda: figure_ambient_light(engine=engine))
     report("sec8i_ambient_light", lines)
 
     by_label = {p.label: p for p in result.points}

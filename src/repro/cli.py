@@ -6,7 +6,7 @@ Eleven subcommands mirroring the library's main uses::
     python -m repro verify --role attack # simulate + verify one session
     python -m repro simulate --trace t.jsonl  # instrumented session batch
     python -m repro trace t.jsonl        # per-stage latency percentiles
-    python -m repro figures --only fig11 # regenerate paper figures
+    python -m repro figures --only fig11_overall  # regenerate paper figures
     python -m repro faults --jobs 2      # fault-severity robustness matrix
     python -m repro serve --sessions 8   # multi-tenant verification service
     python -m repro loadtest --json b.json  # deterministic open-loop load test

@@ -1,13 +1,13 @@
-"""One-call regeneration of every paper figure.
+"""Every Sec. VIII paper figure: one generator, one format, one writer.
 
-The benchmark harness (``pytest benchmarks/ --benchmark-only``) is the
-canonical way to reproduce the evaluation — it also times and asserts
-each figure.  This module is the lightweight sibling for scripting and
-the CLI: each ``figure_*`` function runs one experiment and returns the
-figure's rows as printable lines; :func:`generate_all` writes the whole
-set to a directory.
-
-    python -m repro.experiments.figures --out results/
+Each ``figure_*`` function runs one experiment and returns ``(result,
+lines)``: the runner's result object and the figure's printable rows.
+:data:`FIGURES` keys are the results-file stems, and
+:func:`write_results` writes ``<name>.txt`` headed by
+:func:`results_stamp`.  Both ``repro figures`` (through
+:func:`generate_all`) and the benchmark harness (``pytest benchmarks
+--record``, which also times each figure and asserts its shape) write
+through it, so the two produce the same files byte for byte.
 
 Datasets are shared with the benchmarks through the same on-disk cache,
 so whichever runs first pays the simulation cost.
@@ -15,16 +15,21 @@ so whichever runs first pays the simulation cost.
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 from collections.abc import Callable, Sequence
+from typing import Any
 
-import numpy as np
-
-from ..engine import ExecutionEngine
-from .dataset import FeatureDataset, build_dataset
+from ..core.config import DetectorConfig
+from ..engine import ExecutionEngine, config_fingerprint
+from .dataset import GENERATOR_VERSION, FeatureDataset, build_dataset
 from .profiles import DEFAULT_ENVIRONMENT
 from .runner import (
+    AttemptsResult,
+    DelaySweepResult,
+    OverallResult,
+    RateSweepResult,
+    ThresholdSweepResult,
+    TrainingSizeResult,
     run_ambient_light,
     run_attempts,
     run_forgery_delay,
@@ -36,6 +41,7 @@ from .runner import (
 )
 
 __all__ = [
+    "FIGURES",
     "figure_11_overall",
     "figure_12_threshold",
     "figure_13_screen_size",
@@ -45,50 +51,74 @@ __all__ = [
     "figure_17_forgery_delay",
     "figure_ambient_light",
     "generate_all",
+    "headline_dataset",
+    "results_stamp",
+    "write_results",
 ]
 
 
-def _main_dataset(engine: ExecutionEngine | None = None) -> FeatureDataset:
+def headline_dataset(engine: ExecutionEngine | None = None) -> FeatureDataset:
+    """The paper's headline dataset: 10 users x 2 roles x 40 clips."""
     return build_dataset(clips_per_role=40, engine=engine)
 
 
+def results_stamp() -> str:
+    """First line of every results file: what code generated it."""
+    return (
+        f"# generator_version={GENERATOR_VERSION} "
+        f"detector_config={config_fingerprint(DetectorConfig())}"
+    )
+
+
+def write_results(out_dir: pathlib.Path | str, name: str, lines: Sequence[str]) -> None:
+    """Write ``<out_dir>/<name>.txt``: the stamp, then ``lines``."""
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{name}.txt").write_text("\n".join([results_stamp(), *lines]) + "\n")
+
+
 def figure_11_overall(
-    dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
-) -> list[str]:
+    dataset: FeatureDataset, engine: ExecutionEngine | None = None
+) -> tuple[OverallResult, list[str]]:
     """Fig. 11: per-user TAR/TRR, own vs others' training data."""
-    dataset = dataset if dataset is not None else _main_dataset(engine)
     result = run_overall(dataset, rounds=20, train_size=20, engine=engine)
     lines = [
-        "Fig. 11 single-detection performance",
+        "Fig. 11 single-detection performance (20 rounds, 20 training clips)",
         f"{'user':8s} {'TAR(own)':>10s} {'TAR(other)':>11s} {'TRR':>8s}",
     ]
     for u in result.per_user:
         lines.append(
             f"{u.user:8s} {u.tar_own_mean:10.3f} {u.tar_other_mean:11.3f} {u.trr_mean:8.3f}"
         )
-    lines.append(
+    lines += [
         f"{'AVERAGE':8s} {result.avg_tar_own:10.3f} "
-        f"{result.avg_tar_other:11.3f} {result.avg_trr:8.3f}"
-    )
-    return lines
+        f"{result.avg_tar_other:11.3f} {result.avg_trr:8.3f}",
+        "paper    :      0.925       0.928    0.944",
+    ]
+    return result, lines
 
 
 def figure_12_threshold(
-    dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
-) -> list[str]:
+    dataset: FeatureDataset, engine: ExecutionEngine | None = None
+) -> tuple[ThresholdSweepResult, list[str]]:
     """Fig. 12: FAR/FRR across the decision threshold, EER."""
-    dataset = dataset if dataset is not None else _main_dataset(engine)
     result = run_threshold_sweep(dataset, rounds=10, train_size=20, engine=engine)
-    lines = ["Fig. 12 FAR/FRR vs tau", f"{'tau':>5s} {'FAR':>8s} {'FRR':>8s}"]
+    lines = [
+        "Fig. 12 FAR/FRR vs decision threshold tau",
+        f"{'tau':>5s} {'FAR':>8s} {'FRR':>8s}",
+    ]
     for tau, far, frr in zip(result.thresholds, result.far, result.frr):
         lines.append(f"{tau:5.2f} {far:8.4f} {frr:8.4f}")
-    lines.append(f"EER = {result.eer:.4f} at tau = {result.eer_threshold:.2f}")
-    return lines
+    lines += [
+        f"EER = {result.eer:.4f} at tau = {result.eer_threshold:.2f}",
+        "paper: EER ~ 0.055 at tau in [2.8, 3.0]",
+    ]
+    return result, lines
 
 
-def figure_13_screen_size(engine: ExecutionEngine | None = None) -> list[str]:
+def figure_13_screen_size(
+    engine: ExecutionEngine | None = None
+) -> tuple[RateSweepResult, list[str]]:
     """Fig. 13: performance vs screen size (incl. the phone cases)."""
     from ..screen.display import PHONE_6_OLED, SCREEN_SIZE_LADDER
 
@@ -107,39 +137,36 @@ def figure_13_screen_size(engine: ExecutionEngine | None = None) -> list[str]:
     lines = ["Fig. 13 performance vs screen size", f"{'screen':>16s} {'TAR':>8s} {'TRR':>8s}"]
     for p in result.points:
         lines.append(f"{p.label:>16s} {p.tar_mean:8.3f} {p.trr_mean:8.3f}")
-    return lines
+    lines.append('paper: monotone in size; smallest ~0.85 TAR; 6" phone only at ~10 cm')
+    return result, lines
 
 
 def figure_14_attempts(
-    dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
-) -> list[str]:
+    dataset: FeatureDataset, engine: ExecutionEngine | None = None
+) -> tuple[AttemptsResult, list[str]]:
     """Fig. 14: majority voting over D attempts."""
-    dataset = dataset if dataset is not None else _main_dataset(engine)
     result = run_attempts(
         dataset, rounds=10, trials_per_round=10, train_size=20, engine=engine
     )
     lines = [
-        "Fig. 14 accuracy vs attempts",
-        f"{'D':>3s} {'TAR(own)':>10s} {'TAR(other)':>11s} {'TRR':>8s}",
+        "Fig. 14 accuracy vs number of voting attempts D",
+        f"{'D':>3s} {'TAR(own)':>10s} {'+-':>6s} {'TAR(other)':>11s} {'TRR':>8s} {'+-':>6s}",
     ]
     for i, d in enumerate(result.attempts):
         lines.append(
-            f"{d:3d} {result.tar_own_mean[i]:10.3f} "
-            f"{result.tar_other_mean[i]:11.3f} {result.trr_mean[i]:8.3f}"
+            f"{d:3d} {result.tar_own_mean[i]:10.3f} {result.tar_own_std[i]:6.3f} "
+            f"{result.tar_other_mean[i]:11.3f} {result.trr_mean[i]:8.3f} {result.trr_std[i]:6.3f}"
         )
-    return lines
+    return result, lines
 
 
 def figure_15_training_size(
-    dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
-) -> list[str]:
+    dataset: FeatureDataset, engine: ExecutionEngine | None = None
+) -> tuple[TrainingSizeResult, list[str]]:
     """Fig. 15: accuracy vs training-set size."""
-    dataset = dataset if dataset is not None else _main_dataset(engine)
     result = run_training_size(dataset, rounds=20, engine=engine)
     lines = [
-        "Fig. 15 accuracy vs training-set size",
+        "Fig. 15 accuracy vs training-set size (one volunteer)",
         f"{'n':>3s} {'TAR':>8s} {'+-':>6s} {'TRR':>8s} {'+-':>6s}",
     ]
     for i, n in enumerate(result.sizes):
@@ -147,52 +174,67 @@ def figure_15_training_size(
             f"{n:3d} {result.tar_mean[i]:8.3f} {result.tar_std[i]:6.3f} "
             f"{result.trr_mean[i]:8.3f} {result.trr_std[i]:6.3f}"
         )
-    return lines
+    lines.append("paper: n=8 -> 0.9225/0.91; n=20 -> 0.9475/0.9575; stds shrink")
+    return result, lines
 
 
-def figure_16_sampling_rate(engine: ExecutionEngine | None = None) -> list[str]:
+def figure_16_sampling_rate(
+    engine: ExecutionEngine | None = None
+) -> tuple[RateSweepResult, list[str]]:
     """Fig. 16: performance vs sampling rate."""
     result = run_sampling_rate(engine=engine)
-    lines = ["Fig. 16 performance vs sampling rate", f"{'rate':>8s} {'TAR':>8s} {'TRR':>8s}"]
+    lines = [
+        "Fig. 16 performance vs sampling rate (one volunteer)",
+        f"{'rate':>8s} {'TAR':>8s} {'TRR':>8s}",
+    ]
     for p in result.points:
         lines.append(f"{p.label:>8s} {p.tar_mean:8.3f} {p.trr_mean:8.3f}")
-    return lines
+    lines.append("paper: 10/8 Hz >= 0.95 both; 5 Hz -> TAR ~0.86, TRR ~0.48")
+    return result, lines
 
 
 def figure_17_forgery_delay(
-    dataset: FeatureDataset | None = None,
-    engine: ExecutionEngine | None = None,
-) -> list[str]:
+    dataset: FeatureDataset, engine: ExecutionEngine | None = None
+) -> tuple[DelaySweepResult, list[str]]:
     """Fig. 17: rejection rate vs forgery processing delay."""
-    dataset = dataset if dataset is not None else _main_dataset(engine)
     result = run_forgery_delay(
         dataset, rounds=3, train_size=20, max_clips_per_user=10, engine=engine
     )
-    lines = ["Fig. 17 rejection vs forgery delay", f"{'delay':>7s} {'rejection':>10s}"]
+    lines = [
+        "Fig. 17 rejection rate vs forgery processing delay",
+        f"{'delay':>7s} {'rejection':>10s}",
+    ]
     for delay, rejection in zip(result.delays_s, result.rejection_rate):
         lines.append(f"{delay:7.1f} {rejection:10.3f}")
-    return lines
+    lines.append("paper: ~0.80 rejection at 1.3 s delay")
+    return result, lines
 
 
-def figure_ambient_light(engine: ExecutionEngine | None = None) -> list[str]:
+def figure_ambient_light(
+    engine: ExecutionEngine | None = None
+) -> tuple[RateSweepResult, list[str]]:
     """Sec. VIII-I: performance vs ambient illuminance."""
     result = run_ambient_light(engine=engine)
-    lines = ["Sec. VIII-I performance vs ambient light", f"{'ambient':>10s} {'TAR':>8s} {'TRR':>8s}"]
+    lines = [
+        "Sec. VIII-I performance vs ambient illuminance on the face",
+        f"{'ambient':>10s} {'TAR':>8s} {'TRR':>8s}",
+    ]
     for p in result.points:
         lines.append(f"{p.label:>10s} {p.tar_mean:8.3f} {p.trr_mean:8.3f}")
-    return lines
+    lines.append("paper: nominal at ~50 lux; TAR ~0.80 at 240 lux on the face")
+    return result, lines
 
 
-#: Registry: figure name -> (needs main dataset, generator).
-FIGURES: dict[str, tuple[bool, Callable[..., list[str]]]] = {
-    "fig11": (True, figure_11_overall),
-    "fig12": (True, figure_12_threshold),
-    "fig13": (False, figure_13_screen_size),
-    "fig14": (True, figure_14_attempts),
-    "fig15": (True, figure_15_training_size),
-    "fig16": (False, figure_16_sampling_rate),
-    "fig17": (True, figure_17_forgery_delay),
-    "ambient": (False, figure_ambient_light),
+#: Registry: results-file stem -> (needs the headline dataset, generator).
+FIGURES: dict[str, tuple[bool, Callable[..., tuple[Any, list[str]]]]] = {
+    "fig11_overall": (True, figure_11_overall),
+    "fig12_threshold": (True, figure_12_threshold),
+    "fig13_screen_size": (False, figure_13_screen_size),
+    "fig14_attempts": (True, figure_14_attempts),
+    "fig15_training_size": (True, figure_15_training_size),
+    "fig16_sampling_rate": (False, figure_16_sampling_rate),
+    "fig17_forgery_delay": (True, figure_17_forgery_delay),
+    "sec8i_ambient_light": (False, figure_ambient_light),
 }
 
 
@@ -202,47 +244,26 @@ def generate_all(
     echo: bool = True,
     engine: ExecutionEngine | None = None,
 ) -> dict[str, list[str]]:
-    """Regenerate the selected figures and write one text file each.
+    """Regenerate the selected figures and write one results file each.
 
-    One ``engine`` is shared across all selected figures, so clips that
-    several sweeps revisit are extracted once (cache hits show up in the
-    engine's :class:`~repro.engine.PerfReport`).
+    One ``engine`` is shared across all selected figures, so its
+    :class:`~repro.engine.PerfReport` covers the whole run.
     """
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     names = list(only) if only else list(FIGURES)
     unknown = [n for n in names if n not in FIGURES]
     if unknown:
         raise ValueError(f"unknown figures: {unknown}; available: {sorted(FIGURES)}")
 
-    dataset = _main_dataset(engine) if any(FIGURES[n][0] for n in names) else None
+    dataset = headline_dataset(engine) if any(FIGURES[n][0] for n in names) else None
     results: dict[str, list[str]] = {}
     for name in names:
         needs_dataset, generator = FIGURES[name]
-        lines = (
+        _, lines = (
             generator(dataset, engine=engine) if needs_dataset else generator(engine=engine)
         )
         results[name] = lines
-        (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+        write_results(out_dir, name, lines)
         if echo:
             print("\n".join(lines))
             print()
     return results
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument(
-        "--only",
-        nargs="*",
-        choices=sorted(FIGURES),
-        help="subset of figures to regenerate",
-    )
-    args = parser.parse_args(argv)
-    generate_all(args.out, only=args.only)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

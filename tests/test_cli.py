@@ -25,9 +25,9 @@ class TestParser:
             build_parser().parse_args(["verify", "--role", "martian"])
 
     def test_figures_options(self):
-        args = build_parser().parse_args(["figures", "--out", "x", "--only", "fig11"])
+        args = build_parser().parse_args(["figures", "--out", "x", "--only", "fig11_overall"])
         assert args.out == "x"
-        assert args.only == ["fig11"]
+        assert args.only == ["fig11_overall"]
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
