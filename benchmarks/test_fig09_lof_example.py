@@ -24,17 +24,14 @@ def test_fig09_lof_example(benchmark, main_dataset, report):
         return genuine_scores, attack_scores
 
     genuine_scores, attack_scores = run_once(benchmark, experiment)
-    finite_attack = attack_scores[np.isfinite(attack_scores)]
-    attack_summary = (
-        f"{np.median(finite_attack):.2f}" if finite_attack.size else "inf"
-    )
     report(
         "fig09_lof_example",
         [
             "Fig. 9 LOF example on the (z1, z2) plane",
             f"legitimate LOF median : {np.median(genuine_scores):6.2f} (paper: < 1.5)",
             f"legitimate LOF P90    : {np.quantile(genuine_scores, 0.9):6.2f}",
-            f"attacker LOF median   : {attack_summary} (paper: ~2+)",
+            # Over all ten scores: an infinite LOF is the strongest catch.
+            f"attacker LOF median   : {np.median(attack_scores):.2f} (paper: ~2+)",
             f"attackers above tau=3 : {int((attack_scores > 3).sum())}/{attack_scores.size}",
         ],
     )

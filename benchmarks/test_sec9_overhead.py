@@ -3,7 +3,9 @@
 Paper: feature extraction + classification complete "within 0.2 seconds
 for a luminance signal extracted from a 15-second facial video", making
 the system viable on resource-limited devices.  These are true
-pytest-benchmark timings of the per-clip pipeline stages.
+pytest-benchmark timings of the per-clip pipeline stages; under
+``--benchmark-disable`` (no stats kept) each stage is instead timed on
+the obs clock over a few repeated calls, against the same bounds.
 """
 
 import numpy as np
@@ -14,7 +16,22 @@ from repro.core.detector import LivenessDetector
 from repro.core.luminance import received_luminance_signal, transmitted_luminance_signal
 from repro.experiments.dataset import GENUINE
 from repro.experiments.simulate import simulate_genuine_session
+from repro.obs.clock import MONOTONIC_CLOCK
 from repro.vision.landmarks import LandmarkDetector
+
+#: Calls averaged when pytest-benchmark keeps no stats.
+UNTIMED_REPEATS = 3
+
+
+def mean_seconds(benchmark, func):
+    """pytest-benchmark's mean for ``func``, or the mean of
+    ``UNTIMED_REPEATS`` calls on the obs clock when it kept no stats."""
+    if benchmark.stats is not None:
+        return benchmark.stats.stats.mean
+    start = MONOTONIC_CLOCK.now()
+    for _ in range(UNTIMED_REPEATS):
+        func()
+    return (MONOTONIC_CLOCK.now() - start) / UNTIMED_REPEATS
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +59,7 @@ def test_sec9_feature_extraction_and_classification(
 
     result = benchmark(per_clip)
     assert result is not None
-    mean_s = benchmark.stats.stats.mean
+    mean_s = mean_seconds(benchmark, per_clip)
     report(
         "sec9_overhead",
         [
@@ -67,7 +84,7 @@ def test_sec9_luminance_extraction_rate(benchmark):
 
     t, r = benchmark(extract)
     assert t.size == r.luminance.size == 150
-    per_frame_ms = benchmark.stats.stats.mean * 1000 / 150
+    per_frame_ms = mean_seconds(benchmark, extract) * 1000 / 150
     # 10 Hz sampling needs < 100 ms per frame; we must be far below that.
     assert per_frame_ms < 20.0
 
@@ -80,6 +97,9 @@ def test_sec9_detection_scales_with_training_size(benchmark, main_dataset):
     detector.fit(bank)
     z = main_dataset.select(role=GENUINE)[0].features
 
-    result = benchmark(lambda: detector.verify_features(z))
+    def classify():
+        return detector.verify_features(z)
+
+    result = benchmark(classify)
     assert result is not None
-    assert benchmark.stats.stats.mean < 0.05
+    assert mean_seconds(benchmark, classify) < 0.05

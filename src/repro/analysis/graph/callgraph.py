@@ -179,6 +179,18 @@ class ProgramGraph:
     def dotted_name(self, node_id: str) -> str:
         return self.nodes[node_id].dotted
 
+    def _origin_walk(self, node_id: str, kind: str):
+        """``(node, origin)`` per hop from ``node_id`` toward the primitive."""
+        current = node_id
+        for _ in range(len(self.nodes) + 1):
+            origin = self.transitive.get(current, {}).get(kind)
+            if origin is None:
+                return
+            yield current, origin
+            if origin[0] == "direct":
+                return
+            current = origin[1]
+
     def effect_chain(self, node_id: str, kind: str) -> list[str]:
         """Human-readable hop list from ``node_id`` to the primitive.
 
@@ -186,37 +198,21 @@ class ProgramGraph:
         the offending external callable.
         """
         hops: list[str] = []
-        current = node_id
-        for _ in range(len(self.nodes) + 1):
-            origin = self.transitive.get(current, {}).get(kind)
-            if origin is None:
-                break
+        for current, (how, target, line) in self._origin_walk(node_id, kind):
             info = self.nodes[current]
-            if origin[0] == "direct":
+            if how == "direct":
+                hops.append(f"{info.dotted} calls {target}() ({info.path}:{line})")
+            else:
                 hops.append(
-                    f"{info.dotted} calls {origin[1]}() ({info.path}:{origin[2]})"
+                    f"{info.dotted} -> {self.dotted_name(target)} ({info.path}:{line})"
                 )
-                break
-            hops.append(
-                f"{info.dotted} -> {self.dotted_name(origin[1])} "
-                f"({info.path}:{origin[2]})"
-            )
-            current = origin[1]
         return hops
 
     def chain_summary(self, node_id: str, kind: str) -> str:
         """Compact ``a -> b -> primitive()`` form for messages."""
         names = [self.dotted_name(node_id)]
-        current = node_id
-        for _ in range(len(self.nodes) + 1):
-            origin = self.transitive.get(current, {}).get(kind)
-            if origin is None:
-                break
-            if origin[0] == "direct":
-                names.append(f"{origin[1]}()")
-                break
-            current = origin[1]
-            names.append(self.dotted_name(current))
+        for _, (how, target, _line) in self._origin_walk(node_id, kind):
+            names.append(f"{target}()" if how == "direct" else self.dotted_name(target))
         return " -> ".join(names)
 
 
@@ -304,7 +300,7 @@ def propagate(graph: ProgramGraph, step: Callable[[Edge], bool]) -> None:
 
     Each round visits every caller in sorted order and every out-edge in
     its stored order, applying ``step`` (which returns True when it grew
-    the callee's fact); rounds repeat until one changes nothing.  Facts
+    a fact); rounds repeat until one changes nothing.  Facts
     must only grow over a finite lattice, so the loop terminates, and
     the fixed visiting order makes any first-assignment evidence
     deterministic.

@@ -15,10 +15,10 @@ safety (R012-R016) already are:
   :mod:`repro.analysis.graph.summarize` and cached with the module
   summaries;
 * a :class:`~.model.TaintModel` that seeds taint from the configured
-  sources (``[tool.reprolint.taint]``), runs a per-function dataflow
-  plus an interprocedural return-level fixed point over the call
-  graph, and reconstructs a ``file:line`` flow chain for every
-  tainted value;
+  sources (``[tool.reprolint.taint]``), runs a per-function dataflow,
+  propagates return levels over the call graph on
+  :func:`~repro.analysis.graph.callgraph.propagate` (no round bound),
+  and reconstructs a ``file:line`` flow chain for every tainted value;
 * five whole-program rules (:mod:`.rules`): R017 secret reaches an
   output sink, R018 secret in an exception/assert message, R019
   secret crosses the pickle boundary, R020 non-constant-time compare

@@ -1,4 +1,4 @@
-"""The secret-flow model: per-function dataflow + return fixed point.
+"""The secret-flow model: per-function dataflow + return-level propagation.
 
 One :class:`TaintModel` is built per program graph (memoized on the
 graph object, like the concurrency model) and feeds all five taint
@@ -18,9 +18,10 @@ against the ``[tool.reprolint.taint]`` policy:
   tag, and everything else — including resolved project calls, whose
   interprocedural return level is folded in — passes the maximum of
   its receiver and argument levels through;
-* return levels iterate to a global fixed point over the call graph so
-  ``key = self._derive(); print(key)`` is caught even when the
-  derivation lives three modules away.
+* return levels propagate on the one call-graph solver,
+  :func:`~repro.analysis.graph.callgraph.propagate`, with no round
+  bound, so ``key = self._derive(); print(key)`` is caught however deep
+  the derivation lives; a function's last evaluation is its final env.
 
 The level constants are deliberately named ``*_LEVEL`` — a module
 constant literally called ``SECRET`` would be typed secret by the
@@ -43,6 +44,7 @@ import dataclasses
 
 from ..config import TaintConfig
 from ..context import is_test_path
+from ..graph.callgraph import Edge, propagate
 from ..graph.summarize import CallUse, ValueExpr
 
 __all__ = [
@@ -63,10 +65,6 @@ _LEVEL_NAMES = {CLEAN_LEVEL: "clean", TAG_LEVEL: "tag", SECRET_LEVEL: "secret"}
 
 #: Flow chains are truncated (head + tail) beyond this many hops.
 _MAX_CHAIN = 8
-#: Local dataflow pass bound; levels only rise, so convergence is fast.
-_MAX_LOCAL_PASSES = 10
-#: Interprocedural return fixed-point bound (call-graph diameter).
-_MAX_GLOBAL_ROUNDS = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,55 +163,58 @@ class TaintModel:
     def __init__(self, graph) -> None:  # graph: ProgramGraph
         self.graph = graph
         self.policy = TaintPolicy(graph.config.taint)
-        #: node_id -> return-level TaintValue (interprocedural table).
-        self.returns: dict[str, TaintValue] = {}
-        #: node_id -> local name -> TaintValue (final environments).
-        self.envs: dict[str, dict[str, TaintValue]] = {}
         self._node_ids = [
             node_id
             for node_id in sorted(graph.nodes)
             if not is_test_path(graph.nodes[node_id].path)
         ]
-        self._fixpoint()
+        #: node_id -> return-level TaintValue (interprocedural table).
+        self.returns = {node_id: CLEAN_VALUE for node_id in self._node_ids}
+        #: node_id -> local name -> TaintValue (final environments).
+        self.envs: dict[str, dict[str, TaintValue]] = {}
+        self._solve()
 
     # -- construction ---------------------------------------------------
 
-    def _taint_info(self, node_id: str):
-        info = self.graph.nodes[node_id]
-        summary = self.graph.modules[info.module]
-        return summary.functions[info.qual].taint_info
+    def _solve(self) -> None:
+        """Evaluate every function once in sorted order, then re-evaluate
+        a caller whenever a callee returns taint.  Levels only rise over
+        three values, so the solver ends."""
+        for node_id in self._node_ids:
+            self._evaluate(node_id)
 
-    def _fixpoint(self) -> None:
-        self.returns = {node_id: CLEAN_VALUE for node_id in self._node_ids}
-        for _ in range(_MAX_GLOBAL_ROUNDS):
-            changed = False
-            for node_id in self._node_ids:
-                env = self._function_env(node_id)
-                value = CLEAN_VALUE
-                node = self.graph.nodes[node_id]
-                for record in self._taint_info(node_id).returns:
-                    returned = self.expr_value(record.value, env, node_id)
-                    if returned.level > value.level:
-                        value = TaintValue(
-                            returned.level,
-                            _extend(
-                                returned.chain,
-                                f"{node.dotted} returns {returned.level_name} "
-                                f"material ({node.path}:{record.line})",
-                            ),
-                        )
-                if value.level > self.returns[node_id].level:
-                    self.returns[node_id] = value
-                    changed = True
-            if not changed:
-                break
-        self.envs = {
-            node_id: self._function_env(node_id) for node_id in self._node_ids
-        }
+        def step(edge: Edge) -> bool:
+            callee = self.returns.get(edge.callee, CLEAN_VALUE)
+            if callee.level == CLEAN_LEVEL or edge.caller not in self.returns:
+                return False
+            return self._evaluate(edge.caller)
+
+        propagate(self.graph, step)
+
+    def _evaluate(self, node_id: str) -> bool:
+        """Store ``node_id``'s env; True when its return level rose."""
+        env = self.envs[node_id] = self._function_env(node_id)
+        value = CLEAN_VALUE
+        node = self.graph.nodes[node_id]
+        for record in self.taint_info(node_id).returns:
+            returned = self.expr_value(record.value, env, node_id)
+            if returned.level > value.level:
+                value = TaintValue(
+                    returned.level,
+                    _extend(
+                        returned.chain,
+                        f"{node.dotted} returns {returned.level_name} "
+                        f"material ({node.path}:{record.line})",
+                    ),
+                )
+        if value.level > self.returns[node_id].level:
+            self.returns[node_id] = value
+            return True
+        return False
 
     def _function_env(self, node_id: str) -> dict[str, TaintValue]:
         info = self.graph.nodes[node_id]
-        taint = self._taint_info(node_id)
+        taint = self.taint_info(node_id)
         env: dict[str, TaintValue] = {}
         for param in taint.params:
             level = self.policy.name_level(param)
@@ -225,7 +226,8 @@ class TaintModel:
                         f"parameter '{param}' ({info.path}:{info.line})",
                     ),
                 )
-        for _ in range(_MAX_LOCAL_PASSES):
+        changed = True
+        while changed:
             changed = False
             for record in taint.assigns:
                 value = self.expr_value(record.value, env, node_id)
@@ -241,8 +243,6 @@ class TaintModel:
                     if candidate.level > current.level:
                         env[target] = candidate
                         changed = True
-            if not changed:
-                break
         return env
 
     # -- evaluation -----------------------------------------------------
@@ -353,7 +353,8 @@ class TaintModel:
         return self.envs.get(node_id, {})
 
     def taint_info(self, node_id: str):
-        return self._taint_info(node_id)
+        info = self.graph.nodes[node_id]
+        return self.graph.modules[info.module].functions[info.qual].taint_info
 
 
 def taint_model(graph) -> TaintModel:

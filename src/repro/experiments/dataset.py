@@ -210,18 +210,21 @@ def _save(path: pathlib.Path, dataset: FeatureDataset) -> None:
 
 
 def _load(path: pathlib.Path) -> FeatureDataset:
-    data = np.load(path, allow_pickle=False)
+    # Indexing the NpzFile decompresses the whole array, so read each once.
+    with np.load(path, allow_pickle=False) as data:
+        t_sig, r_sig, lengths = data["t_sig"], data["r_sig"], data["lengths"]
+        feats, seeds, users, roles = data["feats"], data["seeds"], data["users"], data["roles"]
     instances = []
-    for i in range(data["feats"].shape[0]):
-        m = int(data["lengths"][i])
+    for i in range(feats.shape[0]):
+        m = int(lengths[i])
         instances.append(
             ClipInstance(
-                user=str(data["users"][i]),
-                role=str(data["roles"][i]),
-                seed=int(data["seeds"][i]),
-                features=FeatureVector.from_array(data["feats"][i]),
-                transmitted_luminance=data["t_sig"][i, :m].copy(),
-                received_luminance=data["r_sig"][i, :m].copy(),
+                user=str(users[i]),
+                role=str(roles[i]),
+                seed=int(seeds[i]),
+                features=FeatureVector.from_array(feats[i]),
+                transmitted_luminance=t_sig[i, :m].copy(),
+                received_luminance=r_sig[i, :m].copy(),
             )
         )
     return FeatureDataset(instances)

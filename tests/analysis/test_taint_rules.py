@@ -12,12 +12,52 @@ redacted form of the very same flow.
 import json
 import re
 
+import pytest
+
 from repro.analysis.reporters import render_json
 
-from .test_graph import graph_lint, write_tree
+from . import test_graph
+from .test_graph import write_tree
+from .test_taint_oracle import assert_matches_oracle
 
 #: Every evidence hop carries its own file:line anchor.
 HOP_RE = re.compile(r"\(.+\.py:\d+\)$")
+
+
+def graph_lint(tmp_path, **kwargs):
+    """Lint a fixture tree, checking its taint tables against the oracle."""
+    result = test_graph.graph_lint(tmp_path, **kwargs)
+    assert_matches_oracle(result.graph)
+    return result
+
+
+def return_chain(depth):
+    """``banner`` prints what ``f00`` returns and ``f{depth}`` reads the
+    secret.  Every caller sorts before its callee, so each sorted sweep
+    over the call graph lifts the return level one function higher."""
+    lines = ["def banner(path):", "    print(f'key {f00(path)}')", ""]
+    for i in range(depth):
+        lines += [f"def f{i:02d}(path):", f"    return f{i + 1:02d}(path)", ""]
+    lines += [f"def f{depth:02d}(path):", "    return path.secret", ""]
+    return {"chain.py": "\n".join(lines)}
+
+
+def assign_chain(depth):
+    """``v0 = v1; ...; v{depth} = path.secret`` in a loop body: in source
+    order, each pass over the assignments moves the secret one name up."""
+    body = [f"        v{i} = v{i + 1}" for i in range(depth)]
+    return {
+        "loop.py": "\n".join(
+            [
+                "def banner(path, items):",
+                "    for _ in items:",
+                *body,
+                f"        v{depth} = path.secret",
+                "    print(f'key {v0}')",
+                "",
+            ]
+        )
+    }
 
 
 def by_rule(result, rule_id):
@@ -56,6 +96,19 @@ class TestR017OutputSink:
         for hop in finding.evidence:
             assert HOP_RE.search(hop), hop
         assert any("keys.py" in hop for hop in finding.evidence)
+
+    @pytest.mark.parametrize(
+        "files",
+        [return_chain(30), assign_chain(10)],
+        ids=["31-function-return-chain", "11-deep-assign-chain-in-loop"],
+    )
+    def test_deep_flows_fire_with_anchored_hops(self, tmp_path, files):
+        write_tree(tmp_path, files)
+        (finding,) = by_rule(graph_lint(tmp_path), "R017")
+        assert "output sink 'print'" in finding.message
+        assert finding.evidence.count("...") == 1  # long chains are elided
+        for hop in finding.evidence:
+            assert hop == "..." or HOP_RE.search(hop), hop
 
     def test_flow_chain_is_stable_across_cold_runs(self, tmp_path):
         write_tree(tmp_path, self.FILES)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
+from repro.core.features import FeatureVector
 from repro.experiments.dataset import (
     ATTACK,
     GENUINE,
+    ClipInstance,
     FeatureDataset,
+    _load,
+    _save,
     build_dataset,
     clip_from_session,
 )
@@ -70,6 +74,34 @@ class TestCache:
             assert a.features == b.features
             assert np.allclose(a.transmitted_luminance, b.transmitted_luminance)
             assert np.allclose(a.received_luminance, b.received_luminance)
+
+    def test_save_load_is_bit_identical_for_ragged_clips(self, tmp_path):
+        rng = np.random.default_rng(11)
+        instances = []
+        for i, size in enumerate((150, 97, 150, 3)):
+            signal = rng.normal(size=size)
+            instances.append(
+                ClipInstance(
+                    user=f"user{i % 2}",
+                    role=(GENUINE, ATTACK)[i % 2],
+                    seed=1000 + i,
+                    features=FeatureVector.from_array(rng.normal(size=4)),
+                    transmitted_luminance=signal,
+                    received_luminance=signal[::-1] * 0.5,
+                )
+            )
+        path = tmp_path / "dataset.npz"
+        _save(path, FeatureDataset(instances))
+        loaded = _load(path)
+        assert len(loaded) == len(instances)
+        for a, b in zip(instances, loaded.instances):
+            assert (a.user, a.role, a.seed, a.features) == (b.user, b.role, b.seed, b.features)
+            for left, right in (
+                (a.transmitted_luminance, b.transmitted_luminance),
+                (a.received_luminance, b.received_luminance),
+            ):
+                assert right.dtype == np.float64 and right.flags.owndata
+                assert left.tobytes() == right.tobytes()
 
     def test_cache_file_created(self, tmp_path):
         env = Environment(frame_size=(64, 64), verifier_frame_size=(48, 48))
