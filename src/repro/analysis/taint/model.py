@@ -178,16 +178,32 @@ class TaintModel:
 
     def _solve(self) -> None:
         """Evaluate every function once in sorted order, then re-evaluate
-        a caller whenever a callee returns taint.  Levels only rise over
-        three values, so the solver ends."""
+        a caller whenever a callee's return level rose after the caller's
+        last evaluation.  Levels only rise over three values, so the
+        solver ends."""
+        # Rises are numbered in order; a caller evaluated at clock c has
+        # seen every rise numbered <= c.
+        clock = 0
+        raised_at: dict[str, int] = {}
+        evaluated_at: dict[str, int] = {}
+
+        def evaluate(node_id: str) -> bool:
+            nonlocal clock
+            evaluated_at[node_id] = clock
+            if not self._evaluate(node_id):
+                return False
+            clock += 1
+            raised_at[node_id] = clock
+            return True
+
         for node_id in self._node_ids:
-            self._evaluate(node_id)
+            evaluate(node_id)
 
         def step(edge: Edge) -> bool:
-            callee = self.returns.get(edge.callee, CLEAN_VALUE)
-            if callee.level == CLEAN_LEVEL or edge.caller not in self.returns:
+            seen = evaluated_at.get(edge.caller)
+            if seen is None or raised_at.get(edge.callee, 0) <= seen:
                 return False
-            return self._evaluate(edge.caller)
+            return evaluate(edge.caller)
 
         propagate(self.graph, step)
 

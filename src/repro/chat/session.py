@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
+import numpy as np
+
 from ..net.link import MediaLink
 from ..obs.instrument import Instrumentation
 from ..video.frame import Frame
@@ -140,9 +142,10 @@ class VideoChatSession:
                 transmitted.append(alice_frame)
                 if latest_received is None:
                     # Nothing has ever arrived (extreme loss): conceal
-                    # with a black frame of the prover's size.
+                    # with a black frame of the prover's size, in the
+                    # decoder's 8-bit raster like every received frame.
                     concealed = Frame(
-                        pixels=prover_frame.pixels * 0.0,
+                        pixels=np.zeros(prover_frame.pixels.shape, dtype=np.uint8),
                         timestamp=t,
                         metadata={"concealed": True},
                     )

@@ -24,6 +24,8 @@ gate can count frozen samples exactly like real loss concealment.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..chat.session import SessionRecord
 from ..net.channel import DeliveredPacket, NetworkChannel
 from ..net.link import MediaLink
@@ -143,7 +145,7 @@ def apply_faults_to_record(
             frozen_ticks += 1
         elif schedule.landmark_dropout[tick]:
             frame = Frame(
-                pixels=frame.pixels * 0.0,
+                pixels=np.zeros(frame.pixels.shape, dtype=np.uint8),
                 timestamp=frame.timestamp,
                 metadata=dict(frame.metadata, landmark_dropout=True),
             )

@@ -8,7 +8,8 @@ per-frame payload size that the packetizer splits across the network.
 The model is a uniform quantizer with a quality-driven step plus a simple
 bitrate estimate — deliberately *not* a DCT codec, because the detector
 only reads spatial means over ROIs, where quantization step is the
-first-order effect.
+first-order effect.  Encoding rounds float pixels to the ``uint8`` grid,
+and a decoded frame keeps that 8-bit raster.
 """
 
 from __future__ import annotations
@@ -88,9 +89,11 @@ class VideoCodec:
         return encoded
 
     def decode(self, encoded: EncodedFrame) -> Frame:
-        """Reconstruct the (quantized) frame."""
+        """Reconstruct the (quantized) frame around the encoded ``uint8``
+        raster itself, as a chat client's decoder hands 8-bit frames on:
+        no float copy, so a received stream costs the bytes it carries."""
         return Frame(
-            pixels=encoded.data.astype(np.float64),
+            pixels=encoded.data,
             timestamp=encoded.timestamp,
             metadata=dict(encoded.metadata, frame_id=encoded.frame_id),
         )

@@ -9,11 +9,16 @@ ground-truth landmark positions so tests can measure detector error).
 
 Pixel convention
 ----------------
-Pixels are stored as ``float64`` in the display-referred range ``[0, 255]``
-(i.e. already gamma-encoded, like the 8-bit values a webcam delivers).
-Float storage avoids repeated quantization while the frame moves through
-the pipeline; the codec is the one place that deliberately rounds to the
-8-bit grid, exactly like a real video chat stack.
+Pixels are display-referred values in ``[0, 255]`` (i.e. already
+gamma-encoded, like the 8-bit values a webcam delivers), stored either as
+``float64`` or as the codec's ``uint8`` raster.  Float storage avoids
+repeated quantization while the frame moves through the sender's
+pipeline; the codec is the one place that deliberately rounds to the
+8-bit grid, exactly like a real video chat stack, and a decoded frame
+keeps that 8-bit raster as is, at an eighth of the float bytes.  Readers
+that need arithmetic (``pixel_luminance``, the landmark detector's skin
+mask) convert to ``float64`` on entry, so both storages read the same
+values.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ import numpy as np
 
 __all__ = ["Frame", "blank_frame"]
 
+#: Pixel dtypes a frame stores unchanged: the float64 working form and
+#: the codec's 8-bit raster.  Any other input is converted to float64.
+_STORED_DTYPES = (np.dtype(np.float64), np.dtype(np.uint8))
+
 
 @dataclasses.dataclass
 class Frame:
@@ -33,7 +42,8 @@ class Frame:
     Parameters
     ----------
     pixels:
-        Array of shape ``(height, width, 3)`` with values in ``[0, 255]``.
+        Array of shape ``(height, width, 3)`` with values in ``[0, 255]``;
+        a ``uint8`` array is kept as is, anything else becomes ``float64``.
     timestamp:
         Capture time in seconds (sender clock).
     metadata:
@@ -47,7 +57,9 @@ class Frame:
     metadata: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        pixels = np.asarray(self.pixels, dtype=np.float64)
+        pixels = self.pixels
+        if type(pixels) is not np.ndarray or pixels.dtype not in _STORED_DTYPES:
+            pixels = np.asarray(pixels, dtype=np.float64)
         if pixels.ndim != 3 or pixels.shape[2] != 3:
             raise ValueError(
                 f"frame pixels must have shape (h, w, 3), got {pixels.shape}"
@@ -76,22 +88,6 @@ class Frame:
             timestamp=self.timestamp,
             metadata=dict(self.metadata),
         )
-
-    def clipped(self) -> "Frame":
-        """Return a copy with pixels clipped to the legal [0, 255] range."""
-        out = self.copy()
-        np.clip(out.pixels, 0.0, 255.0, out=out.pixels)
-        return out
-
-    def quantized(self) -> "Frame":
-        """Return a copy rounded to the 8-bit grid (still stored as float)."""
-        out = self.clipped()
-        np.round(out.pixels, out=out.pixels)
-        return out
-
-    def mean_rgb(self) -> np.ndarray:
-        """Spatial mean of each channel, shape ``(3,)``."""
-        return self.pixels.reshape(-1, 3).mean(axis=0)
 
 
 def blank_frame(

@@ -76,6 +76,33 @@ class TestCausality:
         assert len(record.received) == 50
 
 
+class TestReceivedStorage:
+    """The received stream holds the decoder's 8-bit raster: one uint8
+    array of h*w*3 bytes per distinct frame, shared by frozen repeats."""
+
+    def test_received_pixels_are_the_uint8_raster(self):
+        env = Environment(
+            frame_size=(64, 64), verifier_frame_size=(48, 48), loss_rate=0.3
+        )
+        record = _session(seed=7, env=env).run(duration_s=5.0)
+        arrays = list({id(f.pixels): f.pixels for f in record.received}.values())
+        assert record.stats["frozen_ticks"] > 0
+        assert len(arrays) < len(record.received)
+        assert {a.dtype for a in arrays} == {np.dtype(np.uint8)}
+        assert all(a.base is None and a.shape == (64, 64, 3) for a in arrays)
+        assert sum(a.nbytes for a in arrays) == len(arrays) * 64 * 64 * 3
+
+    def test_concealment_is_an_8bit_black_frame(self):
+        # With no warm-up the first ticks precede any arrival.
+        record = _session(seed=8, warmup=0.0).run(duration_s=3.0)
+        concealed = [f for f in record.received if f.metadata.get("concealed")]
+        assert 0 < len(concealed) < len(record.received)
+        assert {f.pixels.dtype for f in record.received} == {np.dtype(np.uint8)}
+        for frame in concealed:
+            assert frame.pixels.shape == (64, 64, 3)
+            assert not frame.pixels.any()
+
+
 class TestValidation:
     def test_bad_duration(self):
         with pytest.raises(ValueError):

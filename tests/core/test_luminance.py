@@ -14,6 +14,7 @@ from repro.core.luminance import (
 )
 from repro.core.roi import MIN_ROI_SIDE
 from repro.service.loadgen import WorkloadConfig, _face_frame, _faceless_frame
+from repro.video.codec import VideoCodec
 from repro.video.frame import Frame, blank_frame
 from repro.video.luminance import frame_mean_luminance, pixel_luminance
 from repro.video.stream import VideoStream
@@ -23,6 +24,7 @@ from repro.vision.geometry import Rect, square_around
 from repro.vision.landmarks import LandmarkDetector
 from repro.vision.renderer import FaceRenderer
 
+from ..vision.test_landmarks import _bits as _landmark_bits
 from ..vision.test_landmarks import _detect_reference
 
 
@@ -62,6 +64,16 @@ def _bits(value):
 def _noise_frame(seed, height, width):
     pixels = np.random.default_rng(seed).uniform(0.0, 255.0, (height, width, 3))
     return Frame(pixels=pixels, timestamp=0.0)
+
+
+def _eight_bit(frame):
+    """``frame`` rounded to the codec's uint8 raster."""
+    return Frame(pixels=np.round(frame.pixels).astype(np.uint8), timestamp=frame.timestamp)
+
+
+def _float_twin(frame):
+    """The float64 frame holding the same values as a uint8 ``frame``."""
+    return Frame(pixels=frame.pixels.astype(np.float64), timestamp=frame.timestamp)
 
 
 class TestRoiLuminance:
@@ -128,6 +140,11 @@ class TestRoiMeanMatchesRectReference:
         roi = Rect(x0, y0, x1, y1)
         got = roi_mean_luminance(frame, roi)
         assert _bits(got) == _bits(_roi_mean_luminance_reference(frame, roi))
+        # The same case on the 8-bit raster: the reference, and its float twin.
+        frame = _eight_bit(frame)
+        got = roi_mean_luminance(frame, roi)
+        assert _bits(got) == _bits(_roi_mean_luminance_reference(frame, roi))
+        assert _bits(got) == _bits(roi_mean_luminance(_float_twin(frame), roi))
 
     def test_every_roi_on_a_1x1_frame(self):
         frame = _noise_frame(9, 1, 1)
@@ -147,16 +164,27 @@ class TestFrameMeanMatchesNumpyMean:
         rng = np.random.default_rng(13)
         for side in range(1, 98):
             pixels = rng.uniform(0.0, 255.0, (side, side, 3))
-            want = float(pixel_luminance(pixels).mean()).hex()
-            assert frame_mean_luminance(pixels).hex() == want, side
-            assert frame_mean_luminance(Frame(pixels=pixels, timestamp=0.0)).hex() == want
+            for raster in (pixels, np.round(pixels).astype(np.uint8)):
+                want = float(pixel_luminance(raster).mean()).hex()
+                assert frame_mean_luminance(raster).hex() == want, side
+                assert frame_mean_luminance(Frame(pixels=raster, timestamp=0.0)).hex() == want
 
     @settings(max_examples=200, deadline=None)
-    @given(height=st.integers(1, 97), width=st.integers(1, 97), seed=st.integers(0, 2**16))
-    def test_rectangular_frames(self, height, width, seed):
+    @given(
+        height=st.integers(1, 97),
+        width=st.integers(1, 97),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.float64, np.uint8]),
+    )
+    def test_rectangular_frames(self, height, width, seed, dtype):
         pixels = np.random.default_rng(seed).uniform(0.0, 255.0, (height, width, 3))
+        pixels = np.round(pixels).astype(dtype) if dtype is np.uint8 else pixels
         want = float(pixel_luminance(pixels).mean()).hex()
         assert frame_mean_luminance(pixels).hex() == want
+        # An 8-bit raster reads exactly what its float64 twin reads.
+        twin = pixels.astype(np.float64)
+        assert pixel_luminance(pixels).tobytes() == pixel_luminance(twin).tobytes()
+        assert frame_mean_luminance(twin).hex() == want
 
 
 def _rendered_frames():
@@ -225,6 +253,59 @@ class TestProbeMatchesThreeCallReference:
         assert got == want
         assert 0 < got.count(None) < len(got)
         assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
+
+
+class TestEightBitRasterMatchesFloatTwin:
+    """A decoded uint8 frame reads exactly what its float64 twin reads:
+    ROI means and landmark fits (with the jitter generator left in the
+    same state).  Per-pixel and frame luminance are checked above."""
+
+    def test_rois_inside_straddling_and_outside_1_to_97(self):
+        rng = np.random.default_rng(16)
+        for side in range(1, 98):
+            height, width = side, 98 - side
+            frame = Frame(pixels=rng.integers(0, 256, (height, width, 3), dtype=np.uint8), timestamp=0.0)
+            twin = _float_twin(frame)
+            w, h = float(width), float(height)
+            rois = [
+                Rect(0.25 * w, 0.25 * h, 0.75 * w, 0.75 * h),  # inside
+                Rect(-0.5 * w, 0.25 * h, 0.5 * w, 0.75 * h),  # left edge
+                Rect(0.5 * w, 0.25 * h, 1.5 * w, 0.75 * h),  # right edge
+                Rect(0.25 * w, -0.5 * h, 0.75 * w, 0.5 * h),  # top edge
+                Rect(0.25 * w, 0.5 * h, 0.75 * w, 1.5 * h),  # bottom edge
+                Rect(-1.0, -1.0, w + 1.0, h + 1.0),  # every edge
+                Rect(w + 1.0, 0.0, w + 3.0, h),  # outside, right
+                Rect(0.0, -3.0, w, -1.0),  # outside, above
+            ]
+            got = [_bits(roi_mean_luminance(frame, roi)) for roi in rois]
+            assert got == [_bits(roi_mean_luminance(twin, roi)) for roi in rois], side
+            assert got[0] is not None and got[-1] is None and got[-2] is None
+
+    @pytest.mark.parametrize(
+        "frames", [_rendered_frames, _service_frames, _faceless_frames], ids=lambda f: f.__name__
+    )
+    def test_detect_on_decoded_frames(self, frames):
+        codec = VideoCodec(quality=0.9)
+        decoded = [codec.decode(codec.encode(frame)) for frame in frames()]
+        assert {frame.pixels.dtype for frame in decoded} == {np.dtype(np.uint8)}
+        self._assert_detect_matches_twin(decoded, seed=23)
+
+    def test_detect_on_noise_1_to_97(self):
+        rng = np.random.default_rng(17)
+        frames = [
+            Frame(pixels=rng.integers(0, 256, (side, 98 - side, 3), dtype=np.uint8), timestamp=0.0)
+            for side in range(1, 98)
+        ]
+        self._assert_detect_matches_twin(frames, seed=24)
+
+    @staticmethod
+    def _assert_detect_matches_twin(frames, seed):
+        eight, wide = LandmarkDetector(seed=seed), LandmarkDetector(seed=seed)
+        got = [eight.detect(frame.pixels) for frame in frames]
+        want = [wide.detect(_float_twin(frame).pixels) for frame in frames]
+        assert [_landmark_bits(lm) for lm in got] == [_landmark_bits(lm) for lm in want]
+        assert any(lm is not None for lm in got)
+        assert eight._rng.bit_generator.state == wide._rng.bit_generator.state
 
 
 class TestTransmittedSignal:

@@ -131,6 +131,7 @@ class TestApplyFaultsToRecord:
         faulted = apply_faults_to_record(record, schedule)
         for frame in faulted.received:
             assert frame.pixels.max() == pytest.approx(0.0)
+            assert frame.pixels.dtype == np.uint8
             assert frame.metadata["landmark_dropout"] is True
 
     def test_transmitted_stream_is_untouched(self):

@@ -11,8 +11,11 @@ class TestQuantization:
     def test_full_quality_preserves_8bit_values(self):
         codec = VideoCodec(quality=1.0)
         frame = blank_frame(8, 8, value=137.0)
-        decoded = codec.decode(codec.encode(frame))
+        encoded = codec.encode(frame)
+        decoded = codec.decode(encoded)
         assert np.allclose(decoded.pixels, 137.0)
+        # The decoded frame holds the 8-bit raster itself, no float copy.
+        assert decoded.pixels is encoded.data
 
     def test_low_quality_coarsens(self):
         codec = VideoCodec(quality=0.25)  # step 4
