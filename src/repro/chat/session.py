@@ -3,8 +3,9 @@
 :class:`VideoChatSession` wires a verifier endpoint (Alice) and a prover
 endpoint (Bob — genuine or attacker) through two :class:`MediaLink`\\ s and
 drives the simulation clock.  The output is a :class:`SessionRecord`
-holding exactly what Alice's detector needs: the video she transmitted and
-the video she received, both on her own clock.
+holding exactly what Alice's detector needs: the video she transmitted
+(the encoded 8-bit frames her uplink sent) and the video she received,
+both on her own clock.
 
 A warm-up period runs before recording starts so that auto-exposure loops
 converge and the first frames propagate through both network paths (a
@@ -34,7 +35,13 @@ WARMUP_S = 2.0
 
 @dataclasses.dataclass
 class SessionRecord:
-    """Everything the verifier side observed during a run."""
+    """Everything the verifier side observed during a run.
+
+    ``transmitted`` is the video Alice transmitted: the encoded ``uint8``
+    frames her uplink sent, with her capture timestamps and metadata.
+    ``received`` is what her decoder played out.  Both streams share the
+    codec's read-only rasters, so a record costs the bytes it carries.
+    """
 
     transmitted: VideoStream
     received: VideoStream
@@ -118,9 +125,9 @@ class VideoChatSession:
         for tick in range(total_ticks):
             t = tick * dt
 
-            # Step 1-2: Alice captures and sends her frame.
-            alice_frame = self.verifier.produce_frame(t)
-            self.uplink.send(alice_frame)
+            # Step 1-2: Alice captures and sends her frame; the record
+            # keeps the 8-bit frame her uplink sent, not her float capture.
+            sent = self.uplink.send(self.verifier.produce_frame(t))
 
             # The prover's chat software plays out the newest frame.
             arrived = self.uplink.receive(t)
@@ -139,7 +146,7 @@ class VideoChatSession:
                 latest_received = arrived_back
 
             if tick >= warmup_ticks:
-                transmitted.append(alice_frame)
+                transmitted.append(sent)
                 if latest_received is None:
                     # Nothing has ever arrived (extreme loss): conceal
                     # with a black frame of the prover's size, in the

@@ -105,12 +105,16 @@ class ChatVerifier:
         """Fit the legitimate bank from genuine session recordings.
 
         Each session is segmented into clips; every clip contributes one
-        feature vector to the bank.
+        feature vector to the bank.  ``map`` drops each record once its
+        signals are out, so a generator of sessions never has two records
+        alive at once (a ``for`` variable would hold the previous record
+        while the generator simulates the next).
         """
-        pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        for record in sessions:
-            for t_clip, r_clip in self._paired_clips(record.transmitted, record.received):
-                pairs.append(self.extract_signals(t_clip, r_clip))
+        pairs = [
+            pair
+            for session_pairs in map(self._session_signals, sessions)
+            for pair in session_pairs
+        ]
         if len(pairs) < 2:
             raise ValueError("enrollment needs at least 2 clips of genuine chat")
         bank = [
@@ -150,12 +154,7 @@ class ChatVerifier:
         """
         self.landmark_detector.reset()
         with self.instrumentation.span("verifier.verify_session", stage="verdict"):
-            pairs = [
-                self.extract_signals(t_clip, r_clip)
-                for t_clip, r_clip in self._paired_clips(
-                    record.transmitted, record.received
-                )
-            ]
+            pairs = self._session_signals(record)
             attempts = verify_clips(pairs, self.detector)
             if not attempts:
                 raise ValueError(
@@ -168,6 +167,15 @@ class ChatVerifier:
         return VerificationReport(verdict=verdict, attempts=tuple(attempts))
 
     # ------------------------------------------------------------------
+
+    def _session_signals(
+        self, record: SessionRecord
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The raw luminance signal pair of every clip of a session."""
+        return [
+            self.extract_signals(t_clip, r_clip)
+            for t_clip, r_clip in self._paired_clips(record.transmitted, record.received)
+        ]
 
     def _paired_clips(
         self,

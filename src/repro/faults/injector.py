@@ -127,8 +127,9 @@ def apply_faults_to_record(
     Freeze windows repeat the previous (possibly already frozen) frame
     and mark it stale; landmark-dropout windows black the frame out so
     the landmark detector misses, exactly like a tracker losing the
-    face.  The transmitted stream is never touched — Alice's own capture
-    does not ride the faulty path.
+    face.  The transmitted stream is never touched — it is the video
+    Alice's uplink sent, recorded on her side before any network or
+    receiver-side fault could reach it.
     """
     received = VideoStream(fps=record.fps)
     previous: Frame | None = None

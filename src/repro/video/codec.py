@@ -8,8 +8,9 @@ per-frame payload size that the packetizer splits across the network.
 The model is a uniform quantizer with a quality-driven step plus a simple
 bitrate estimate — deliberately *not* a DCT codec, because the detector
 only reads spatial means over ROIs, where quantization step is the
-first-order effect.  Encoding rounds float pixels to the ``uint8`` grid,
-and a decoded frame keeps that 8-bit raster.
+first-order effect.  Encoding rounds float pixels to the ``uint8`` grid
+into one read-only raster; the sender's record of the frame, the packets
+in flight and the decoded frame all share it.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ class VideoCodec:
         # Re-clip after scaling: values near 255 can round up to the next
         # step (e.g. 254 -> 256 at step 4), which would wrap in uint8.
         quantized = np.clip(levels, 0.0, 255.0, out=levels).astype(np.uint8)
+        # One raster is shared by the sent frame, the jitter buffer and
+        # the decoded frame; a write to any of them would change them all.
+        quantized.flags.writeable = False
         raw_bytes = quantized.size
         compression = self.base_compression / self.quality
         payload = max(int(raw_bytes / compression), 64)

@@ -1,17 +1,24 @@
 """VideoChatSession: the Fig. 4 loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.chat.session import VideoChatSession
+from repro.core.pipeline import ChatVerifier
+from repro.experiments import simulate
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import (
+    SessionSpec,
     build_genuine_prover,
     build_links,
     build_verifier,
     default_user,
 )
+from repro.video.codec import VideoCodec
 from repro.video.luminance import frame_mean_luminance
+from repro.video.stream import VideoStream
 
 
 def _session(seed=0, env=None, fps=10.0, warmup=2.0):
@@ -101,6 +108,92 @@ class TestReceivedStorage:
         for frame in concealed:
             assert frame.pixels.shape == (64, 64, 3)
             assert not frame.pixels.any()
+
+
+class _SpyCodec(VideoCodec):
+    """The uplink codec, keeping every frame handed to it: Alice's float
+    captures, the frames the chat loop recorded before it kept the sent
+    8-bit raster instead."""
+
+    def __init__(self, codec):
+        super().__init__(quality=codec.quality, base_compression=codec.base_compression)
+        self.inputs = []
+
+    def encode(self, frame):
+        self.inputs.append(frame)
+        return super().encode(frame)
+
+
+ORACLE_ENV = Environment(frame_size=(64, 64), verifier_frame_size=(48, 48))
+
+
+def _with_float_twin(spec, monkeypatch):
+    """Simulate ``spec`` with a spy on Alice's uplink codec; return the
+    record and its twin whose transmitted stream is her float capture."""
+    spies = []
+    real_build_links = simulate.build_links
+
+    def spied_links(*args, **kwargs):
+        uplink, downlink = real_build_links(*args, **kwargs)
+        uplink.codec = _SpyCodec(uplink.codec)
+        spies.append(uplink.codec)
+        return uplink, downlink
+
+    monkeypatch.setattr(simulate, "build_links", spied_links)
+    record = spec.simulate(ORACLE_ENV)
+    (spy,) = spies
+    # Warm-up frames went out first; the recorded ticks are the tail.
+    twin = VideoStream(record.fps, spy.inputs[len(spy.inputs) - len(record.transmitted) :])
+    return record, dataclasses.replace(record, transmitted=twin)
+
+
+@pytest.fixture(scope="module")
+def oracle_verifier():
+    return ChatVerifier().enroll(
+        SessionSpec("genuine", seed=600 + s).simulate(ORACLE_ENV) for s in range(6)
+    )
+
+
+class TestTransmittedRecord:
+    """The transmitted stream is the 8-bit video Alice's uplink sent,
+    checked against her float capture (the frames handed to the codec)."""
+
+    def test_frames_are_the_sent_uint8_raster(self, monkeypatch):
+        record, twin = _with_float_twin(SessionSpec("genuine", seed=31), monkeypatch)
+        assert len(record.transmitted) == len(twin.transmitted) == 150
+        for sent, capture in zip(record.transmitted, twin.transmitted):
+            assert capture.pixels.dtype == np.float64
+            assert sent.pixels.dtype == np.uint8
+            assert sent.pixels.flags.owndata and sent.pixels.nbytes == 48 * 48 * 3
+            assert sent.timestamp == capture.timestamp
+            assert sent.metadata is capture.metadata
+
+    def test_luminance_within_rounding_of_the_capture(self, monkeypatch):
+        record, twin = _with_float_twin(SessionSpec("attack", seed=32), monkeypatch)
+        sent = np.array([frame_mean_luminance(f) for f in record.transmitted])
+        capture = np.array([frame_mean_luminance(f) for f in twin.transmitted])
+        assert np.all(np.abs(sent - capture) <= 0.5)
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("genuine", 41), ("genuine", 42), ("attack", 43), ("attack", 44),
+         ("replay", 45), ("replay", 46)],
+    )
+    def test_verdict_matches_the_float_twin(self, oracle_verifier, monkeypatch, kind, seed):
+        record, twin = _with_float_twin(SessionSpec(kind, seed=seed), monkeypatch)
+        got = oracle_verifier.verify_session(record)
+        want = oracle_verifier.verify_session(twin)
+        assert got.is_attacker == want.is_attacker
+        assert [a.lof_score for a in got.attempts] == pytest.approx(
+            [a.lof_score for a in want.attempts], rel=1e-3
+        )
+
+    def test_sent_raster_is_read_only(self):
+        record = _session(seed=9).run(duration_s=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            record.transmitted[0].pixels[0, 0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            record.received[-1].pixels += 1
 
 
 class TestValidation:

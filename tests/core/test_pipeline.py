@@ -1,5 +1,7 @@
 """ChatVerifier: the assembled end-to-end defense."""
 
+import weakref
+
 import pytest
 
 from repro.core.config import DetectorConfig
@@ -34,6 +36,23 @@ class TestEnrollment:
     def test_enroll_requires_sessions(self):
         with pytest.raises(ValueError):
             ChatVerifier().enroll([])
+
+    @pytest.mark.filterwarnings("ignore::repro.core.lof.SmallBankWarning")
+    def test_enroll_keeps_at_most_one_record_alive(self, fast_env):
+        """While a generator simulates the next session, enrollment holds
+        no earlier record: its frames are dropped once its signals are out."""
+        refs, alive = [], []
+
+        def records():
+            for seed in range(3):
+                alive.append(sum(ref() is not None for ref in refs))
+                record = simulate_genuine_session(duration_s=15.0, seed=720 + seed, env=fast_env)
+                refs.append(weakref.ref(record))
+                yield record
+                del record
+
+        ChatVerifier().enroll(records())
+        assert alive == [0, 0, 0]
 
     def test_enroll_features_direct(self):
         from repro.core.features import FeatureVector

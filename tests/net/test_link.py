@@ -32,6 +32,16 @@ class TestRoundTrip:
         received = link.receive(1.0)
         assert np.abs(received.pixels - original.pixels).max() <= 1.0
 
+    def test_send_returns_the_sent_raster(self):
+        link = _link()
+        original = blank_frame(16, 16, value=80.4, timestamp=0.5)
+        original.metadata["tag"] = "x"
+        sent = link.send(original)
+        assert sent.pixels.dtype == np.uint8 and np.all(sent.pixels == 80)
+        assert sent.timestamp == pytest.approx(0.5) and sent.metadata is original.metadata
+        # The sent frame and the decoded one share the encoded raster.
+        assert link.receive(1.0).pixels is sent.pixels
+
     def test_playout_metadata_attached(self):
         link = _link()
         link.send(blank_frame(8, 8, timestamp=0.0))

@@ -32,6 +32,15 @@ class TestQuantization:
         assert decoded.pixels.max() <= 255.0
         assert decoded.pixels.min() >= 0.0
 
+    def test_encoded_raster_is_read_only(self):
+        codec = VideoCodec()
+        encoded = codec.encode(blank_frame(4, 4, value=50.0))
+        assert not encoded.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            encoded.data[0, 0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            codec.decode(encoded).pixels *= 2
+
     def test_quant_step_from_quality(self):
         assert VideoCodec(quality=1.0).quant_step == 1
         assert VideoCodec(quality=0.5).quant_step == 2
