@@ -39,8 +39,9 @@ class SessionRecord:
 
     ``transmitted`` is the video Alice transmitted: the encoded ``uint8``
     frames her uplink sent, with her capture timestamps and metadata.
-    ``received`` is what her decoder played out.  Both streams share the
-    codec's read-only rasters, so a record costs the bytes it carries.
+    ``received`` is what her decoder played out.  Both streams hold the
+    codecs' read-only rasters without a copy, so a record costs the bytes
+    its frames carry.
     """
 
     transmitted: VideoStream
@@ -125,8 +126,9 @@ class VideoChatSession:
         for tick in range(total_ticks):
             t = tick * dt
 
-            # Step 1-2: Alice captures and sends her frame; the record
-            # keeps the 8-bit frame her uplink sent, not her float capture.
+            # Step 1-2: Alice captures and sends her frame.  The record
+            # keeps the 8-bit frame her uplink sent: that is what drives
+            # the prover's screen.
             sent = self.uplink.send(self.verifier.produce_frame(t))
 
             # The prover's chat software plays out the newest frame.

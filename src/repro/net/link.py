@@ -2,9 +2,10 @@
 
 Bundles the four network-path stages into the object the chat session
 wires between two endpoints.  ``send`` pushes a frame in at time ``t``
-and returns it as sent (the codec's 8-bit raster); ``receive`` pulls the newest displayable frame out at time ``now`` (or
-``None`` while nothing new is due — the consumer then freezes the last
-frame, as video chat software does).
+and returns it as sent (the codec's 8-bit raster); ``receive`` pulls the
+newest displayable frame out at time ``now`` (or ``None`` while nothing
+new is due — the consumer then freezes the last frame, as video chat
+software does).
 """
 
 from __future__ import annotations

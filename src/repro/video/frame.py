@@ -11,9 +11,9 @@ Pixel convention
 ----------------
 Pixels are display-referred values in ``[0, 255]`` (i.e. already
 gamma-encoded, like the 8-bit values a webcam delivers), stored either as
-``float64`` or as the codec's ``uint8`` raster.  Float storage is used
-only inside the sender's pipeline (renderer, sensor, the frame handed to
-the codec), where it avoids repeated quantization.  The codec is the one
+``float64`` or as the codec's ``uint8`` raster.  In the chat loop, float
+storage is used only inside the sender's pipeline (renderer, sensor, the
+frame handed to the codec), where it avoids repeated quantization.  The codec is the one
 place that deliberately rounds to the 8-bit grid, exactly like a real
 video chat stack: the frame a link sends and the frame the peer decodes
 share that read-only raster, at an eighth of the float bytes, and every
