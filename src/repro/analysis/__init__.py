@@ -28,7 +28,7 @@ fixed-point effect propagation, see :mod:`repro.analysis.graph`):
 R007      transitively-unseeded randomness reachable from a pool
           payload or ``run_*`` entry point
 R008      transitive wall-clock reachability outside the allowlist
-R009      public functions never referenced anywhere (dead surface)
+R009      public functions referenced only from tests, or not at all
 R010      ``repro.api`` facade drift (both directions)
 R011      unpicklable objects flowing into pool payloads across
           module boundaries

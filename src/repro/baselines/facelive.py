@@ -8,8 +8,6 @@ and can fabricate matching sensor readings, so the check collapses.
 
 This module implements the check and the forgery:
 
-* :func:`head_motion_from_video` — per-frame nasal-bridge displacement
-  from landmarks (the vision-side signal).
 * :class:`SensorChannel` — what the prover reports as IMU data.  Honest
   provers report their true motion plus sensor noise; the attacker
   replays the fake video's own motion track (capability 2/3 of the
@@ -25,29 +23,8 @@ import dataclasses
 import numpy as np
 
 from ..core.features import pearson_correlation
-from ..video.stream import VideoStream
-from ..vision.landmarks import LandmarkDetector
 
-__all__ = ["head_motion_from_video", "SensorChannel", "FaceLiveDetector"]
-
-
-def head_motion_from_video(
-    stream: VideoStream,
-    detector: LandmarkDetector | None = None,
-) -> np.ndarray:
-    """Horizontal nasal-bridge trajectory (pixels) from the video.
-
-    Frames without a detection hold the previous position.
-    """
-    detector = detector or LandmarkDetector()
-    xs: list[float] = []
-    last = 0.0
-    for frame in stream:
-        landmarks = detector.detect(frame.pixels)
-        if landmarks is not None:
-            last = landmarks.lower_bridge.x
-        xs.append(last)
-    return np.array(xs, dtype=np.float64)
+__all__ = ["SensorChannel", "FaceLiveDetector"]
 
 
 @dataclasses.dataclass
@@ -63,7 +40,7 @@ class SensorChannel:
     readings: np.ndarray
 
     @classmethod
-    def honest(
+    def honest(  # reprolint: disable=R009 -- writes results/baseline_facelive.txt
         cls,
         true_motion: np.ndarray,
         noise_std: float = 0.3,

@@ -84,6 +84,6 @@ class Camera:
             frame_metadata.update(metadata)
         return Frame(pixels=pixels, timestamp=timestamp, metadata=frame_metadata)
 
-    def reset_clock(self) -> None:
+    def reset_clock(self) -> None:  # reprolint: disable=R009 -- test-only, see ROADMAP
         """Forget the previous timestamp (start of a new recording)."""
         self._last_timestamp = None

@@ -104,6 +104,6 @@ class AutoExposureController:
             raise RuntimeError("cannot lock before the first update")
         self.locked = True
 
-    def unlock(self) -> None:
+    def unlock(self) -> None:  # reprolint: disable=R009 -- test-only, see ROADMAP
         """Resume automatic adjustment."""
         self.locked = False

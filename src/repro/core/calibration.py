@@ -62,7 +62,7 @@ def leave_one_out_scores(
     return scores
 
 
-def calibrate_threshold(
+def calibrate_threshold(  # reprolint: disable=R009 -- test-only, see ROADMAP
     bank: np.ndarray,
     target_frr: float = 0.08,
     config: DetectorConfig | None = None,

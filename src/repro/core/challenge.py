@@ -41,7 +41,7 @@ class ChallengeQuality:
     sufficient: bool
 
 
-def challenge_quality(
+def challenge_quality(  # reprolint: disable=R009 -- writes results/ext_active_challenge.txt
     transmitted_luminance: np.ndarray,
     config: DetectorConfig | None = None,
     min_challenges: int | None = None,

@@ -66,12 +66,6 @@ class LocalOutlierFactor:
         return self._columns is not None
 
     @property
-    def effective_neighbors(self) -> int:
-        """The ``k`` actually in use (may be below ``n_neighbors`` after
-        fitting on a small bank)."""
-        return self._effective_k
-
-    @property
     def train_size(self) -> int:
         if self._columns is None:
             raise RuntimeError("model is not fitted")

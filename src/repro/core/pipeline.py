@@ -15,7 +15,7 @@ exposes three operations:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..video.stream import VideoStream
 from ..vision.landmarks import LandmarkDetector
 from .config import DetectorConfig
 from .detector import DetectionResult, LivenessDetector, verify_clips
-from .features import FeatureVector, extract_features_batch
+from .features import extract_features_batch
 from .luminance import clip_signals
 from .voting import Verdict, VotingCombiner
 
@@ -51,10 +51,6 @@ class VerificationReport:
     def is_attacker(self) -> bool:
         """Attacker iff a verdict exists and says so."""
         return self.verdict is not None and self.verdict.is_attacker
-
-    @property
-    def is_conclusive(self) -> bool:
-        return self.verdict is not None
 
 
 class ChatVerifier:
@@ -88,15 +84,6 @@ class ChatVerifier:
                 transmitted, received, self.config.sample_rate_hz, self.landmark_detector
             )
 
-    def clip_features(
-        self,
-        transmitted: VideoStream,
-        received: VideoStream,
-    ) -> FeatureVector:
-        """Features of one clip pair (training-time helper)."""
-        t_lum, r_lum = self.extract_signals(transmitted, received)
-        return extract_features_batch([(t_lum, r_lum)], self.config)[0].features
-
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -121,11 +108,6 @@ class ChatVerifier:
             extraction.features
             for extraction in extract_features_batch(pairs, self.config)
         ]
-        self.detector.fit(bank)
-        return self
-
-    def enroll_features(self, bank: Sequence[FeatureVector]) -> "ChatVerifier":
-        """Fit directly from pre-extracted legitimate feature vectors."""
         self.detector.fit(bank)
         return self
 

@@ -331,10 +331,6 @@ class StreamingVerifier:
         """
         self._protocol_gate = gate
 
-    @property
-    def protocol_gate(self) -> "ProtocolGate | None":
-        return self._protocol_gate
-
     def push(self, transmitted: Frame, received: Frame) -> GatedAttempt | None:
         """Feed one tick's frame pair; returns the fresh gated attempt
         when one completed on this tick, else ``None``.
@@ -556,11 +552,6 @@ class StreamingVerifier:
             qualities=tuple(a.quality for a in attempts),
             inconclusive_attempts=sum(1 for a in attempts if not a.conclusive),
         )
-
-    @property
-    def all_attempts(self) -> tuple[DetectionResult, ...]:
-        """Every attempt since the call began (ignores the vote window)."""
-        return tuple(a.result for a in self._attempts)
 
     @property
     def gated_attempts(self) -> tuple[GatedAttempt, ...]:

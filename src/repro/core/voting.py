@@ -27,10 +27,6 @@ class Verdict:
     total_votes: int
     vote_fraction: float
 
-    @property
-    def accept_votes(self) -> int:
-        return self.total_votes - self.reject_votes
-
 
 class VotingCombiner:
     """Equal-weight majority voting over detection attempts."""

@@ -52,10 +52,6 @@ class ClipInstance:
     transmitted_luminance: np.ndarray
     received_luminance: np.ndarray
 
-    @property
-    def is_genuine(self) -> bool:
-        return self.role == GENUINE
-
 
 class FeatureDataset:
     """A bag of clip instances with per-user/per-role selectors."""
@@ -89,7 +85,9 @@ class FeatureDataset:
             return np.empty((0, 4), dtype=np.float64)
         return np.stack([inst.features.as_array() for inst in selected])
 
-    def merged_with(self, other: "FeatureDataset") -> "FeatureDataset":
+    def merged_with(  # reprolint: disable=R009 -- test-only, see ROADMAP
+        self, other: "FeatureDataset"
+    ) -> "FeatureDataset":
         return FeatureDataset(self.instances + other.instances)
 
 

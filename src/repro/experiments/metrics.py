@@ -16,36 +16,13 @@ threshold sweep without re-classification.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 __all__ = [
-    "RateSummary",
     "true_acceptance_rate",
     "true_rejection_rate",
-    "rates_at_threshold",
     "equal_error_rate",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class RateSummary:
-    """The four rates at one decision threshold."""
-
-    threshold: float
-    tar: float
-    trr: float
-
-    @property
-    def far(self) -> float:
-        """False acceptance rate (attacks let through)."""
-        return 1.0 - self.trr
-
-    @property
-    def frr(self) -> float:
-        """False rejection rate (legitimate users bounced)."""
-        return 1.0 - self.tar
 
 
 def _validate_scores(scores: np.ndarray) -> np.ndarray:
@@ -65,19 +42,6 @@ def true_rejection_rate(attack_scores: np.ndarray, threshold: float) -> float:
     """Fraction of attack attempts with ``score > threshold``."""
     scores = _validate_scores(attack_scores)
     return float((scores > threshold).mean())
-
-
-def rates_at_threshold(
-    genuine_scores: np.ndarray,
-    attack_scores: np.ndarray,
-    threshold: float,
-) -> RateSummary:
-    """TAR/TRR (and thus FAR/FRR) at one threshold."""
-    return RateSummary(
-        threshold=threshold,
-        tar=true_acceptance_rate(genuine_scores, threshold),
-        trr=true_rejection_rate(attack_scores, threshold),
-    )
 
 
 def equal_error_rate(

@@ -48,7 +48,7 @@ from ..core.detector import LivenessDetector
 from ..core.voting import VotingCombiner
 from ..engine import ExecutionEngine, task_rng
 from .dataset import ATTACK, GENUINE, FeatureDataset, build_dataset
-from .metrics import equal_error_rate
+from .metrics import equal_error_rate, true_acceptance_rate, true_rejection_rate
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile, make_population
 
 __all__ = [
@@ -177,14 +177,10 @@ def _user_rounds(
     return engine.map_batches(_rounds_task, payloads, stage="rounds")
 
 
-def _tar(scores: np.ndarray, threshold: float) -> float:
-    return float((scores <= threshold).mean())
-
-
 def _rates(rounds: Sequence[_Round], threshold: float) -> tuple[list[float], list[float]]:
     """Per-round TAR, and TRR for the rounds that scored any attack."""
-    tars = [_tar(g, threshold) for g, _, _, _ in rounds]
-    trrs = [float((a > threshold).mean()) for _, a, _, _ in rounds if a.size]
+    tars = [true_acceptance_rate(g, threshold) for g, _, _, _ in rounds]
+    trrs = [true_rejection_rate(a, threshold) for _, a, _, _ in rounds if a.size]
     return tars, trrs
 
 
@@ -242,7 +238,9 @@ def run_overall(
         _user_rounds(dataset, config, rounds, train_size, seed, engine, with_other=True),
     ):
         tars_own, trrs = _rates(user_rounds, threshold)
-        tars_other = [_tar(g_other, threshold) for _, _, g_other, _ in user_rounds]
+        tars_other = [
+            true_acceptance_rate(g_other, threshold) for _, _, g_other, _ in user_rounds
+        ]
         per_user.append(
             UserPerformance(
                 user, *_mean_std(tars_own), *_mean_std(tars_other), *_mean_std(trrs)

@@ -111,8 +111,3 @@ class JitterBuffer:
             return None
         self.stats.played += 1
         return newest_complete.frame
-
-    @property
-    def pending_count(self) -> int:
-        """Frames currently buffered and not yet released."""
-        return len(self._pending)

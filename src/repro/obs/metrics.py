@@ -71,7 +71,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-set value; merges additively (see :meth:`MetricsRegistry.merge`)."""
+    """Last-set value; merges additively (see :meth:`MetricsRegistry.merge_snapshot`)."""
 
     __slots__ = ("name", "labels", "value")
     kind = "gauge"
@@ -178,25 +178,6 @@ class SeriesSnapshot:
     def sort_key(self) -> tuple:
         return (self.name, self.labels, self.kind)
 
-    def merged(self, other: "SeriesSnapshot") -> "SeriesSnapshot":
-        if (self.kind, self.name, self.labels) != (other.kind, other.name, other.labels):
-            raise ValueError("cannot merge different series")
-        if self.kind == "histogram":
-            if self.bounds != other.bounds:
-                raise ValueError(
-                    f"histogram {self.name!r}: bucket bounds differ "
-                    f"({self.bounds} vs {other.bounds})"
-                )
-            return dataclasses.replace(
-                self,
-                bucket_counts=tuple(
-                    a + b for a, b in zip(self.bucket_counts, other.bucket_counts)
-                ),
-                sum=self.sum + other.sum,
-                count=self.count + other.count,
-            )
-        return dataclasses.replace(self, value=self.value + other.value)
-
     def to_dict(self) -> dict:
         out: dict = {
             "kind": self.kind,
@@ -217,25 +198,13 @@ class SeriesSnapshot:
 class MetricsSnapshot:
     """Canonically ordered, immutable view of a whole registry.
 
-    ``merge`` is associative and commutative, so per-worker snapshots
+    :meth:`MetricsRegistry.merge_snapshot` folds one into live
+    instruments associatively and commutatively, so per-worker snapshots
     combine to the same result in any grouping — the property the
     pool-vs-serial identity tests pin down.
     """
 
     series: tuple[SeriesSnapshot, ...] = ()
-
-    def merge(self, *others: "MetricsSnapshot") -> "MetricsSnapshot":
-        combined: dict[tuple, SeriesSnapshot] = {
-            (s.kind, s.name, s.labels): s for s in self.series
-        }
-        for snap in others:
-            for s in snap.series:
-                key = (s.kind, s.name, s.labels)
-                held = combined.get(key)
-                combined[key] = s if held is None else held.merged(s)
-        return MetricsSnapshot(
-            series=tuple(sorted(combined.values(), key=lambda s: s.sort_key))
-        )
 
     def _lookup(self, name: str, kind: str | None, labels: dict[str, object]):
         wanted = _label_set(labels)

@@ -157,7 +157,3 @@ class ProtocolGate:
             "protocol_acks_total", result="ok" if ok else "bad"
         )
         return ok
-
-    @property
-    def attempts_graded(self) -> int:
-        return self._attempt

@@ -51,7 +51,7 @@ def screen_illuminance(luminance_nits: float, area_m2: float, distance_m: float)
     return math.pi * luminance_nits * area_m2 / (area_m2 + math.pi * distance_m**2)
 
 
-def von_kries_reflection(
+def von_kries_reflection(  # reprolint: disable=R009 -- test-only, see ROADMAP
     illuminance: float | np.ndarray,
     reflectance_rgb: np.ndarray,
 ) -> np.ndarray:

@@ -51,10 +51,6 @@ class FrameQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put(self, item: Any) -> None:
         """Enqueue without blocking; sheds the oldest frame when full."""
         if self._closed:

@@ -203,14 +203,6 @@ class VerificationServer:
 
     # -- admission -----------------------------------------------------
 
-    @property
-    def active_sessions(self) -> int:
-        return self._active
-
-    @property
-    def queued_sessions(self) -> int:
-        return len(self._slot_waiters)
-
     def submit(
         self,
         tenant_id: str,

@@ -92,10 +92,6 @@ class TenantBankCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def resident_tenants(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
     def _shard_of(self, tenant_id: str) -> ServiceLock:
         return self._locks[zlib.crc32(tenant_id.encode()) % len(self._locks)]
 

@@ -1,7 +1,7 @@
 """Video plumbing: frames, streams, codec, luminance."""
 
 from .codec import EncodedFrame, VideoCodec
-from .frame import Frame, blank_frame
+from .frame import Frame
 from .luminance import BT709_WEIGHTS, frame_mean_luminance, pixel_luminance
 from .stream import VideoStream
 
@@ -9,7 +9,6 @@ __all__ = [
     "EncodedFrame",
     "VideoCodec",
     "Frame",
-    "blank_frame",
     "BT709_WEIGHTS",
     "frame_mean_luminance",
     "pixel_luminance",

@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Frame", "blank_frame"]
+__all__ = ["Frame"]
 
 #: Pixel dtypes a frame stores unchanged: the float64 working form and
 #: the codec's 8-bit raster.  Any other input is converted to float64.
@@ -89,16 +89,3 @@ class Frame:
             timestamp=self.timestamp,
             metadata=dict(self.metadata),
         )
-
-
-def blank_frame(
-    height: int,
-    width: int,
-    value: float = 0.0,
-    timestamp: float = 0.0,
-) -> Frame:
-    """Create a uniform frame (useful as a test fixture and codec seed)."""
-    if height <= 0 or width <= 0:
-        raise ValueError("frame dimensions must be positive")
-    pixels = np.full((height, width, 3), float(value), dtype=np.float64)
-    return Frame(pixels=pixels, timestamp=timestamp)

@@ -114,10 +114,3 @@ class VideoStream:
             clip = VideoStream(fps=self.fps, frames=self._frames[start : start + per_clip])
             clips.append(clip)
         return clips
-
-    def slice_time(self, t0: float, t1: float) -> "VideoStream":
-        """Frames with timestamps in ``[t0, t1)``."""
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        selected = [f for f in self._frames if t0 <= f.timestamp < t1]
-        return VideoStream(fps=self.fps, frames=selected)

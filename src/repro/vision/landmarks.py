@@ -268,7 +268,9 @@ class LandmarkDetector:
         return FaceLandmarks._fitted(tuple(xy))
 
 
-def mean_landmark_error(detected: FaceLandmarks, truth: dict[str, list[Point]]) -> float:
+def mean_landmark_error(  # reprolint: disable=R009 -- accuracy probe for tests
+    detected: FaceLandmarks, truth: dict[str, list[Point]]
+) -> float:
     """Mean Euclidean error (pixels) between a detection and ground truth.
 
     Test/benchmark helper: quantifies the jitter the ROI extraction must

@@ -355,13 +355,27 @@ class TestR009DeadSurface:
         result = graph_lint(tmp_path)  # default project-packages: repro
         assert [f for f in result.findings if f.rule == "R009"] == []
 
-    def test_ignore_names_option(self, tmp_path):
-        files = {"pkg/__init__.py": "", "pkg/mod.py": "def orphan():\n    return 1\n"}
+    def test_reference_only_from_a_test_module_is_not_a_use(self, tmp_path):
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": "def helper():\n    return 1\n",
+            "tests/test_mod.py": "from pkg.mod import helper\n\nassert helper() == 1\n",
+        }
         write_tree(tmp_path, files)
-        config = LintConfig(
-            project_packages=("pkg",),
-            rule_options=(("R009", (("ignore-names", ("orphan",)),)),),
-        )
+        config = LintConfig(project_packages=("pkg",))
+        result = graph_lint(tmp_path, config=config)
+        names = [f.message for f in result.findings if f.rule == "R009"]
+        assert any("pkg.mod.helper" in m for m in names), names
+
+    def test_reference_from_a_program_module_is_a_use(self, tmp_path):
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": "def helper():\n    return 1\n",
+            "pkg/cli.py": "from pkg.mod import helper\n\nVALUE = helper()\n",
+            "tests/test_mod.py": "from pkg.mod import helper\n\nassert helper() == 1\n",
+        }
+        write_tree(tmp_path, files)
+        config = LintConfig(project_packages=("pkg",))
         result = graph_lint(tmp_path, config=config)
         assert [f for f in result.findings if f.rule == "R009"] == []
 

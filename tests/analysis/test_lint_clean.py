@@ -1,7 +1,6 @@
 """Meta-test: this repository lints clean with an empty baseline.
 
-This is the gate the whole PR rides on — ``repro lint`` over ``src/`` +
-``tests/`` must report zero non-baselined findings, per-file AND
+``repro lint`` over ``src/``, ``tests/`` and ``examples/`` must report zero non-baselined findings, per-file AND
 whole-program (the graph pass is what the CLI runs by default), and the
 checked-in baseline must be empty (no grandfathered debt).
 """
@@ -18,9 +17,12 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: with; the hardcoded defaults predate the config knob.
 CONFIG = load_lint_config(REPO_ROOT)
 
+#: The CLI's default roots; ``examples/`` counts as a program caller.
+ROOTS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "examples"]
+
 
 def test_tree_has_zero_findings():
-    result = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"], config=CONFIG)
+    result = lint_paths(ROOTS, config=CONFIG)
     assert result.findings == [], [
         f"{f.path}:{f.line}: {f.rule} {f.message}" for f in result.findings
     ]
@@ -29,7 +31,7 @@ def test_tree_has_zero_findings():
 
 def test_tree_is_clean_under_whole_program_rules():
     result = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests"],
+        ROOTS,
         relative_to=REPO_ROOT,
         graph=True,
         config=CONFIG,
@@ -51,7 +53,7 @@ def test_taint_stage_really_ran_on_the_clean_tree():
     from repro.analysis.taint.model import SECRET_LEVEL, taint_model
 
     result = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests"],
+        ROOTS,
         relative_to=REPO_ROOT,
         graph=True,
         config=CONFIG,

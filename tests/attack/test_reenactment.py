@@ -5,11 +5,12 @@ import pytest
 
 from repro.attack.reenactment import ReenactmentAttacker
 from repro.attack.target import TargetRecording
-from repro.video.frame import blank_frame
 from repro.video.luminance import frame_mean_luminance
 from repro.vision.expression import ExpressionTrack
 from repro.vision.face_model import make_face
 from repro.vision.landmarks import LandmarkDetector
+
+from ..conftest import blank_frame
 
 
 @pytest.fixture()

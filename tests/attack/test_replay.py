@@ -5,9 +5,10 @@ import pytest
 
 from repro.attack.replay import ReplayAttacker
 from repro.attack.target import TargetRecording
-from repro.video.frame import blank_frame
 from repro.video.luminance import frame_mean_luminance
 from repro.vision.face_model import make_face
+
+from ..conftest import blank_frame
 
 
 @pytest.fixture()

@@ -49,7 +49,7 @@ class TestReplayScheduleAttacker:
         assert attacker._illuminance(12.5, None) == pytest.approx(base - 25.0)
 
     def test_recording_ignores_the_live_screen(self, target):
-        from repro.video.frame import blank_frame
+        from ..conftest import blank_frame
 
         attacker = self.make(target)
         bright = attacker._illuminance(6.5, blank_frame(4, 4, value=255.0))

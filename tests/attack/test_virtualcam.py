@@ -3,7 +3,8 @@
 import pytest
 
 from repro.attack.virtualcam import VirtualCamera
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 def _source_factory():

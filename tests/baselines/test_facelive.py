@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.facelive import (
-    FaceLiveDetector,
-    SensorChannel,
-    head_motion_from_video,
-)
+from repro.baselines.facelive import FaceLiveDetector, SensorChannel
 
 
 def _motion(seed=0, n=150):
@@ -41,11 +37,6 @@ class TestSensorForgery:
 
 
 class TestVideoMotionExtraction:
-    def test_tracks_real_head_motion(self, genuine_record):
-        motion = head_motion_from_video(genuine_record.received)
-        assert motion.size == len(genuine_record.received)
-        assert motion.std() > 0.0  # the head actually moves
-
     def test_length_mismatch_rejected(self):
         detector = FaceLiveDetector()
         with pytest.raises(ValueError):

@@ -7,10 +7,11 @@ from repro.camera.metering import LightMeter, MeteringMode
 from repro.chat.endpoints import GenuineProverEndpoint, MeteringBehavior, VerifierEndpoint
 from repro.screen.display import DELL_27_LED, PHONE_6_OLED
 from repro.screen.illumination import AmbientLight
-from repro.video.frame import blank_frame
 from repro.video.luminance import frame_mean_luminance
 from repro.vision.expression import ExpressionTrack
 from repro.vision.face_model import make_face
+
+from ..conftest import blank_frame
 
 
 def _verifier(seed=0):

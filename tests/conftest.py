@@ -22,7 +22,21 @@ from repro.experiments.simulate import (
 )
 from repro.vision.expression import PoseState
 from repro.vision.face_model import make_face
+from repro.video.frame import Frame
 from repro.vision.renderer import FaceRenderer
+
+
+def blank_frame(
+    height: int,
+    width: int,
+    value: float = 0.0,
+    timestamp: float = 0.0,
+) -> Frame:
+    """A uniform float64 frame, the suite's basic video fixture."""
+    if height <= 0 or width <= 0:
+        raise ValueError("frame dimensions must be positive")
+    pixels = np.full((height, width, 3), float(value), dtype=np.float64)
+    return Frame(pixels=pixels, timestamp=timestamp)
 
 
 def pytest_sessionstart(session):

@@ -59,12 +59,13 @@ def records():
 def _both_paths(bank, record):
     """Per-clip attempts of each front end, each with a fresh landmark
     detector (so both draw the same jitter sequence)."""
-    verifier = ChatVerifier(CONFIG).enroll_features(bank)
+    verifier = ChatVerifier(CONFIG)
+    verifier.detector.fit(bank)
     batch = verifier.verify_session(record).attempts
     streaming = StreamingVerifier(verifier.detector, LandmarkDetector())
     for t_frame, r_frame in zip(record.transmitted, record.received):
         streaming.push(t_frame, r_frame)
-    return batch, streaming.all_attempts
+    return batch, tuple(a.result for a in streaming.gated_attempts)
 
 
 @pytest.mark.parametrize("role", ["genuine", "attack"])

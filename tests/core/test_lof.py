@@ -75,7 +75,7 @@ class TestSmallAndDegenerateBanks:
         train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.warns(SmallBankWarning):
             model = LocalOutlierFactor(5).fit(train)  # k becomes 2
-        assert model.effective_neighbors == 2
+        assert model._effective_k == 2
         assert np.isfinite(model.score(np.array([0.5, 0.5])))
 
     def test_small_bank_clamp_is_never_silent(self):
@@ -88,7 +88,7 @@ class TestSmallAndDegenerateBanks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", SmallBankWarning)
             model = LocalOutlierFactor(5).fit(cluster)
-        assert model.effective_neighbors == 5
+        assert model._effective_k == 5
 
     def test_strict_neighbors_raises_typed_error(self):
         train = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -97,7 +97,7 @@ class TestSmallAndDegenerateBanks:
 
     def test_strict_neighbors_accepts_adequate_bank(self, cluster):
         model = LocalOutlierFactor(5, strict_neighbors=True).fit(cluster)
-        assert model.effective_neighbors == 5
+        assert model._effective_k == 5
 
     def test_clamped_model_still_separates(self):
         """A degraded k must keep the inlier/outlier ordering."""
@@ -180,7 +180,7 @@ def _score_one_reference(model, z):
     """``LocalOutlierFactor._score_one`` before the matrix kernel, kept
     verbatim as the oracle: one query, scalar special cases."""
     train = np.ascontiguousarray(model._columns.T)
-    k = model.effective_neighbors
+    k = model._effective_k
 
     dist = np.sqrt(((train - z) ** 2).sum(axis=1))
     order = np.argsort(dist)
@@ -252,7 +252,7 @@ class TestMatrixKernelMatchesReference:
     def test_scores_and_bank_statistics_bit_identical(self, case):
         bank, queries, k = case
         model = _fit_quietly(bank, k)
-        k_distance, lrd = _fit_reference(bank, model.effective_neighbors)
+        k_distance, lrd = _fit_reference(bank, model._effective_k)
         _assert_bits(model._train_k_distance, k_distance)
         _assert_bits(model._train_lrd, lrd)
         _assert_bits(model.score_samples(queries), _reference_scores(model, queries))
@@ -267,7 +267,7 @@ class TestMatrixKernelMatchesReference:
         bank = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-4, 4, size=(n, d))
         queries = np.vstack([rng.normal(size=(5, d)) * 100.0, bank[:2]])
         model = _fit_quietly(bank, 5)
-        k_distance, lrd = _fit_reference(bank, model.effective_neighbors)
+        k_distance, lrd = _fit_reference(bank, model._effective_k)
         _assert_bits(model._train_k_distance, k_distance)
         _assert_bits(model._train_lrd, lrd)
         _assert_bits(model.score_samples(queries), _reference_scores(model, queries))

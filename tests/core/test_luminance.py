@@ -15,7 +15,7 @@ from repro.core.luminance import (
 from repro.core.roi import MIN_ROI_SIDE
 from repro.service.loadgen import WorkloadConfig, _face_frame, _faceless_frame
 from repro.video.codec import VideoCodec
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.luminance import frame_mean_luminance, pixel_luminance
 from repro.video.stream import VideoStream
 from repro.vision.expression import PoseState
@@ -24,6 +24,7 @@ from repro.vision.geometry import Rect, square_around
 from repro.vision.landmarks import LandmarkDetector
 from repro.vision.renderer import FaceRenderer
 
+from ..conftest import blank_frame
 from ..vision.test_landmarks import _bits as _landmark_bits
 from ..vision.test_landmarks import _detect_reference
 

@@ -60,7 +60,8 @@ class TestEnrollment:
         bank = [FeatureVector(1.0, 1.0, 0.95, 0.05)] * 5 + [
             FeatureVector(1.0, 0.9, 0.9, 0.1)
         ]
-        verifier = ChatVerifier().enroll_features(bank)
+        verifier = ChatVerifier()
+        verifier.detector.fit(bank)
         assert verifier.detector.is_trained
 
 

@@ -35,7 +35,7 @@ class TestRoiGeometry:
     def test_scales_with_face_size(self):
         small = nasal_bridge_roi(_landmarks(bridge_y=40.0, tip_y=44.0))
         large = nasal_bridge_roi(_landmarks(bridge_y=40.0, tip_y=56.0))
-        assert large.area > small.area
+        assert large.width * large.height > small.width * small.height
 
     def test_minimum_side_enforced(self):
         tiny = nasal_bridge_roi(_landmarks(bridge_y=40.0, tip_y=40.5))

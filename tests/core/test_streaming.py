@@ -63,7 +63,7 @@ class TestLifecycle:
         _feed(verifier, record)
         verifier.reset()
         assert verifier.state.status is CallStatus.GATHERING
-        assert verifier.all_attempts == ()
+        assert verifier.gated_attempts == ()
 
     def test_reset_is_bit_identical_to_fresh(self, trained_detector, env):
         """A recycled verifier must replay a call exactly like a new one.
@@ -121,7 +121,7 @@ class TestJudgement:
         _feed(verifier, record)
         assert len(verifier.state.attempts) == 2
         assert verifier.state.attempt_count == 2
-        assert len(verifier.all_attempts) == 3
+        assert len(verifier.gated_attempts) == 3
 
 
 class TestRoiConcealment:
@@ -137,4 +137,4 @@ class TestRoiConcealment:
         for t_f, r_f in frames:
             verifier.push(t_f, r_f)
         # One attempt completed despite the corrupted frame.
-        assert len(verifier.all_attempts) == 1
+        assert len(verifier.gated_attempts) == 1

@@ -23,7 +23,9 @@ from repro.core.streaming import (
 )
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import simulate_genuine_session
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
+
+from ..conftest import blank_frame
 
 
 @pytest.fixture(scope="module")

@@ -33,12 +33,12 @@ class TestShape:
         report = VerificationReport(
             verdict=_verdict(3, 3), attempts=tuple(_attempt(True) for _ in range(3))
         )
-        assert report.is_conclusive
+        assert report.verdict is not None
         assert report.is_attacker
 
     def test_no_verdict_means_not_attacker(self):
         report = VerificationReport(verdict=None, attempts=())
-        assert not report.is_conclusive
+        assert report.verdict is None
         assert not report.is_attacker
 
     def test_frozen(self):
@@ -52,7 +52,7 @@ class TestUnifiedAliases:
         verifier = ChatVerifier().enroll([genuine_record] * 3)
         report = verifier.verify_session(genuine_record)
         assert isinstance(report, VerificationReport)
-        assert report.is_conclusive
+        assert report.verdict is not None
 
     def test_streaming_state_exports_the_same_shape(self):
         attempts = (_attempt(True), _attempt(False))

@@ -20,7 +20,7 @@ class TestVotingRule:
         verdict = VotingCombiner(0.7).combine([_result(False)] * 5)
         assert not verdict.is_attacker
         assert verdict.reject_votes == 0
-        assert verdict.accept_votes == 5
+        assert verdict.total_votes == 5
 
     def test_all_reject(self):
         verdict = VotingCombiner(0.7).combine([_result(True)] * 5)

@@ -132,7 +132,7 @@ class TestClipFromSession:
         env = Environment(frame_size=(64, 64), verifier_frame_size=(48, 48))
         record = simulate_genuine_session(duration_s=15.0, seed=31, env=env)
         clip = clip_from_session(record, "u", GENUINE, 31, DetectorConfig())
-        assert clip.is_genuine
+        assert clip.role == GENUINE
         assert clip.transmitted_luminance.size == 150
         assert np.isfinite(clip.features.as_array()).all()
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments.metrics import (
     equal_error_rate,
-    rates_at_threshold,
     true_acceptance_rate,
     true_rejection_rate,
 )
@@ -23,15 +22,6 @@ class TestRates:
     def test_threshold_inclusive_for_accept(self):
         assert true_acceptance_rate(np.array([3.0]), 3.0) == pytest.approx(1.0)
         assert true_rejection_rate(np.array([3.0]), 3.0) == pytest.approx(0.0)
-
-    def test_summary_consistency(self):
-        genuine = np.array([1.0, 1.5, 6.0])
-        attacks = np.array([2.0, 8.0, 9.0])
-        summary = rates_at_threshold(genuine, attacks, 3.0)
-        assert summary.tar == pytest.approx(2 / 3)
-        assert summary.trr == pytest.approx(2 / 3)
-        assert summary.far == pytest.approx(1 - summary.trr)
-        assert summary.frr == pytest.approx(1 - summary.tar)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ from repro.faults import FaultSpec, FaultyChannel, apply_faults_to_record
 from repro.net.channel import NetworkChannel
 from repro.net.packet import Packetizer
 from repro.video.codec import VideoCodec
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.stream import VideoStream
+
+from ..conftest import blank_frame
 
 
 def _packets(n=60, dt=0.1):

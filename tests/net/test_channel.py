@@ -6,7 +6,8 @@ import pytest
 from repro.net.channel import NetworkChannel
 from repro.net.packet import Packetizer
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 def _packets(n=200, mtu=200):

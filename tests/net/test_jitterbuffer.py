@@ -6,7 +6,8 @@ from repro.net.channel import DeliveredPacket
 from repro.net.jitterbuffer import JitterBuffer
 from repro.net.packet import Packetizer
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 # One codec/packetizer per stream: frame ids must be unique per sender,
@@ -141,7 +142,7 @@ class TestDuplicatesAndLateArrivals:
         buffer.push(DeliveredPacket(packet=first[-1], arrival_time=1.6))
         assert buffer.stats.late_packets == 1
         assert buffer.stats.duplicate_packets == 0
-        assert buffer.pending_count == 0
+        assert len(buffer._pending) == 0
         # A newer frame still flows through normally.
         second = _frame_packets(2.0)
         _deliver(buffer, second)
@@ -165,9 +166,9 @@ class TestAccounting:
         buffer = JitterBuffer(playout_delay_s=1.0)
         _deliver(buffer, _frame_packets(1.0))
         _deliver(buffer, _frame_packets(1.1))
-        assert buffer.pending_count == 2
+        assert len(buffer._pending) == 2
         buffer.playout(5.0)
-        assert buffer.pending_count == 0
+        assert len(buffer._pending) == 0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import pytest
 from repro.net.channel import NetworkChannel
 from repro.net.jitterbuffer import JitterBuffer
 from repro.net.link import MediaLink
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 def _link(delay=0.05, playout=0.1, loss=0.0, seed=0):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.net.packet import Packet, Packetizer
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 def _encoded(payload_hint=None, size=(96, 96)):

@@ -25,7 +25,8 @@ from repro.net.channel import NetworkChannel
 from repro.net.packet import Packetizer
 from repro.obs import Instrumentation
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 def _packets(n=60, dt=0.1):

@@ -143,26 +143,35 @@ def _snapshot(*counter_values: tuple[str, int]) -> MetricsSnapshot:
     return reg.snapshot()
 
 
+def _fold(*snapshots: MetricsSnapshot) -> MetricsSnapshot:
+    """What the parent does with worker snapshots: fold each into one
+    live registry with ``merge_snapshot``."""
+    reg = MetricsRegistry()
+    for snap in snapshots:
+        reg.merge_snapshot(snap)
+    return reg.snapshot()
+
+
 class TestMergeAlgebra:
     def test_merge_is_associative(self):
         a = _snapshot(("x", 1))
         b = _snapshot(("x", 2), ("y", 5))
         c = _snapshot(("y", 7))
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
+        left = _fold(_fold(a, b), c)
+        right = _fold(a, _fold(b, c))
         assert left == right
 
     def test_merge_is_commutative(self):
         a = _snapshot(("x", 1))
         b = _snapshot(("x", 2), ("y", 5))
-        assert a.merge(b) == b.merge(a)
+        assert _fold(a, b) == _fold(b, a)
 
     def test_histograms_merge_bucketwise(self):
         r1 = MetricsRegistry()
         r1.histogram("h", buckets=(0.1, 1.0)).observe(0.05)
         r2 = MetricsRegistry()
         r2.histogram("h", buckets=(0.1, 1.0)).observe(0.5)
-        merged = r1.snapshot().merge(r2.snapshot())
+        merged = _fold(r1.snapshot(), r2.snapshot())
         series = merged.get("h", kind="histogram")
         assert series.bucket_counts == (1, 1, 0)
         assert series.count == 2
@@ -172,8 +181,8 @@ class TestMergeAlgebra:
         r1.histogram("h", buckets=(0.1,)).observe(0.05)
         r2 = MetricsRegistry()
         r2.histogram("h", buckets=(0.2,)).observe(0.05)
-        with pytest.raises(ValueError, match="bounds differ"):
-            r1.snapshot().merge(r2.snapshot())
+        with pytest.raises(ValueError, match="already registered with bounds"):
+            _fold(r1.snapshot(), r2.snapshot())
 
     def test_canonical_order_is_touch_order_independent(self):
         r1 = MetricsRegistry()

@@ -21,7 +21,9 @@ class TestRectProperties:
         if inter is not None:
             assert inter.x0 >= a.x0 and inter.x1 <= a.x1
             assert inter.x0 >= b.x0 and inter.x1 <= b.x1
-            assert inter.area <= min(a.area, b.area) + 1e-9
+            assert inter.width * inter.height <= min(
+                a.width * a.height, b.width * b.height
+            ) + 1e-9
 
     @given(coord, coord, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=60, deadline=None)

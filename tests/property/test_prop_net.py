@@ -8,7 +8,8 @@ from repro.net.channel import NetworkChannel
 from repro.net.jitterbuffer import JitterBuffer
 from repro.net.packet import Packetizer
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 @st.composite
@@ -89,7 +90,7 @@ class TestBufferProperties:
             played
             + buffer.stats.lost_frames
             + buffer.stats.skipped_frames
-            + buffer.pending_count
+            + len(buffer._pending)
         )
         assert accounted == arrived_frames
         assert arrived_frames <= total_frames

@@ -60,10 +60,10 @@ class TestProvisioner:
 class TestGate:
     def test_grade_advances_attempts(self, provisioner):
         gate = provisioner.provision("t", "s1")
-        assert gate.attempts_graded == 0
+        assert gate._attempt == 0
         gate.grade(*echo(gate, attempt=0))
         report = gate.grade(*echo(gate, attempt=1))
-        assert gate.attempts_graded == 2
+        assert gate._attempt == 2
         assert report.attempt_index == 1
         assert report.outcome is BindingOutcome.BOUND
 
@@ -111,9 +111,9 @@ class TestStreamingBinding:
             for _ in range(20)
         ]
         verifier = StreamingVerifier(LivenessDetector(DetectorConfig()).fit(bank))
-        assert verifier.protocol_gate is None
+        assert verifier._protocol_gate is None
         gate = provisioner.provision("t", "s1")
         verifier.bind_protocol(gate)
-        assert verifier.protocol_gate is gate
+        assert verifier._protocol_gate is gate
         verifier.reset()
-        assert verifier.protocol_gate is None
+        assert verifier._protocol_gate is None

@@ -92,6 +92,6 @@ class TestEndOfStream:
         queue = FrameQueue(sched, maxsize=2)
         queue.close()
         queue.close()
-        assert queue.closed
+        assert queue._closed
         with pytest.raises(RuntimeError, match="closed"):
             queue.put("late")

@@ -37,7 +37,7 @@ class TestAdmission:
         async def main():
             admissions = [server.submit("tenant-a") for _ in range(4)]
             await sched.sleep(0.1)  # let the admitted session tasks start
-            depth = (server.active_sessions, server.queued_sessions)
+            depth = (server._active, len(server._slot_waiters))
             outcomes = []
             for admission in admissions:
                 if admission.admitted:

@@ -66,7 +66,7 @@ class TestResidency:
             for tid in ("tenant-a", "tenant-b", "tenant-c"):
                 verifier = await cache.acquire(tid)
                 cache.release(tid, verifier)
-            return cache.resident_tenants
+            return tuple(cache._entries)
 
         resident = run_guarded(sched, main())
         assert resident == ("tenant-b", "tenant-c")  # a was least recent
@@ -84,7 +84,7 @@ class TestResidency:
             held = await cache.acquire("tenant-a")  # never released
             other = await cache.acquire("tenant-b")  # would evict a, but
             cache.release("tenant-b", other)  # a is leased: overshoot
-            resident = cache.resident_tenants
+            resident = tuple(cache._entries)
             cache.release("tenant-a", held)
             return resident
 

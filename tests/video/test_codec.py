@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.video.codec import VideoCodec
-from repro.video.frame import blank_frame
+
+from ..conftest import blank_frame
 
 
 class TestQuantization:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
+
+from ..conftest import blank_frame
 
 
 class TestConstruction:

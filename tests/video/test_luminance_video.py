@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.video.frame import blank_frame
 from repro.video.luminance import BT709_WEIGHTS, frame_mean_luminance, pixel_luminance
+
+from ..conftest import blank_frame
 
 
 class TestWeights:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.video.frame import blank_frame
 from repro.video.stream import VideoStream
+
+from ..conftest import blank_frame
 
 
 def _stream(n=30, fps=10.0, start=0.0):
@@ -78,14 +79,3 @@ class TestSegmentation:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             _stream(5).segments(0.0)
-
-
-class TestSliceTime:
-    def test_half_open_interval(self):
-        sliced = _stream(30).slice_time(1.0, 2.0)
-        assert len(sliced) == 10
-        assert sliced[0].timestamp == pytest.approx(1.0)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            _stream(5).slice_time(2.0, 1.0)
