@@ -49,8 +49,9 @@ _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_*,\s]+)")
 
 def is_test_path(path: str) -> bool:
     """True for test modules: a ``tests`` directory component or a
-    ``test_*`` file name.  R004 narrows itself to asserts there and the
-    secret-flow rules skip them (test code does not ship)."""
+    ``test_*`` file name.  R004 narrows itself to asserts there, R009
+    does not count their references as uses, and the secret-flow rules
+    skip them (test code does not ship)."""
     parts = PurePath(path).parts
     return "tests" in parts or PurePath(path).name.startswith("test_")
 
