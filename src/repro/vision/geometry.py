@@ -32,6 +32,10 @@ class Point:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
+    def translated(self, dx: float, dy: float) -> "Point":  # reprolint: disable=R009 -- test-only, see ROADMAP
+        """Return the point shifted by (dx, dy)."""
+        return Point(self.x + dx, self.y + dy)
+
     def scaled(self, factor: float, origin: "Point | None" = None) -> "Point":
         """Scale about ``origin`` (default: the image origin)."""
         ox, oy = (origin.x, origin.y) if origin is not None else (0.0, 0.0)

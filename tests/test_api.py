@@ -106,7 +106,6 @@ class TestFacade:
             stream.VideoStream: ("slice_time",),
             frame: ("blank_frame",),
             video: ("blank_frame",),
-            geometry.Point: ("translated",),
             geometry.Rect: ("area", "contains"),
         }
         for owner, names in test_only.items():

@@ -24,6 +24,10 @@ class TestPoint:
     def test_distance(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
 
+    def test_translate(self):
+        p = Point(1, 2).translated(3, -1)
+        assert (p.x, p.y) == (4, 1)
+
     def test_scale_about_origin(self):
         p = Point(2, 4).scaled(0.5)
         assert (p.x, p.y) == (1, 2)
