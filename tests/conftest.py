@@ -20,9 +20,9 @@ from repro.experiments.simulate import (
     simulate_attack_session,
     simulate_genuine_session,
 )
+from repro.video.frame import Frame
 from repro.vision.expression import PoseState
 from repro.vision.face_model import make_face
-from repro.video.frame import Frame
 from repro.vision.renderer import FaceRenderer
 
 
