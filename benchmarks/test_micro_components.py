@@ -21,6 +21,8 @@ from repro.core.preprocessing import preprocess_batch
 from repro.obs.instrument import NULL
 from repro.experiments.simulate import simulate_genuine_session
 from repro.service.loadgen import WorkloadConfig, _face_frame
+from repro.video.codec import VideoCodec
+from repro.video.frame import Frame
 from repro.vision.expression import ExpressionTrack, PoseState
 from repro.vision.face_model import make_face
 from repro.vision.landmarks import LandmarkDetector
@@ -274,15 +276,45 @@ def test_bench_received_probe_service_frame(benchmark):
     assert value is not None
 
 
-def test_bench_skin_mask_96(benchmark):
+def _exposed_face_96():
+    """A 96x96 rendered face through a noiseless sensor, as ``float64``."""
     face = make_face("bench", tone="light")
     renderer = FaceRenderer(face, height=96, width=96, seed=1)
     pose = PoseState(center_x=0.5, center_y=0.48, scale=0.3, roll=0.0, blink=0.0, mouth_open=0.0)
     rendered = renderer.render(pose, 120.0, 120.0)
-    pixels = ImageSensor(rng=None).expose(rendered.radiance, 1.0 / 250.0)
+    return ImageSensor(rng=None).expose(rendered.radiance, 1.0 / 250.0)
+
+
+def _decoded_face_96():
+    """The same face as the peer decodes it: the codec's ``uint8`` raster,
+    which is what the verifier probes on every received frame."""
+    codec = VideoCodec()
+    frame = codec.decode(codec.encode(Frame(pixels=_exposed_face_96(), timestamp=0.0)))
+    assert frame.pixels.dtype == np.uint8
+    return frame
+
+
+def test_bench_skin_mask_96(benchmark):
+    pixels = _exposed_face_96()
     detector = LandmarkDetector()
     mask = benchmark(lambda: detector.skin_mask(pixels))
     assert mask.shape == (96, 96) and mask.any()
+
+
+def test_bench_skin_mask_96_decoded(benchmark):
+    pixels = _decoded_face_96().pixels
+    detector = LandmarkDetector()
+    mask = benchmark(lambda: detector.skin_mask(pixels))
+    assert mask.shape == (96, 96) and mask.any()
+
+
+def test_bench_received_probe_decoded_frame(benchmark):
+    """The whole received-frame probe on a decoded 96x96 frame:
+    detect -> nasal-bridge ROI -> ROI mean luminance."""
+    frame = _decoded_face_96()
+    detector = LandmarkDetector()
+    value = benchmark(lambda: roi_luminance(detector, frame))
+    assert value is not None
 
 
 def test_bench_full_session_simulation(benchmark):

@@ -6,6 +6,9 @@ the system viable on resource-limited devices.  These are true
 pytest-benchmark timings of the per-clip pipeline stages; under
 ``--benchmark-disable`` (no stats kept) each stage is instead timed on
 the obs clock over a few repeated calls, against the same bounds.
+``results/sec9_overhead.txt`` states both per-clip stages, luminance
+extraction and feature extraction + classification, and their sum: the
+whole cost of one clip's verdict once its frames have arrived.
 """
 
 import numpy as np
@@ -35,6 +38,26 @@ def mean_seconds(benchmark, func):
 
 
 @pytest.fixture(scope="module")
+def per_clip_ms(report):
+    """Per-clip stage times in ms, filled by the tests below; the results
+    file is written once both stages have been timed."""
+    stages: dict[str, float] = {}
+    yield stages
+    if len(stages) == 2:
+        lum, classify = stages["luminance"], stages["classify"]
+        report(
+            "sec9_overhead",
+            [
+                "Sec. IX computation overhead, one 15-second clip",
+                f"luminance extraction (landmarks + ROI): {lum:8.2f} ms",
+                f"feature extraction + classification:    {classify:8.2f} ms",
+                f"whole per-clip verifier:                {lum + classify:8.2f} ms",
+                "paper: < 200 ms (Matlab/Python prototype)",
+            ],
+        )
+
+
+@pytest.fixture(scope="module")
 def clip_signals(main_dataset):
     clip = main_dataset.select(role=GENUINE)[0]
     return clip.transmitted_luminance, clip.received_luminance
@@ -49,7 +72,7 @@ def trained_detector(main_dataset):
 
 
 def test_sec9_feature_extraction_and_classification(
-    benchmark, clip_signals, trained_detector, report
+    benchmark, clip_signals, trained_detector, per_clip_ms
 ):
     """The paper's quoted number: features + classification per clip."""
     t_lum, r_lum = clip_signals
@@ -60,21 +83,17 @@ def test_sec9_feature_extraction_and_classification(
     result = benchmark(per_clip)
     assert result is not None
     mean_s = mean_seconds(benchmark, per_clip)
-    report(
-        "sec9_overhead",
-        [
-            "Sec. IX computation overhead, one 15-second clip",
-            f"feature extraction + classification: {mean_s * 1000:8.2f} ms",
-            "paper: < 200 ms (Matlab/Python prototype)",
-        ],
-    )
+    per_clip_ms["classify"] = mean_s * 1000
     assert mean_s < 0.2
 
 
-def test_sec9_luminance_extraction_rate(benchmark):
+def test_sec9_luminance_extraction_rate(benchmark, per_clip_ms):
     """Per-frame landmark detection + ROI luminance must keep up with the
-    10 Hz sampling rate (paper cites 300 fps landmarkers on phones)."""
+    10 Hz sampling rate (paper cites 300 fps landmarkers on phones).  The
+    clip's received frames are the codec's ``uint8`` raster, as in a call;
+    the transmitted side's frame means are timed with them."""
     record = simulate_genuine_session(duration_s=15.0, seed=901)
+    assert {frame.pixels.dtype for frame in record.received} == {np.dtype(np.uint8)}
     landmark_detector = LandmarkDetector()
 
     def extract():
@@ -84,7 +103,8 @@ def test_sec9_luminance_extraction_rate(benchmark):
 
     t, r = benchmark(extract)
     assert t.size == r.luminance.size == 150
-    per_frame_ms = mean_seconds(benchmark, extract) * 1000 / 150
+    per_clip_ms["luminance"] = mean_seconds(benchmark, extract) * 1000
+    per_frame_ms = per_clip_ms["luminance"] / 150
     # 10 Hz sampling needs < 100 ms per frame; we must be far below that.
     assert per_frame_ms < 20.0
 

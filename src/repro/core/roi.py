@@ -25,7 +25,5 @@ MIN_ROI_SIDE = 2.0
 
 def nasal_bridge_roi(landmarks: FaceLandmarks) -> Rect:
     """The luminance-measurement square from one frame's landmarks."""
-    anchor = landmarks.lower_bridge  # (a1, b1)
-    tip = landmarks.nose_tip_center  # (a2, b2)
-    side = max(abs(anchor.y - tip.y), MIN_ROI_SIDE)
-    return square_around(anchor, side)
+    a1, b1, b2 = landmarks.roi_coordinates()
+    return square_around(a1, b1, max(abs(b1 - b2), MIN_ROI_SIDE))

@@ -17,9 +17,10 @@ frame handed to the codec), where it avoids repeated quantization.  The codec is
 place that deliberately rounds to the 8-bit grid, exactly like a real
 video chat stack: the frame a link sends and the frame the peer decodes
 share that read-only raster, at an eighth of the float bytes, and every
-recorded stream (transmitted and received) holds it.  Readers that need
-arithmetic (``pixel_luminance``, the landmark detector's skin mask)
-convert to ``float64`` on entry, so both storages read the same values.
+recorded stream (transmitted and received) holds it.  Both storages read
+the same values: ``pixel_luminance`` converts to ``float64`` on entry, and
+the landmark detector's skin mask tests a ``uint8`` raster in exact
+integer arithmetic that gives the float mask bit for bit.
 """
 
 from __future__ import annotations

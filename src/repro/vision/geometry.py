@@ -9,16 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
-__all__ = ["Point", "Rect", "clamp", "square_around"]
-
-
-def clamp(value: float, low: float, high: float) -> float:  # reprolint: disable=R009 -- test-only, see ROADMAP
-    """Clamp ``value`` into ``[low, high]``."""
-    if low > high:
-        raise ValueError(f"empty clamp interval [{low}, {high}]")
-    return max(low, min(high, value))
+__all__ = ["Point", "Rect", "square_around"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,19 +22,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":  # reprolint: disable=R009 -- test-only, see ROADMAP
-        """Return the point shifted by (dx, dy)."""
-        return Point(self.x + dx, self.y + dy)
-
-    def scaled(self, factor: float, origin: "Point | None" = None) -> "Point":
-        """Scale about ``origin`` (default: the image origin)."""
-        ox, oy = (origin.x, origin.y) if origin is not None else (0.0, 0.0)
-        return Point(ox + (self.x - ox) * factor, oy + (self.y - oy) * factor)
-
-    def as_array(self) -> np.ndarray:
-        """Return ``array([x, y])``."""
-        return np.array([self.x, self.y], dtype=np.float64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,27 +45,12 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def center(self) -> Point:
-        return Point((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
-    def intersect(self, other: "Rect") -> "Rect | None":  # reprolint: disable=R009 -- test-only, see ROADMAP
-        """Intersection rectangle, or ``None`` when disjoint."""
-        return self._overlap(other.x0, other.y0, other.x1, other.y1)
-
     def clipped_to(self, width: float, height: float) -> "Rect | None":
-        """Clip to an image of the given size; ``None`` if fully outside.
-
-        The same as ``intersect(Rect(0, 0, width, height))``, without
-        building the image rectangle.
-        """
-        return self._overlap(0.0, 0.0, float(width), float(height))
-
-    def _overlap(self, x0: float, y0: float, x1: float, y1: float) -> "Rect | None":
-        x0 = max(self.x0, x0)
-        y0 = max(self.y0, y0)
-        x1 = min(self.x1, x1)
-        y1 = min(self.y1, y1)
+        """The part inside an image of the given size; ``None`` if fully outside."""
+        x0 = max(self.x0, 0.0)
+        y0 = max(self.y0, 0.0)
+        x1 = min(self.x1, float(width))
+        y1 = min(self.y1, float(height))
         if x1 <= x0 or y1 <= y0:
             return None
         return Rect(x0, y0, x1, y1)
@@ -105,8 +68,8 @@ class Rect:
         return row, col
 
 
-def square_around(center: Point, side: float) -> Rect:
-    """Axis-aligned square of the given ``side`` centered on ``center``.
+def square_around(x: float, y: float, side: float) -> Rect:
+    """Axis-aligned square of the given ``side`` centered on ``(x, y)``.
 
     This is the ROI shape the paper extracts on the lower nasal bridge
     (Sec. IV, Fig. 5): side ``l = |b1 - b2|`` centered on the bridge point.
@@ -114,4 +77,4 @@ def square_around(center: Point, side: float) -> Rect:
     if side < 0:
         raise ValueError("square side must be non-negative")
     half = side / 2.0
-    return Rect(center.x - half, center.y - half, center.x + half, center.y + half)
+    return Rect(x - half, y - half, x + half, y + half)

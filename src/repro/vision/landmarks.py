@@ -10,6 +10,9 @@ The detector is a genuine pixel-level algorithm, not a metadata lookup:
 1. **Skin segmentation** — skin chromaticity (red-dominant, blue-poor) is
    illumination-invariant under the Von Kries model, so thresholding the
    r/b chromaticities finds skin regardless of screen/ambient level.
+   The codec's ``uint8`` raster (every received frame) is thresholded in
+   ``uint16`` integer arithmetic that gives exactly the float64 result,
+   so it is never converted to float.
 2. **Ellipse fit** — face width from robust x-percentiles of the skin
    mask, vertical anchor on the chin (the hairline is unreliable), a
    population-prior aspect ratio for face height.  The percentiles are
@@ -22,7 +25,8 @@ The detector is a genuine pixel-level algorithm, not a metadata lookup:
    fitted ellipse, with a small seeded jitter modelling the residual
    error real landmark detectors exhibit frame to frame.  The fit is
    kept as 24 floats; :class:`~repro.vision.geometry.Point` objects are
-   built only for the landmarks a caller reads (the ROI reads two).
+   built only for the landmarks a caller reads (the ROI reads three
+   coordinates and builds none).
 
 Failure modes mirror the real API: too-dark frames, heavy occlusion or
 the face leaving the frame produce ``None`` (the luminance extractor
@@ -79,6 +83,31 @@ def _linear_quantiles(cumulative: list[int], quantiles: Sequence[float]) -> list
 #: Coordinate offsets into a fit's flat ``(x0, y0, x1, y1, ...)`` tuple,
 #: in :data:`_LAYOUT_UV` order.
 _BRIDGE, _TIP, _LEFT_EYE, _RIGHT_EYE, _MOUTH = 0, 8, 18, 20, 22
+
+
+def _skin_mask_8bit(pixels: np.ndarray) -> np.ndarray:
+    """:meth:`LandmarkDetector.skin_mask` on a ``uint8`` raster, in integers.
+
+    For an integer total ``T = r + g + b`` in 46..765, the float64 test
+    ``r / T > 0.355`` holds exactly when ``200 r > 71 T``, and
+    ``b / T < 0.32`` exactly when ``25 b < 8 T``.  A quotient other than
+    71/200 (or 8/25) lies at least ``1 / (200 * 765)`` from it, far more
+    than a rounding step, so rounding never moves it across the constant;
+    at the ratio itself the rounded quotient equals the rounded constant,
+    and both forms reject it.  Every product fits in ``uint16``
+    (``71 * 765 = 54315``).
+    """
+    r, g, b = pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2]
+    total = np.add(r, g, dtype=np.uint16)
+    total += b
+    lhs = np.multiply(r, 200, dtype=np.uint16)
+    rhs = np.multiply(total, 71, dtype=np.uint16)
+    mask = np.greater(lhs, rhs)
+    np.multiply(b, 25, out=lhs, dtype=np.uint16)
+    np.multiply(total, 8, out=rhs, dtype=np.uint16)
+    mask &= np.less(lhs, rhs)
+    mask &= np.greater(total, 45)
+    return mask
 
 
 class FaceLandmarks:
@@ -156,17 +185,12 @@ class FaceLandmarks:
     def mouth(self) -> Point:
         return self._point(_MOUTH)
 
-    @property
-    def lower_bridge(self) -> Point:
-        """The lowest nasal-bridge point — the ROI anchor ``(a1, b1)``."""
-        return self._point(_TIP - 2)
-
-    @property
-    def nose_tip_center(self) -> Point:
-        """Center of the nasal-tip arc — the ROI sizing point ``(a2, b2)``."""
-        xs = self._xy[_TIP:_LEFT_EYE:2]
-        ys = self._xy[_TIP + 1 : _LEFT_EYE : 2]
-        return Point(sum(xs) / len(xs), sum(ys) / len(ys))
+    def roi_coordinates(self) -> tuple[float, float, float]:
+        """``(a1, b1, b2)`` of the Sec. IV ROI: the lowest nasal-bridge
+        point ``(a1, b1)`` and the mean ``y`` of the nasal-tip arc ``b2``,
+        read from the fit without building points."""
+        tip_ys = self._xy[_TIP + 1 : _LEFT_EYE : 2]
+        return self._xy[_TIP - 2], self._xy[_TIP - 1], sum(tip_ys) / len(tip_ys)
 
     def as_dict(self) -> dict[str, list[Point]]:
         """Same structure as the renderer's ground-truth dictionary."""
@@ -228,10 +252,20 @@ class LandmarkDetector:
         self._rng = np.random.default_rng(self.seed)
 
     def skin_mask(self, pixels: np.ndarray) -> np.ndarray:
-        """Boolean skin mask from illumination-invariant chromaticity."""
-        pixels = np.asarray(pixels, dtype=np.float64)
+        """Boolean skin mask from illumination-invariant chromaticity.
+
+        A pixel is skin when its channel total ``r + g + b`` exceeds 45
+        and its chromaticities satisfy ``r / total > 0.355`` and
+        ``b / total < 0.32`` in float64.  The codec's ``uint8`` raster is
+        tested in integers (:func:`_skin_mask_8bit`), with the same result;
+        any other input is read as ``float64``.
+        """
+        pixels = np.asarray(pixels)
         if pixels.ndim != 3 or pixels.shape[2] != 3:
             raise ValueError("pixels must have shape (h, w, 3)")
+        if pixels.dtype == np.uint8:
+            return _skin_mask_8bit(pixels)
+        pixels = pixels.astype(np.float64, copy=False)
         r, g, b = pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2]
         total = r + g + b
         # Only bright pixels (total > 45) can be skin, and for those the
@@ -245,13 +279,15 @@ class LandmarkDetector:
         height, width = mask.shape
         if not width:
             return None
-        columns = mask.sum(axis=0, dtype=np.intp).cumsum().tolist()
+        # Skin counts per column and per row: exact integers, summed by
+        # the ufunc itself rather than through ``ndarray.sum``'s wrapper.
+        columns = np.add.reduce(mask, 0, np.intp).cumsum().tolist()
         count = columns[-1]
         if count == 0 or count < self.min_face_fraction * height * width:
             return None
 
         x_lo, x_hi = _linear_quantiles(columns, (0.02, 0.98))
-        rows = mask.sum(axis=1, dtype=np.intp).cumsum().tolist()
+        rows = np.add.reduce(mask, 1, np.intp).cumsum().tolist()
         (chin_y,) = _linear_quantiles(rows, (0.99,))
         half_width = max((x_hi - x_lo) / 2.0, 2.0)
         center_x = (x_lo + x_hi) / 2.0

@@ -54,7 +54,7 @@ def _probe_reference(detector, frame):
         return None
     anchor = landmarks.nasal_bridge[-1]
     tip_y = sum([p.y for p in landmarks.nasal_tip]) / len(landmarks.nasal_tip)
-    roi = square_around(anchor, max(abs(anchor.y - tip_y), MIN_ROI_SIDE))
+    roi = square_around(anchor.x, anchor.y, max(abs(anchor.y - tip_y), MIN_ROI_SIDE))
     return _roi_mean_luminance_reference(frame, roi)
 
 

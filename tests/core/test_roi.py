@@ -29,8 +29,8 @@ class TestRoiGeometry:
 
     def test_centered_on_lower_bridge(self):
         roi = nasal_bridge_roi(_landmarks(bridge_y=40.0, tip_y=48.0, x=50.0))
-        assert roi.center.x == pytest.approx(50.0)
-        assert roi.center.y == pytest.approx(40.0)
+        assert (roi.x0 + roi.x1) / 2.0 == pytest.approx(50.0)
+        assert (roi.y0 + roi.y1) / 2.0 == pytest.approx(40.0)
 
     def test_scales_with_face_size(self):
         small = nasal_bridge_roi(_landmarks(bridge_y=40.0, tip_y=44.0))

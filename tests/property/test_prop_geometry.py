@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.screen.illumination import screen_illuminance, von_kries_reflection
 from repro.video.luminance import pixel_luminance
-from repro.vision.geometry import Point, Rect, square_around
+from repro.vision.geometry import Rect, square_around
 
 coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
@@ -15,22 +15,22 @@ class TestRectProperties:
     @given(coord, coord, st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=60, deadline=None)
     def test_intersection_contained_in_both(self, x0, y0, w, h):
+        """``clipped_to`` is the rectangle's intersection with the image."""
         a = Rect(x0, y0, x0 + w, y0 + h)
-        b = Rect(x0 + w / 3, y0 + h / 3, x0 + w, y0 + h)
-        inter = a.intersect(b)
+        image = Rect(0.0, 0.0, abs(x0) + w / 2, abs(y0) + h / 2)
+        inter = a.clipped_to(image.width, image.height)
         if inter is not None:
             assert inter.x0 >= a.x0 and inter.x1 <= a.x1
-            assert inter.x0 >= b.x0 and inter.x1 <= b.x1
-            assert inter.width * inter.height <= min(
-                a.width * a.height, b.width * b.height
-            ) + 1e-9
+            assert inter.y0 >= a.y0 and inter.y1 <= a.y1
+            assert inter.x0 >= image.x0 and inter.x1 <= image.x1
+            assert inter.y0 >= image.y0 and inter.y1 <= image.y1
 
     @given(coord, coord, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=60, deadline=None)
     def test_square_around_is_centered(self, x, y, side):
-        sq = square_around(Point(x, y), side)
-        assert np.isclose(sq.center.x, x)
-        assert np.isclose(sq.center.y, y)
+        sq = square_around(x, y, side)
+        assert np.isclose((sq.x0 + sq.x1) / 2.0, x)
+        assert np.isclose((sq.y0 + sq.y1) / 2.0, y)
         assert np.isclose(sq.width, side)
         assert np.isclose(sq.height, side)
 

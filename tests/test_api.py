@@ -85,6 +85,7 @@ class TestFacade:
         from repro.service.tenants import TenantBankCache
         from repro.video import frame, stream
         from repro.vision import geometry
+        from repro.vision.landmarks import FaceLandmarks
 
         test_only = {
             LocalOutlierFactor: ("effective_neighbors",),
@@ -106,7 +107,10 @@ class TestFacade:
             stream.VideoStream: ("slice_time",),
             frame: ("blank_frame",),
             video: ("blank_frame",),
-            geometry.Rect: ("area", "contains"),
+            geometry: ("clamp",),
+            geometry.Point: ("translated", "scaled", "as_array"),
+            geometry.Rect: ("area", "contains", "center", "intersect", "_overlap"),
+            FaceLandmarks: ("lower_bridge", "nose_tip_center"),
         }
         for owner, names in test_only.items():
             for name in names:

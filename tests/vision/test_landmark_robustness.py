@@ -80,7 +80,7 @@ class TestSensorNoise:
         a = detector.detect(clean)
         b = detector.detect(noisy)
         assert a is not None and b is not None
-        assert a.lower_bridge.distance_to(b.lower_bridge) < 3.0
+        assert a.nasal_bridge[-1].distance_to(b.nasal_bridge[-1]) < 3.0
 
     def test_glasses_do_not_break_detection(self):
         face = make_face("x", tone="tan", rng=np.random.default_rng(11), has_glasses=True)

@@ -158,7 +158,7 @@ class TestDetection:
         pixels_r, _ = _frame_pixels(renderer, _pose(center_x=0.58))
         left = detector.detect(pixels_l)
         right = detector.detect(pixels_r)
-        assert right.lower_bridge.x - left.lower_bridge.x > 0.1 * 72
+        assert right.nasal_bridge[-1].x - left.nasal_bridge[-1].x > 0.1 * 72
 
     def test_no_face_returns_none(self):
         rng = np.random.default_rng(0)
@@ -179,14 +179,14 @@ class TestJitterModel:
         detector = LandmarkDetector(jitter_fraction=0.05, seed=1)
         a = detector.detect(pixels)
         b = detector.detect(pixels)
-        assert a.lower_bridge != b.lower_bridge
+        assert a.nasal_bridge[-1] != b.nasal_bridge[-1]
 
     def test_zero_jitter_is_deterministic(self, renderer, neutral_pose):
         pixels, _ = _frame_pixels(renderer, neutral_pose)
         detector = LandmarkDetector(jitter_fraction=0.0)
         a = detector.detect(pixels)
         b = detector.detect(pixels)
-        assert a.lower_bridge == b.lower_bridge
+        assert a.nasal_bridge[-1] == b.nasal_bridge[-1]
 
 
 class TestFaceLandmarksType:
@@ -198,7 +198,7 @@ class TestFaceLandmarksType:
             FaceLandmarks(nasal_bridge=(p,) * 4, nasal_tip=(p,) * 3, left_eye=p, right_eye=p, mouth=p)
 
     def test_nose_tip_center_is_mean(self):
-        tips = tuple(Point(float(x), 10.0) for x in range(5))
+        tips = tuple(Point(float(x), 8.0 + x) for x in range(5))
         lm = FaceLandmarks(
             nasal_bridge=(Point(2, 5),) * 4,
             nasal_tip=tips,
@@ -206,8 +206,7 @@ class TestFaceLandmarksType:
             right_eye=Point(4, 0),
             mouth=Point(2, 15),
         )
-        assert lm.nose_tip_center.x == pytest.approx(2.0)
-        assert lm.nose_tip_center.y == pytest.approx(10.0)
+        assert lm.roi_coordinates() == pytest.approx((2.0, 5.0, 10.0))
 
     def test_mean_error_requires_overlap(self):
         p = Point(0, 0)
@@ -230,6 +229,73 @@ class TestSkinMask:
     def test_mask_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             LandmarkDetector().skin_mask(np.zeros((5, 5)))
+        with pytest.raises(ValueError):
+            LandmarkDetector().skin_mask(np.zeros((5, 5, 4), dtype=np.uint8))
+
+
+def _assert_mask_matches_float_twin(pixels):
+    """The integer mask of a ``uint8`` raster equals the float mask of
+    the same pixels as ``float64``."""
+    assert pixels.dtype == np.uint8
+    detector = LandmarkDetector()
+    got = detector.skin_mask(pixels)
+    want = detector.skin_mask(pixels.astype(np.float64))
+    assert got.dtype == want.dtype == np.dtype(bool)
+    assert got.shape == want.shape == pixels.shape[:2]
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestEightBitSkinMask:
+    """The ``uint8`` raster's integer mask against the float64 mask."""
+
+    def test_every_colour(self):
+        # One 256x256 chunk per green level: red down the rows, blue
+        # across the columns, so all 2^24 colours are checked.
+        ramp = np.arange(256, dtype=np.uint8)
+        pixels = np.empty((256, 256, 3), dtype=np.uint8)
+        pixels[:, :, 0] = ramp[:, None]
+        pixels[:, :, 2] = ramp[None, :]
+        skin = 0
+        for green in range(256):
+            pixels[:, :, 1] = green
+            skin += int(np.count_nonzero(_assert_mask_matches_float_twin(pixels)))
+        assert 0 < skin < 1 << 24
+
+    def test_ratio_boundaries(self):
+        # r / T == 71 / 200 and b / T == 8 / 25 exactly are not skin, one
+        # step further in is; a total of 45 is too dark, 46 is not.
+        pixels = np.array(
+            [
+                [(71, 129, 0), (72, 128, 0), (120, 16, 64)],
+                [(120, 17, 63), (30, 15, 0), (30, 16, 0)],
+            ],
+            dtype=np.uint8,
+        )
+        mask = _assert_mask_matches_float_twin(pixels)
+        assert mask.tolist() == [[False, True, False], [True, False, True]]
+
+    def test_memory_layouts(self):
+        rng = np.random.default_rng(31)
+        face, _ = _frame_pixels(FaceRenderer(make_face("m", tone="medium"), 72, 72, seed=3), _pose())
+        base = np.clip(np.round(face + rng.normal(0.0, 20.0, face.shape)), 0, 255).astype(np.uint8)
+        want = _assert_mask_matches_float_twin(np.ascontiguousarray(base))
+        planar = np.ascontiguousarray(base.transpose(2, 0, 1)).transpose(1, 2, 0)
+        for pixels in (np.asfortranarray(base), planar):
+            assert np.array_equal(_assert_mask_matches_float_twin(pixels), want)
+        big = np.zeros((3 * 72, 2 * 72, 5), dtype=np.uint8)
+        big[1::3, ::2, 1:4] = base
+        view = big[1::3, ::2, 1:4]
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        assert np.array_equal(_assert_mask_matches_float_twin(view), want)
+        assert np.array_equal(_assert_mask_matches_float_twin(base[::-1, ::-1]), want[::-1, ::-1])
+        assert want.any() and not want.all()
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 9, 3), (9, 0, 3)])
+    def test_empty_frames(self, shape):
+        pixels = np.zeros(shape, dtype=np.uint8)
+        _assert_mask_matches_float_twin(pixels)
+        assert LandmarkDetector().detect(pixels) is None
 
 
 def _random_box_frames(seed, count):
@@ -325,8 +391,8 @@ class TestPointsBuiltOnRead:
     def test_accessors_equal_eager_points(self, renderer):
         for lazy, eager in self._pairs(renderer):
             assert lazy.as_dict() == eager.as_dict()
-            assert lazy.lower_bridge == eager.lower_bridge
-            assert lazy.nose_tip_center == eager.nose_tip_center
+            anchor, tip = eager.lower_bridge, eager.nose_tip_center
+            assert lazy.roi_coordinates() == (anchor.x, anchor.y, tip.y)
             assert (lazy.nasal_bridge, lazy.nasal_tip) == (eager.nasal_bridge, eager.nasal_tip)
             assert (lazy.left_eye, lazy.right_eye, lazy.mouth) == (
                 eager.left_eye,
