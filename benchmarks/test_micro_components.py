@@ -228,21 +228,30 @@ def test_bench_render_frame_64(benchmark):
     assert result.face_visible
 
 
-def _radiance_96():
-    renderer = FaceRenderer(make_face("bench", tone="light"), height=96, width=96, seed=1)
+def _radiance(size):
+    renderer = FaceRenderer(make_face("bench", tone="light"), height=size, width=size, seed=1)
     return renderer.render(ExpressionTrack(seed=2).sample(1.0), 120.0, 50.0, 70.0).radiance
 
 
 def test_bench_expose_frame(benchmark):
-    """One noisy 96x96 exposure: the per-pixel Gaussian draw is its floor."""
-    radiance = _radiance_96()
+    """One noisy 96x96 exposure: gamma encoding, the per-pixel sigma and
+    one 16-bit index draw per sub-pixel into the inverse-CDF noise table."""
+    radiance = _radiance(96)
     sensor = ImageSensor(rng=np.random.default_rng(3))
     pixels = benchmark(lambda: sensor.expose(radiance, 1.0 / 250.0))
     assert pixels.shape == (96, 96, 3)
 
 
+def test_bench_expose_frame_64(benchmark):
+    """The verifier's 64x64 raster."""
+    radiance = _radiance(64)
+    sensor = ImageSensor(rng=np.random.default_rng(3))
+    pixels = benchmark(lambda: sensor.expose(radiance, 1.0 / 250.0))
+    assert pixels.shape == (64, 64, 3)
+
+
 def test_bench_multi_zone_metering(benchmark):
-    radiance = _radiance_96()
+    radiance = _radiance(96)
     meter = LightMeter(mode=MeteringMode.MULTI_ZONE)
     level = benchmark(lambda: meter.measure(radiance))
     assert level > 0

@@ -23,7 +23,7 @@ import numpy as np
 from ..camera.camera import Camera
 from ..camera.exposure import AutoExposureController
 from ..camera.metering import LightMeter, MeteringMode
-from ..camera.sensor import ImageSensor
+from ..camera.sensor import ImageSensor, table_normal
 from ..video.frame import Frame
 from ..vision.expression import ExpressionTrack
 from ..vision.renderer import FaceRenderer
@@ -98,9 +98,8 @@ class ReenactmentAttacker:
         radiance = result.radiance
         if self.artifact_level > 0:
             flicker = 1.0 + self._rng.normal(0.0, self.artifact_level)
-            spatial = self._rng.normal(
-                0.0, self.artifact_level * 0.5, size=radiance.shape[:2]
-            )
+            spatial = table_normal(self._rng, radiance.shape[:2])
+            spatial *= self.artifact_level * 0.5
             # In place: the renderer hands back a fresh raster.
             gain = np.clip(flicker + spatial, 0.8, 1.2)
             for channel in range(3):

@@ -35,7 +35,7 @@ from .simulate import SessionSpec
 __all__ = ["ClipInstance", "FeatureDataset", "build_dataset", "clip_from_session"]
 
 #: Bump when the generation pipeline changes incompatibly (invalidates caches).
-GENERATOR_VERSION = 12
+GENERATOR_VERSION = 13
 
 GENUINE = "genuine"
 ATTACK = "attack"

@@ -1,9 +1,18 @@
 """Image sensor: exposure scaling, gamma, noise, clipping."""
 
+import hashlib
+import subprocess
+import sys
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
-from repro.camera.sensor import ImageSensor
+from repro.camera.sensor import ImageSensor, standard_normal_table, table_normal
+
+#: sha256 of the noise table's little-endian float64 bytes.  A platform
+#: whose ``NormalDist.inv_cdf`` differs fails here, not in moved goldens.
+TABLE_SHA256 = "4c2f5f42f122b6bd035838527b999a2a71644434978501f302767ff79fd4dada"
 
 
 def _radiance(value, shape=(8, 8, 3)):
@@ -64,6 +73,70 @@ class TestNoise:
         a = ImageSensor(rng=np.random.default_rng(7)).expose(_radiance(30.0), 0.01)
         b = ImageSensor(rng=np.random.default_rng(7)).expose(_radiance(30.0), 0.01)
         assert np.array_equal(a, b)
+
+
+class TestNoiseTable:
+    def test_exactly_antisymmetric_and_strictly_increasing(self):
+        table = standard_normal_table()
+        assert table.shape == (1 << 16,)
+        assert np.array_equal(table, -table[::-1])
+        assert np.all(np.diff(table) > 0)
+
+    def test_moments_and_cut(self):
+        table = standard_normal_table()
+        assert abs(table.mean()) < 1e-12
+        assert abs(table.std() - 1.0) < 2e-5
+        assert table[-1] == pytest.approx(4.3249, abs=1e-4)
+        assert table[0] == -table[-1]
+
+    def test_ks_distance_to_the_normal_cdf(self):
+        table = standard_normal_table()
+        size = len(table)
+        cdf = np.array([NormalDist().cdf(float(x)) for x in table])
+        rank = np.arange(size)
+        # The table's law steps from i/size to (i+1)/size at entry i.
+        ks = max(np.abs(cdf - rank / size).max(), np.abs(cdf - (rank + 1) / size).max())
+        assert ks <= 1.0 / size
+
+    def test_bytes_are_pinned(self):
+        table = standard_normal_table()
+        assert hashlib.sha256(table.astype("<f8").tobytes()).hexdigest() == TABLE_SHA256
+
+    def test_read_only_and_built_once(self):
+        table = standard_normal_table()
+        assert standard_normal_table() is table
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    def test_table_normal_looks_up_uint16_indices(self):
+        got = table_normal(np.random.default_rng(5), (7, 9))
+        indices = np.random.default_rng(5).integers(0, 1 << 16, (7, 9), dtype=np.uint16)
+        np.testing.assert_array_equal(got, standard_normal_table()[indices])
+
+    def test_built_lazily_on_first_noisy_exposure(self):
+        script = (
+            "import numpy as np\n"
+            "import repro.api\n"
+            "from repro.camera.sensor import ImageSensor, standard_normal_table\n"
+            "radiance = np.full((4, 4, 3), 30.0)\n"
+            "ImageSensor(rng=None).expose(radiance, 0.01)\n"
+            "assert standard_normal_table.cache_info().currsize == 0\n"
+            "ImageSensor(rng=np.random.default_rng(0)).expose(radiance, 0.01)\n"
+            "assert standard_normal_table.cache_info().currsize == 1\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
+
+    @pytest.mark.parametrize("level", [40.0, 128.0, 200.0])
+    def test_expose_residuals_keep_sigma(self, level):
+        sensor = ImageSensor(rng=np.random.default_rng(3))
+        radiance = np.full((200, 200, 3), 100.0)
+        exposure = (level / 255.0) ** sensor.gamma / 100.0
+        clean = ImageSensor(rng=None).expose(radiance, exposure)
+        residual = sensor.expose(radiance, exposure) - clean
+        sigma = np.sqrt(sensor.read_noise**2 + sensor.shot_noise_scale**2 * level / 255.0)
+        assert abs(residual.mean()) < 0.01
+        assert residual.std() == pytest.approx(sigma, rel=0.01)
+        assert np.abs(residual).max() <= standard_normal_table()[-1] * sigma * (1 + 1e-12)
 
 
 class TestValidation:

@@ -18,7 +18,7 @@ import pytest
 from repro.attack.reenactment import ReenactmentAttacker
 from repro.attack.target import TargetRecording
 from repro.camera.metering import LightMeter
-from repro.camera.sensor import ImageSensor
+from repro.camera.sensor import ImageSensor, standard_normal_table
 from repro.video.codec import VideoCodec
 from repro.video.frame import Frame
 from repro.vision.expression import PoseState
@@ -75,8 +75,14 @@ def _render_reference(renderer, pose, face_illuminance_lux, ambient_lux, screen_
     return radiance, face_visible
 
 
+def _table_noise_reference(rng, shape):
+    """One whole-raster draw of 16-bit indices into the inverse-CDF table."""
+    indices = rng.integers(0, 1 << 16, shape, dtype=np.uint16)
+    return standard_normal_table()[indices]
+
+
 def _expose_reference(sensor, radiance, exposure):
-    """Out-of-place sensor chain with ``rng.normal(0, 1)`` draws."""
+    """Out-of-place whole-frame sensor chain with table-lookup noise."""
     radiance = np.asarray(radiance, dtype=np.float64)
     linear = np.clip(radiance * exposure, 0.0, 1.0)
     pixels = 255.0 * linear ** (1.0 / sensor.gamma)
@@ -84,7 +90,7 @@ def _expose_reference(sensor, radiance, exposure):
         noise_sigma = np.sqrt(
             sensor.read_noise**2 + (sensor.shot_noise_scale**2) * (pixels / 255.0)
         )
-        pixels = pixels + sensor.rng.normal(0.0, 1.0, pixels.shape) * noise_sigma
+        pixels = pixels + _table_noise_reference(sensor.rng, pixels.shape) * noise_sigma
     return np.clip(pixels, 0.0, 255.0)
 
 
@@ -236,7 +242,7 @@ def test_reenactment_gain_matches_broadcast_reference():
         lux = ref.target.illuminance_at(t)
         radiance = ref.renderer.render(pose, lux, lux).radiance
         flicker = 1.0 + ref._rng.normal(0.0, ref.artifact_level)
-        spatial = ref._rng.normal(0.0, ref.artifact_level * 0.5, size=radiance.shape[:2])
+        spatial = _table_noise_reference(ref._rng, radiance.shape[:2]) * (ref.artifact_level * 0.5)
         radiance = radiance * np.clip(flicker + spatial, 0.8, 1.2)[..., None]
         want = ref.camera.capture(radiance, timestamp=t)
         if tick == 0:
