@@ -92,10 +92,12 @@ class ChatVerifier:
         """Fit the legitimate bank from genuine session recordings.
 
         Each session is segmented into clips; every clip contributes one
-        feature vector to the bank.  ``map`` drops each record once its
-        signals are out, so a generator of sessions never has two records
-        alive at once (a ``for`` variable would hold the previous record
-        while the generator simulates the next).
+        feature vector to the bank.  The landmark detector is rewound per
+        session, so the bank does not depend on the order of the sessions.
+        ``map`` drops each record once its signals are out, so a generator
+        of sessions never has two records alive at once (a ``for``
+        variable would hold the previous record while the generator
+        simulates the next).
         """
         pairs = [
             pair
@@ -128,13 +130,7 @@ class ChatVerifier:
         self,
         record: SessionRecord,
     ) -> VerificationReport:
-        """Segment a session into clips, batch-verify them, majority-vote.
-
-        The landmark detector is rewound first, as
-        ``StreamingVerifier.reset`` does, so a session's scores never
-        depend on the sessions this verifier handled before it.
-        """
-        self.landmark_detector.reset()
+        """Segment a session into clips, batch-verify them, majority-vote."""
         with self.instrumentation.span("verifier.verify_session", stage="verdict"):
             pairs = self._session_signals(record)
             attempts = verify_clips(pairs, self.detector)
@@ -153,7 +149,13 @@ class ChatVerifier:
     def _session_signals(
         self, record: SessionRecord
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The raw luminance signal pair of every clip of a session."""
+        """The raw luminance signal pair of every clip of a session.
+
+        The landmark detector is rewound first, as
+        ``StreamingVerifier.reset`` does, so a session's signals never
+        depend on the sessions this verifier handled before it.
+        """
+        self.landmark_detector.reset()
         return [
             self.extract_signals(t_clip, r_clip)
             for t_clip, r_clip in self._paired_clips(record.transmitted, record.received)

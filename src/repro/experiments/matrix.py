@@ -262,8 +262,9 @@ def enrollment_bank(
 ) -> np.ndarray:
     """Legitimate feature bank from clean genuine sessions (one clip each).
 
-    One landmark detector serves every record in order, so its jitter
-    stream is the one a single verifier would draw.
+    One landmark detector serves every record, rewound before each as
+    :meth:`ChatVerifier.enroll` rewinds its own, so the bank is the one a
+    verifier would enroll from the same sessions in any order.
     """
     engine = engine or ExecutionEngine()
     specs = [
@@ -276,10 +277,12 @@ def enrollment_bank(
     ]
     records = simulate_session_batch(specs, env=env, user=user, engine=engine)
     landmarks = LandmarkDetector()
-    pairs = [
-        clip_signals(record.transmitted, record.received, config.sample_rate_hz, landmarks)
-        for record in records
-    ]
+    pairs = []
+    for record in records:
+        landmarks.reset()
+        pairs.append(
+            clip_signals(record.transmitted, record.received, config.sample_rate_hz, landmarks)
+        )
     features = engine.extract_features_batch(pairs, config, stage="enroll")
     return np.stack([fv.as_array() for fv in features])
 
