@@ -83,7 +83,3 @@ class Camera:
         if metadata:
             frame_metadata.update(metadata)
         return Frame(pixels=pixels, timestamp=timestamp, metadata=frame_metadata)
-
-    def reset_clock(self) -> None:  # reprolint: disable=R009 -- test-only, see ROADMAP
-        """Forget the previous timestamp (start of a new recording)."""
-        self._last_timestamp = None

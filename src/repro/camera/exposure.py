@@ -103,7 +103,3 @@ class AutoExposureController:
         if self._exposure is None:
             raise RuntimeError("cannot lock before the first update")
         self.locked = True
-
-    def unlock(self) -> None:  # reprolint: disable=R009 -- test-only, see ROADMAP
-        """Resume automatic adjustment."""
-        self.locked = False

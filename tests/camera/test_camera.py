@@ -62,13 +62,6 @@ class TestClock:
         with pytest.raises(ValueError):
             camera.capture(np.full((8, 8, 3), 10.0), timestamp=1.0)
 
-    def test_reset_clock_allows_restart(self):
-        camera = _camera()
-        camera.capture(np.full((8, 8, 3), 10.0), timestamp=5.0)
-        camera.reset_clock()
-        frame = camera.capture(np.full((8, 8, 3), 10.0), timestamp=0.0)
-        assert frame.timestamp == pytest.approx(0.0)
-
     def test_rejects_bad_fps(self):
         with pytest.raises(ValueError):
             Camera(fps=0.0)

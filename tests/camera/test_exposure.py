@@ -41,15 +41,6 @@ class TestLocking:
         ae.lock()
         assert ae.update(100.0, 0.1) == pytest.approx(0.1)
 
-    def test_unlock_resumes(self):
-        ae = AutoExposureController(target_level=0.2, time_constant_s=0.05)
-        ae.update(2.0, 0.1)
-        ae.lock()
-        ae.unlock()
-        for _ in range(40):
-            value = ae.update(8.0, 0.1)
-        assert value == pytest.approx(0.025, rel=0.01)
-
     def test_lock_before_update_raises(self):
         with pytest.raises(RuntimeError):
             AutoExposureController().lock()

@@ -72,6 +72,8 @@ class TestFacade:
         # reference as a use); the tests read the state directly.
         from repro import baselines, video
         from repro.baselines import facelive
+        from repro.camera.camera import Camera
+        from repro.camera.exposure import AutoExposureController
         from repro.core.lof import LocalOutlierFactor
         from repro.core.pipeline import ChatVerifier, VerificationReport
         from repro.core.streaming import StreamingVerifier
@@ -111,6 +113,8 @@ class TestFacade:
             geometry.Point: ("translated", "scaled", "as_array"),
             geometry.Rect: ("area", "contains", "center", "intersect", "_overlap"),
             FaceLandmarks: ("lower_bridge", "nose_tip_center"),
+            Camera: ("reset_clock",),
+            AutoExposureController: ("unlock",),
         }
         for owner, names in test_only.items():
             for name in names:
