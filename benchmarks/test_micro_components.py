@@ -7,6 +7,8 @@ argument per stage and catch performance regressions.
 import numpy as np
 import pytest
 
+from repro.camera.camera import Camera
+from repro.camera.exposure import AutoExposureController
 from repro.camera.metering import LightMeter, MeteringMode
 from repro.camera.sensor import ImageSensor
 from repro.core import batch as batch_module
@@ -248,6 +250,34 @@ def test_bench_expose_frame_64(benchmark):
     sensor = ImageSensor(rng=np.random.default_rng(3))
     pixels = benchmark(lambda: sensor.expose(radiance, 1.0 / 250.0))
     assert pixels.shape == (64, 64, 3)
+
+
+def test_bench_capture_locked_96(benchmark):
+    """A locked prover camera's whole ``capture`` on a 96x96 raster: the
+    exposure-locked loop skips the meter, so this is the sensor chain plus
+    the frame's bookkeeping."""
+    radiance = _radiance(96)
+    camera = Camera(
+        sensor=ImageSensor(rng=np.random.default_rng(3)),
+        meter=LightMeter(mode=MeteringMode.MULTI_ZONE),
+        auto_exposure=AutoExposureController(target_level=0.22),
+    )
+    camera.capture(radiance, timestamp=0.0)
+    camera.auto_exposure.lock()
+    clock = iter(range(1, 10**9))
+    frame = benchmark(lambda: camera.capture(radiance, timestamp=0.1 * next(clock)))
+    assert frame.pixels.shape == (96, 96, 3)
+    assert "metered_level" not in frame.metadata
+
+
+def test_bench_encode_frame_96(benchmark):
+    """One 96x96 frame through the codec at its default quality (step 1)."""
+    codec = VideoCodec()
+    pixels = ImageSensor(rng=np.random.default_rng(3)).expose(_radiance(96), 1.0 / 250.0)
+    frame = Frame(pixels=pixels, timestamp=0.0)
+    encoded = benchmark(lambda: codec.encode(frame))
+    assert codec.quant_step == 1
+    assert encoded.data.dtype == np.uint8 and encoded.shape == (96, 96)
 
 
 def test_bench_multi_zone_metering(benchmark):

@@ -108,7 +108,6 @@ class ReenactmentAttacker:
             radiance,
             timestamp=t,
             metadata={
-                "landmarks_truth": result.landmarks,
                 "fake": True,
                 "attack": type(self).__name__,
             },

@@ -76,4 +76,4 @@ class TargetRecording:
 
     def illuminance_at(self, t: float, offset_s: float = 0.0) -> float:
         """Illuminance (lux) on the victim's face at footage time."""
-        return float(self.illumination.sample_scalar(self.playback_time(t, offset_s)))
+        return self.illumination.sample(self.playback_time(t, offset_s))

@@ -63,7 +63,9 @@ class Camera:
         """Capture one frame from a radiance raster.
 
         The AE loop advances by the wall-clock gap since the previous
-        capture, then the sensor exposes the raster.
+        capture, then the sensor exposes the raster.  A locked loop that
+        already holds an exposure skips the meter, and its frames carry no
+        ``metered_level``.
         """
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
@@ -76,10 +78,16 @@ class Camera:
         )
         self._last_timestamp = timestamp
 
-        measured = self.meter.measure(radiance)
-        exposure = self.auto_exposure.update(measured, dt)
+        frame_metadata: dict[str, Any]
+        if self.auto_exposure.needs_metering:
+            measured = self.meter.measure(radiance)
+            exposure = self.auto_exposure.update(measured, dt)
+            frame_metadata = {"exposure": exposure, "metered_level": measured}
+        else:
+            # A locked loop ignores the reading, so the frame is not metered.
+            exposure = self.auto_exposure.exposure
+            frame_metadata = {"exposure": exposure}
         pixels = self.sensor.expose(radiance, exposure)
-        frame_metadata: dict[str, Any] = {"exposure": exposure, "metered_level": measured}
         if metadata:
             frame_metadata.update(metadata)
         return Frame(pixels=pixels, timestamp=timestamp, metadata=frame_metadata)

@@ -73,6 +73,12 @@ class AutoExposureController:
             raise RuntimeError("exposure is undefined before the first update")
         return self._exposure
 
+    @property
+    def needs_metering(self) -> bool:
+        """Whether :meth:`update` reads its metered level: false once the
+        loop is locked on an exposure."""
+        return self._exposure is None or not self.locked
+
     def _ideal(self, measured_level: float) -> float:
         ideal = self.target_level / max(measured_level, 1e-12)
         return min(max(ideal, self.min_exposure), self.max_exposure)

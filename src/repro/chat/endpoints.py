@@ -241,14 +241,14 @@ class VerifierEndpoint:
     def produce_frame(self, t: float) -> Frame:
         """Render and capture Alice's frame at time ``t``."""
         pose = self.expression.sample(t)
-        ambient_lux = self.ambient.sample_scalar(t)
+        ambient_lux = self.ambient.sample(t)
         result = self.renderer.render(
             pose,
             face_illuminance_lux=ambient_lux,
             ambient_lux=ambient_lux,
         )
         self.metering.apply(self.camera.meter, t)
-        metadata: dict = {"landmarks_truth": result.landmarks}
+        metadata: dict = {}
         if self.handshake is not None:
             metadata["handshake"] = dict(self.handshake)
         return self.camera.capture(
@@ -355,7 +355,7 @@ class GenuineProverEndpoint:
             if payload is not None:
                 self._ack = self.on_handshake(payload)
         pose = self.expression.sample(t)
-        ambient_lux = self.ambient.sample_scalar(t)
+        ambient_lux = self.ambient.sample(t)
         screen_lux = self.screen_lux(displayed, t)
         result = self.renderer.render(
             pose,
@@ -364,7 +364,6 @@ class GenuineProverEndpoint:
             screen_lux=screen_lux,
         )
         metadata: dict = {
-            "landmarks_truth": result.landmarks,
             "screen_lux": screen_lux,
             "ambient_lux": ambient_lux,
         }

@@ -9,7 +9,7 @@ from .display import (
     TABLET_10_LCD,
     ScreenSpec,
 )
-from .illumination import AmbientEvent, AmbientLight, screen_illuminance, von_kries_reflection
+from .illumination import AmbientEvent, AmbientLight, screen_illuminance
 
 __all__ = [
     "DELL_27_LED",
@@ -22,5 +22,4 @@ __all__ = [
     "AmbientEvent",
     "AmbientLight",
     "screen_illuminance",
-    "von_kries_reflection",
 ]

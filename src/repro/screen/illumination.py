@@ -9,9 +9,6 @@ This module carries the paper's physical chain from the panel to the skin:
   a base level, slow drift, and occasional step events (a lamp toggled, a
   cloud passing).  Ambient events are the main source of *coincidental*
   luminance changes in both legitimate and attack videos.
-* :func:`von_kries_reflection` — the diagonal reflection model of
-  Sec. II-C: reflected radiance per channel is illuminance times the
-  skin's spectral reflectance.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "screen_illuminance",
-    "von_kries_reflection",
     "AmbientLight",
     "AmbientEvent",
 ]
@@ -51,28 +47,6 @@ def screen_illuminance(luminance_nits: float, area_m2: float, distance_m: float)
     return math.pi * luminance_nits * area_m2 / (area_m2 + math.pi * distance_m**2)
 
 
-def von_kries_reflection(  # reprolint: disable=R009 -- test-only, see ROADMAP
-    illuminance: float | np.ndarray,
-    reflectance_rgb: np.ndarray,
-) -> np.ndarray:
-    """Reflected radiance per channel under the Von Kries diagonal model.
-
-    Implements Eq. (1) of the paper: ``I_c = E_c * R_c`` for each channel
-    ``c in {R, G, B}``.  ``illuminance`` may be a scalar (one instant) or
-    an array of shape ``(n,)`` (a time series); the result broadcasts to
-    ``(3,)`` or ``(n, 3)`` respectively.
-    """
-    reflectance = np.asarray(reflectance_rgb, dtype=np.float64)
-    if reflectance.shape != (3,):
-        raise ValueError(f"reflectance must have shape (3,), got {reflectance.shape}")
-    if np.any(reflectance < 0) or np.any(reflectance > 1):
-        raise ValueError("reflectance values must lie in [0, 1]")
-    illum = np.asarray(illuminance, dtype=np.float64)
-    if np.any(illum < 0):
-        raise ValueError("illuminance must be non-negative")
-    return np.multiply.outer(illum, reflectance)
-
-
 @dataclasses.dataclass(frozen=True)
 class AmbientEvent:
     """One step change in ambient light (e.g. a lamp switched on)."""
@@ -81,11 +55,11 @@ class AmbientEvent:
     duration_s: float
     delta_lux: float
 
-    def contribution(self, t: np.ndarray) -> np.ndarray:
-        """Added lux at each time in ``t`` (smooth 100 ms ramps)."""
+    def contribution(self, t: float) -> float:
+        """Added lux at time ``t`` (smooth 100 ms ramps)."""
         ramp = 0.1
-        rise = np.clip((t - self.start_s) / ramp, 0.0, 1.0)
-        fall = np.clip((t - self.start_s - self.duration_s) / ramp, 0.0, 1.0)
+        rise = min(max((t - self.start_s) / ramp, 0.0), 1.0)
+        fall = min(max((t - self.start_s - self.duration_s) / ramp, 0.0), 1.0)
         return self.delta_lux * (rise - fall)
 
 
@@ -166,22 +140,21 @@ class AmbientLight:
             )
         self._horizon_s = until_s
 
-    def sample(self, t: float | np.ndarray) -> np.ndarray:
-        """Ambient illuminance (lux) at the given time(s), never negative."""
-        times = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if times.size and np.any(times < 0):
-            raise ValueError("time must be non-negative")
-        if times.size:
-            self._extend_horizon(float(times.max()) + 1e-9)
-        lux = np.full_like(times, self.base_lux)
+    def sample(self, t: float) -> float:
+        """Ambient illuminance (lux) at time ``t``, never negative.
+
+        The drift uses ``np.sin`` rather than ``math.sin``: NumPy's sine
+        kernel, not the platform's libm, sets its bits.
+        """
+        t = float(t)
+        if not math.isfinite(t) or t < 0:
+            raise ValueError("time must be finite and non-negative")
+        self._extend_horizon(t + 1e-9)
+        lux = float(self.base_lux)
         if self.drift_lux > 0:
-            lux += self.drift_lux * np.sin(
-                2.0 * math.pi * times / self.drift_period_s + self._drift_phase
+            lux += self.drift_lux * float(
+                np.sin(2.0 * math.pi * t / self.drift_period_s + self._drift_phase)
             )
         for event in self._events:
-            lux += event.contribution(times)
-        return np.maximum(lux, 0.0)
-
-    def sample_scalar(self, t: float) -> float:
-        """Convenience scalar version of :meth:`sample`."""
-        return float(self.sample(t)[0])
+            lux += event.contribution(t)
+        return max(lux, 0.0)

@@ -70,12 +70,18 @@ class VideoCodec:
         """Quantize a frame and estimate its payload size."""
         step = self.quant_step
         levels = np.clip(frame.pixels, 0.0, 255.0)
-        levels /= step
-        np.round(levels, out=levels)
-        levels *= step
-        # Re-clip after scaling: values near 255 can round up to the next
-        # step (e.g. 254 -> 256 at step 4), which would wrap in uint8.
-        quantized = np.clip(levels, 0.0, 255.0, out=levels).astype(np.uint8)
+        if step == 1:
+            # Dividing and multiplying by 1 are exact no-ops, and a rounded
+            # value in [0, 255] stays in range.
+            np.round(levels, out=levels)
+        else:
+            levels /= step
+            np.round(levels, out=levels)
+            levels *= step
+            # Re-clip after scaling: values near 255 can round up to the
+            # next step (e.g. 254 -> 256 at step 4), which would wrap in uint8.
+            np.clip(levels, 0.0, 255.0, out=levels)
+        quantized = levels.astype(np.uint8)
         # One raster is shared by the sent frame, the jitter buffer and
         # the decoded frame; a write to any of them would change them all.
         quantized.flags.writeable = False

@@ -130,8 +130,8 @@ class ExpressionTrack:
 
     def sample(self, t: float) -> PoseState:
         """Pose at time ``t`` (seconds)."""
-        if t < 0:
-            raise ValueError("time must be non-negative")
+        if not math.isfinite(t) or t < 0:
+            raise ValueError("time must be finite and non-negative")
         dx = float(
             np.sum(self._amps * np.sin(2.0 * math.pi * self._freqs_x * t + self._phases_x))
         )
@@ -167,7 +167,3 @@ class ExpressionTrack:
             blink=blink,
             mouth_open=mouth,
         )
-
-    def sample_many(self, times: np.ndarray) -> list[PoseState]:  # reprolint: disable=R009 -- test-only, see ROADMAP
-        """Poses for an array of times (convenience for the renderer)."""
-        return [self.sample(float(t)) for t in np.asarray(times, dtype=np.float64)]

@@ -2,9 +2,9 @@
 
 Produces *linear scene radiance* maps (reflectance times illuminance, per
 channel — the Von Kries model of Sec. II-C) that the camera substrate then
-exposes, gamma-encodes and degrades into display-referred frames.  Ground
-truth landmark positions are returned alongside each raster so tests can
-quantify the landmark detector's error.
+exposes, gamma-encodes and degrades into display-referred frames.  Each
+raster's ground-truth landmark positions are computed on request, so tests
+can quantify the landmark detector's error.
 
 The renderer is deliberately simple (an ellipse head with shaded skin,
 hair, eyes, nose, mouth, optional glasses over a structured wall), but it
@@ -101,19 +101,33 @@ class BackgroundModel:
 
 
 class RenderResult:
-    """One rendered raster plus its ground truth."""
+    """One rendered raster plus its ground truth.
 
-    __slots__ = ("radiance", "landmarks", "face_visible")
+    The ground-truth landmarks are computed from the pose on first read:
+    the capture rig never reads them, the landmark-accuracy tests do.
+    """
+
+    __slots__ = ("radiance", "face_visible", "_renderer", "_pose", "_landmarks")
 
     def __init__(
         self,
         radiance: np.ndarray,
-        landmarks: dict[str, list[Point]],
         face_visible: bool,
+        renderer: FaceRenderer,
+        pose: PoseState,
     ) -> None:
         self.radiance = radiance
-        self.landmarks = landmarks
         self.face_visible = face_visible
+        self._renderer = renderer
+        self._pose = pose
+        self._landmarks: dict[str, list[Point]] | None = None
+
+    @property
+    def landmarks(self) -> dict[str, list[Point]]:
+        """Ground-truth pixel coordinates of every canonical landmark."""
+        if self._landmarks is None:
+            self._landmarks = self._renderer.landmark_positions(self._pose)
+        return self._landmarks
 
 
 class FaceRenderer:
@@ -276,8 +290,4 @@ class FaceRenderer:
             for channel, plane in enumerate(planes):
                 np.copyto(window[..., channel], plane, where=mask)
 
-        return RenderResult(
-            radiance=radiance,
-            landmarks=self.landmark_positions(pose),
-            face_visible=face_visible,
-        )
+        return RenderResult(radiance, face_visible, self, pose)

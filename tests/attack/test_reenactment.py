@@ -8,7 +8,7 @@ from repro.attack.target import TargetRecording
 from repro.video.luminance import frame_mean_luminance
 from repro.vision.expression import ExpressionTrack
 from repro.vision.face_model import make_face
-from repro.vision.landmarks import LandmarkDetector
+from repro.vision.landmarks import LandmarkDetector, mean_landmark_error
 
 from ..conftest import blank_frame
 
@@ -56,10 +56,16 @@ class TestRealism:
         driving = ExpressionTrack(seed=77)
         attacker = ReenactmentAttacker(target=target, driving=driving, frame_size=(64, 64))
         frame = attacker.produce_frame(3.0, None)
-        truth = frame.metadata["landmarks_truth"]
+        assert "landmarks_truth" not in frame.metadata
         pose = driving.sample(3.0)
+        lux = target.illuminance_at(3.0)
+        truth = attacker.renderer.render(pose, lux, lux).landmarks
         expected_x = pose.center_x * 64
         assert truth["nasal_bridge"][0].x == pytest.approx(expected_x, abs=2.0)
+        # The fake frame shows the face at the driving pose's landmarks.
+        detected = LandmarkDetector().detect(frame.pixels)
+        assert detected is not None
+        assert mean_landmark_error(detected, truth) < 4.0
 
     def test_frames_flagged_fake(self, attacker):
         frame = attacker.produce_frame(0.5, None)

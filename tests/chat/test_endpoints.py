@@ -10,6 +10,7 @@ from repro.screen.illumination import AmbientLight
 from repro.video.luminance import frame_mean_luminance
 from repro.vision.expression import ExpressionTrack
 from repro.vision.face_model import make_face
+from repro.vision.landmarks import LandmarkDetector, mean_landmark_error
 
 from ..conftest import blank_frame
 
@@ -80,9 +81,18 @@ class TestVerifierEndpoint:
         assert span > 30.0  # several stops of exposure swing
 
     def test_frames_carry_ground_truth(self):
-        frame = _verifier(seed=3).produce_frame(0.0)
-        assert "landmarks_truth" in frame.metadata
+        """A captured frame shows its face where the render's ground truth
+        (``RenderResult.landmarks``, computed on read) puts it; the frame
+        itself carries only the camera's metadata."""
+        verifier = _verifier(seed=3)
+        frame = verifier.produce_frame(0.0)
+        assert "landmarks_truth" not in frame.metadata
         assert "exposure" in frame.metadata
+        lux = verifier.ambient.sample(0.0)
+        truth = verifier.renderer.render(verifier.expression.sample(0.0), lux, lux).landmarks
+        detected = LandmarkDetector().detect(frame.pixels)
+        assert detected is not None
+        assert mean_landmark_error(detected, truth) < 4.0
 
 
 class TestGenuineProver:

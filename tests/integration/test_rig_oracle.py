@@ -1,10 +1,11 @@
 """Capture-rig kernels against their reference implementations.
 
 The renderer, sensor, multi-zone meter and codec compute on face windows,
-channel planes and single in-place buffers.  Each must stay bit-identical
-to the straightforward whole-raster kernel it replaced, kept here as
-``_*_reference``: same pixels, same ``face_visible``, the same generator
-draws, and no writes into the caller's arrays.
+channel planes and single in-place buffers, and the ambient light is
+sampled as one scalar per tick.  Each must stay bit-identical to the
+straightforward whole-raster (or whole-array) kernel it replaced, kept
+here as ``_*_reference``: same pixels, same ``face_visible``, the same
+generator draws, and no writes into the caller's arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.attack.reenactment import ReenactmentAttacker
 from repro.attack.target import TargetRecording
 from repro.camera.metering import LightMeter
 from repro.camera.sensor import ImageSensor, standard_normal_table
+from repro.screen.illumination import AmbientLight
 from repro.video.codec import VideoCodec
 from repro.video.frame import Frame
 from repro.vision.expression import PoseState
@@ -119,6 +121,32 @@ def _encode_reference(step, pixels):
     """Out-of-place quantizer."""
     clipped = np.clip(pixels, 0.0, 255.0)
     return np.clip(np.round(clipped / step) * step, 0.0, 255.0).astype(np.uint8)
+
+
+def _contribution_reference(event, times):
+    """An ambient event's added lux at each time, with 100 ms ramps."""
+    ramp = 0.1
+    rise = np.clip((times - event.start_s) / ramp, 0.0, 1.0)
+    fall = np.clip((times - event.start_s - event.duration_s) / ramp, 0.0, 1.0)
+    return event.delta_lux * (rise - fall)
+
+
+def _ambient_reference(light, t):
+    """The array-form ambient sampler, at one time (as the frame
+    producers called it): a ``(1,)`` array of lux."""
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if times.size and np.any(times < 0):
+        raise ValueError("time must be non-negative")
+    if times.size:
+        light._extend_horizon(float(times.max()) + 1e-9)
+    lux = np.full_like(times, light.base_lux)
+    if light.drift_lux > 0:
+        lux += light.drift_lux * np.sin(
+            2.0 * math.pi * times / light.drift_period_s + light._drift_phase
+        )
+    for event in light._events:
+        lux += _contribution_reference(event, times)
+    return np.maximum(lux, 0.0)
 
 
 def _random_pose(rng):
@@ -248,3 +276,58 @@ def test_reenactment_gain_matches_broadcast_reference():
         if tick == 0:
             ref.camera.auto_exposure.lock()
         np.testing.assert_array_equal(got.pixels, want.pixels)
+
+
+@pytest.mark.parametrize("quality", [1.0, 0.9, 0.67])
+def test_encode_step_one_pins_rounding_at_the_range_ends(quality):
+    """At step 1 the quantizer is clip, round, cast: a value just below 0
+    or around 255 lands where the divide/multiply/re-clip chain put it."""
+    codec = VideoCodec(quality=quality)
+    assert codec.quant_step == 1
+    values = np.array([-0.4, 254.6, 255.4])
+    pixels = np.broadcast_to(values[:, None, None], (3, 4, 3)).copy()
+    encoded = codec.encode(Frame(pixels=pixels, timestamp=0.0))
+    np.testing.assert_array_equal(encoded.data, _encode_reference(1, pixels))
+    np.testing.assert_array_equal(encoded.data[:, 0, 0], [0, 255, 255])
+
+
+def _ambient_pair(drift, rate, seed):
+    def build():
+        return AmbientLight(
+            base_lux=20.0,
+            drift_lux=drift,
+            event_rate_hz=rate,
+            event_lux_range=(8.0, 40.0),
+            rng=np.random.default_rng(seed),
+        )
+
+    return build(), build()
+
+
+def _assert_ambient_matches(new, ref, times):
+    got = np.array([new.sample(t) for t in times])
+    want = np.array([_ambient_reference(ref, t)[0] for t in times])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert new.events == tuple(ref._events)
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("drift", [0.0, 3.0])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_ambient_sample_matches_reference_per_tick(drift, rate):
+    """0.1 s ticks to 120 s: bit-equal lux, the same events and the same
+    generator state as the array-form sampler."""
+    new, ref = _ambient_pair(drift, rate, seed=int(drift * 10 + rate * 100))
+    _assert_ambient_matches(new, ref, [0.1 * tick for tick in range(1201)])
+    if rate > 0:
+        assert len(new.events) > 10
+
+
+@pytest.mark.parametrize("drift", [0.0, 3.0])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_ambient_sample_matches_reference_at_random_times(drift, rate):
+    """Unordered times, so the horizon sometimes jumps and sometimes
+    reads back inside it."""
+    new, ref = _ambient_pair(drift, rate, seed=7 + int(rate * 10))
+    times = np.random.default_rng(int(drift) + int(rate * 10)).uniform(0.0, 200.0, size=600)
+    _assert_ambient_matches(new, ref, [float(t) for t in times])

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.screen.illumination import screen_illuminance, von_kries_reflection
+from repro.screen.illumination import screen_illuminance
 from repro.video.luminance import pixel_luminance
 from repro.vision.geometry import Rect, square_around
 
@@ -57,20 +57,6 @@ class TestIlluminationProperties:
     def test_illuminance_decreases_with_distance(self, lum, area, d1, d2):
         near, far = sorted((d1, d2))
         assert screen_illuminance(lum, area, near) >= screen_illuminance(lum, area, far)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1e4),
-        st.tuples(
-            st.floats(min_value=0.01, max_value=0.99),
-            st.floats(min_value=0.01, max_value=0.99),
-            st.floats(min_value=0.01, max_value=0.99),
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_von_kries_bounded_by_illuminance(self, lux, reflectance):
-        out = von_kries_reflection(lux, np.array(reflectance))
-        assert (out <= lux + 1e-9).all()
-        assert (out >= 0).all()
 
 
 class TestLuminanceProperties:

@@ -70,7 +70,7 @@ class TestFacade:
 
         # Public names only tests called (R009 does not count a test
         # reference as a use); the tests read the state directly.
-        from repro import baselines, video
+        from repro import baselines, screen, video
         from repro.baselines import facelive
         from repro.camera.camera import Camera
         from repro.camera.exposure import AutoExposureController
@@ -82,11 +82,13 @@ class TestFacade:
         from repro.net.jitterbuffer import JitterBuffer
         from repro.obs.metrics import MetricsSnapshot, SeriesSnapshot
         from repro.protocol.gate import ProtocolGate
+        from repro.screen import illumination
         from repro.service.queues import FrameQueue
         from repro.service.server import VerificationServer
         from repro.service.tenants import TenantBankCache
         from repro.video import frame, stream
         from repro.vision import geometry
+        from repro.vision.expression import ExpressionTrack
         from repro.vision.landmarks import FaceLandmarks
 
         test_only = {
@@ -115,6 +117,10 @@ class TestFacade:
             FaceLandmarks: ("lower_bridge", "nose_tip_center"),
             Camera: ("reset_clock",),
             AutoExposureController: ("unlock",),
+            ExpressionTrack: ("sample_many",),
+            illumination: ("von_kries_reflection",),
+            screen: ("von_kries_reflection",),
+            illumination.AmbientLight: ("sample_scalar",),
         }
         for owner, names in test_only.items():
             for name in names:

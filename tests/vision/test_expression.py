@@ -1,5 +1,7 @@
 """Expression/pose dynamics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExpressionTrack(seed=0, scale_base=0.5)
 
-    def test_sample_many_matches_sample(self):
-        track = ExpressionTrack(seed=9)
-        times = np.array([0.5, 1.5, 2.5])
-        many = track.sample_many(times)
-        assert many == [track.sample(float(t)) for t in times]
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            ExpressionTrack(seed=0).sample(t)
